@@ -35,14 +35,13 @@ from .errors import (
     SolverError,
 )
 from .exact import PiWindow, ThetaMeasure, solve_pi_truncated, solve_theta_exact
-from .generator import ReducedGenerator, build_reduced_generator, full_transitions
+from .generator import ReducedGenerator, balance_residual, build_reduced_generator
 from .model import (
-    FullState,
     InventoryState,
     NetworkConfig,
     ServiceRateProfile,
     enumerate_inventory_states,
-    routing_prob,
+    method_inapplicable,
     routing_probs,
 )
 from .recursive import AffineKappa, ThetaTable, gbe_residual, solve_theta_recursive
@@ -56,7 +55,6 @@ __all__ = [
     "DegenerateEliminationError",
     "ErgodicityError",
     "ErgodicityReport",
-    "FullState",
     "HeterogeneousCutReport",
     "InventoryState",
     "LocationDiagnostic",
@@ -73,6 +71,7 @@ __all__ = [
     "SolverError",
     "ThetaMeasure",
     "ThetaTable",
+    "balance_residual",
     "build_reduced_generator",
     "check_cut_heterogeneous",
     "check_cut_homogeneous",
@@ -80,12 +79,11 @@ __all__ = [
     "decoupling_test",
     "enumerate_inventory_states",
     "ergodicity_check",
-    "full_transitions",
     "gbe_residual",
     "inventory_marginal",
     "merge_results",
     "queue_marginal",
-    "routing_prob",
+    "method_inapplicable",
     "routing_probs",
     "simulate",
     "solve_pi_truncated",

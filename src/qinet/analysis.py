@@ -277,17 +277,19 @@ def check_symmetry(
 
     Homogeneous networks must be exchangeable; pass
     ``allow_heterogeneous=True`` to measure the asymmetry of other
-    configurations (useful as a negative control).
+    configurations with equal base stocks (useful as a negative control).
     """
     if not config.is_homogeneous() and not allow_heterogeneous:
         raise PreconditionError("symmetry check needs a homogeneous configuration")
-    prob = _on_hand_dict(theta)
-    J = config.J
+    if len(set(config.b)) != 1:
+        raise PreconditionError(
+            "symmetry check needs equal base stocks: permuting locations with "
+            "different levels does not map the state space onto itself"
+        )
+    grid = theta.weights.reshape([config.b[0] + 1] * config.J)
     worst = 0.0
-    for sigma in itertools.permutations(range(J)):
-        for k, w in prob.items():
-            permuted = tuple(k[sigma[j]] for j in range(J))
-            worst = max(worst, abs(w - prob[permuted]))
+    for sigma in itertools.permutations(range(config.J)):
+        worst = max(worst, float(np.abs(grid - np.transpose(grid, sigma)).max()))
     return worst
 
 

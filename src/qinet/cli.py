@@ -27,8 +27,8 @@ from .errors import (
     SolverError,
 )
 from .exact import ThetaMeasure, solve_theta_exact
-from .generator import build_reduced_generator
-from .model import InventoryState, NetworkConfig, ServiceRateProfile
+from .generator import balance_residual, build_reduced_generator
+from .model import InventoryState, NetworkConfig, ServiceRateProfile, method_inapplicable
 from .recursive import solve_theta_recursive
 from .simulate import decoupling_test, merge_results, simulate
 
@@ -102,31 +102,14 @@ def load_config(path: str) -> NetworkConfig:
 def _pick_method(config: NetworkConfig, method: str) -> tuple[str, str]:
     """Resolve the requested method; returns (method, note)."""
     if method == "auto":
-        if all(bj == 1 for bj in config.b):
+        if method_inapplicable(config, "closed") is None:
             return "closed", "auto: all base stocks are one"
-        if (
-            config.J == 2
-            and min(config.b) > 1
-            and config.b[0] >= config.b[1]
-            and config.transfer_beta is None
-        ):
+        if method_inapplicable(config, "recursive") is None:
             return "recursive", "auto: two locations with base stocks above one"
         return "exact", "auto: fallback to the linear-algebra solve"
-    if method == "closed" and any(bj != 1 for bj in config.b):
-        raise PreconditionError(
-            "closed-form method needs every base stock equal to one; use exact"
-        )
-    if method == "recursive":
-        if config.J != 2:
-            raise PreconditionError("recursive method needs J = 2; use exact")
-        if min(config.b) < 2:
-            raise PreconditionError("recursive method needs b1, b2 > 1; use exact")
-        if config.b[0] < config.b[1]:
-            raise PreconditionError(
-                "recursive method needs b1 >= b2; relabel locations or use exact"
-            )
-        if config.transfer_beta is not None:
-            raise PreconditionError("recursive method cannot handle the transfer channel; use exact")
+    reason = method_inapplicable(config, method)
+    if reason:
+        raise PreconditionError(reason)
     return method, ""
 
 
@@ -138,15 +121,9 @@ def _solve_with(config: NetworkConfig, method: str) -> ThetaMeasure:
     return solve_theta_exact(build_reduced_generator(config))
 
 
-def _theta_residual(config: NetworkConfig, theta: ThetaMeasure) -> float:
-    gen = build_reduced_generator(config)
-    scale = max(np.abs(gen.rates).max(), 1.0)
-    return float(np.abs(theta.weights @ gen.rates).max() / scale)
-
-
 def _solve_report(config: NetworkConfig, method: str, note: str) -> tuple[dict, ThetaMeasure]:
     theta = _solve_with(config, method)
-    residual = _theta_residual(config, theta)
+    residual = balance_residual(config, theta.weights)
     ergo = analysis.ergodicity_check(config)
     xi_params = []
     for diag in ergo.per_location:
@@ -286,24 +263,17 @@ def _verify_checks(config: NetworkConfig, events: int, seed: int) -> tuple[list[
             {"name": name, "value": float(value), "tolerance": tol, "passed": bool(value <= tol)}
         )
 
-    gen = build_reduced_generator(config)
-    theta_exact = solve_theta_exact(gen)
-    add("exact_balance_residual", _theta_residual(config, theta_exact), TOL_EXACT_RESIDUAL)
+    theta_exact = solve_theta_exact(build_reduced_generator(config))
+    add("exact_balance_residual", balance_residual(config, theta_exact.weights), TOL_EXACT_RESIDUAL)
 
-    if all(bj == 1 for bj in config.b):
+    if method_inapplicable(config, "closed") is None:
         theta_closed = theta_unit_base_stock(config)
         add("closed_form_vs_exact_tv", analysis.total_variation(theta_closed, theta_exact), TOL_CLOSED_TV)
 
-    recursive_ok = (
-        config.J == 2
-        and min(config.b) > 1
-        and config.b[0] >= config.b[1]
-        and config.transfer_beta is None
-    )
-    if recursive_ok:
+    if method_inapplicable(config, "recursive") is None:
         theta_rec = solve_theta_recursive(config)
         add("recursive_vs_exact_tv", analysis.total_variation(theta_rec, theta_exact), TOL_RECURSIVE_TV)
-        add("recursive_balance_residual", _theta_residual(config, theta_rec), TOL_RECURSIVE_RESIDUAL)
+        add("recursive_balance_residual", balance_residual(config, theta_rec.weights), TOL_RECURSIVE_RESIDUAL)
 
     if config.is_homogeneous():
         add("symmetry", analysis.check_symmetry(theta_exact, config), TOL_SYMMETRY)
@@ -358,6 +328,8 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
+    if args.replications < 1:
+        raise PreconditionError("--replications must be >= 1")
     ergo = analysis.ergodicity_check(config)
     if not ergo.ergodic:
         print("simulation refused: configuration is not ergodic", file=sys.stderr)

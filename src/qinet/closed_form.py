@@ -15,17 +15,16 @@ import numpy as np
 
 from .errors import PreconditionError
 from .exact import ThetaMeasure
-from .model import NetworkConfig, enumerate_inventory_states
+from .model import NetworkConfig, enumerate_inventory_states, method_inapplicable
 
 __all__ = ["theta_unit_base_stock", "unit_base_stock_weights"]
 
 
 def unit_base_stock_weights(config: NetworkConfig) -> np.ndarray:
     """Unnormalized closed-form weights in canonical state order."""
-    if any(bj != 1 for bj in config.b):
-        raise PreconditionError(
-            "closed form requires every base-stock level to equal one"
-        )
+    reason = method_inapplicable(config, "closed")
+    if reason:
+        raise PreconditionError(reason)
     J = config.J
     # prefactor[s] = prod_{l=0}^{s-1} 1/(J-l), built up iteratively
     prefactor = np.ones(J + 1)

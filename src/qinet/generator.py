@@ -1,4 +1,4 @@
-"""Transition structure: reduced generator on K and the full joint dynamics.
+"""Transition structure of the inventory chain and its reduced generator.
 
 The inventory-replenishment subsystem alone is a finite continuous-time
 Markov chain on the state space K.  Its generator ("reduced generator")
@@ -11,8 +11,10 @@ has two transition families:
 plus, when the two-location transfer channel is enabled, lateral moves
 ``k -> k - e_i + e_j`` at rate ``beta`` whenever ``k_i - k_j >= 2``.
 
-``full_transitions`` exposes the complete joint dynamics (queues included)
-for the event-driven simulator.
+``_transition_arrays`` writes these families down once, as COO arrays.
+The dense generator, the simulator's rate tables (which add the queues),
+the recursive solver's balance terms and :func:`balance_residual` are all
+derived from it.
 """
 from __future__ import annotations
 
@@ -23,15 +25,9 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError, ReducibilityError
-from .model import (
-    FullState,
-    InventoryState,
-    NetworkConfig,
-    enumerate_inventory_states,
-    routing_probs,
-)
+from .model import InventoryState, NetworkConfig, enumerate_inventory_states
 
-__all__ = ["ReducedGenerator", "build_reduced_generator", "full_transitions"]
+__all__ = ["ReducedGenerator", "balance_residual", "build_reduced_generator"]
 
 # Conservativeness tolerance for row sums, relative to the largest rate.
 ROW_SUM_RTOL = 1e-12
@@ -80,49 +76,63 @@ class ReducedGenerator:
         return self.index[key]
 
 
-def _transition_arrays(config: NetworkConfig, levels: np.ndarray):
-    """COO arrays (rows, cols, rates) of all off-diagonal transitions.
+def _transition_arrays(config: NetworkConfig):
+    """COO arrays ``(src, dst, rate, family)`` of every off-diagonal transition.
 
-    ``levels`` holds the on-hand part of every canonical state, one row per
-    state; the lexicographic order makes the target index of a unit move
-    plain stride arithmetic.
+    States are canonical indices.  ``family`` is ``i`` for consumption at
+    location ``i`` (0-based), ``J + i`` for replenishment routed to ``i``
+    and ``2J`` for the transfer channel.  Edges are ordered by source
+    state, then by family; every rate is positive.
     """
     b = np.asarray(config.b)
     J = config.J
+    levels = np.indices(b + 1).reshape(J, -1).T  # canonical (lexicographic) order
     strides = np.ones(J, dtype=np.int64)
     for j in range(J - 2, -1, -1):
         strides[j] = strides[j + 1] * (b[j + 1] + 1)
-    idx = levels @ strides
 
     deficits = b[None, :] - levels
     top = deficits.max(axis=1)
     winners = deficits == top[:, None]
     probs = winners / winners.sum(axis=1, keepdims=True)
 
-    rows, cols, rates = [], [], []
+    src, dst, rate, family = [], [], [], []
+
+    def add(mask, step, rates, fam):
+        rows = np.flatnonzero(mask)
+        src.append(rows)
+        dst.append(rows + step)
+        rate.append(np.broadcast_to(rates, rows.shape))
+        family.append(np.full(rows.size, fam))
+
     for i in range(J):
-        down = levels[:, i] > 0
-        rows.append(idx[down])
-        cols.append(idx[down] - strides[i])
-        rates.append(np.full(int(down.sum()), config.lam[i]))
-
-        up = deficits[:, i] > 0
-        active = up & (probs[:, i] > 0)
-        rows.append(idx[active])
-        cols.append(idx[active] + strides[i])
-        rates.append(config.nu * probs[active, i])
-
+        add(levels[:, i] > 0, -strides[i], config.lam[i], i)
+    for i in range(J):
+        active = (deficits[:, i] > 0) & (probs[:, i] > 0)
+        add(active, strides[i], config.nu * probs[active, i], J + i)
     if config.has_transfer:
         # Two homogeneous locations only (enforced by NetworkConfig): the
         # channel drains the richer location while the gap is >= 2.
-        beta = config.transfer_beta
         for i, j in ((0, 1), (1, 0)):
             gap = levels[:, i] - levels[:, j] >= 2
-            rows.append(idx[gap])
-            cols.append(idx[gap] - strides[i] + strides[j])
-            rates.append(np.full(int(gap.sum()), beta))
+            add(gap, strides[j] - strides[i], config.transfer_beta, 2 * J)
 
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(rates)
+    order = np.argsort(np.concatenate(src), kind="stable")
+    return tuple(np.concatenate(a)[order] for a in (src, dst, rate, family))
+
+
+def balance_residual(config: NetworkConfig, weights) -> float:
+    """Largest ``|weights @ Q|`` entry relative to the largest rate of ``Q``.
+
+    ``Q`` is the reduced generator, applied straight from the transition
+    arrays; no dense matrix is formed.
+    """
+    src, dst, rate, _ = _transition_arrays(config)
+    weights = np.asarray(weights, dtype=float)
+    n = weights.size
+    outflow = np.bincount(src, weights=rate, minlength=n)
+    flux = np.bincount(dst, weights=weights[src] * rate, minlength=n) - weights * outflow
+    return float(np.abs(flux).max() / max(outflow.max(), 1.0))
 
 
 def _assert_strongly_connected(n: int, rows, cols, rates) -> None:
@@ -143,60 +153,11 @@ def build_reduced_generator(config: NetworkConfig) -> ReducedGenerator:
     not assumed).
     """
     states = enumerate_inventory_states(config.b)
-    levels = np.array([s.on_hand for s in states], dtype=np.int64)
     n = len(states)
-    rows, cols, rates = _transition_arrays(config, levels)
+    rows, cols, rates, _ = _transition_arrays(config)
     _assert_strongly_connected(n, rows, cols, rates)
 
     Q = np.zeros((n, n))
     np.add.at(Q, (rows, cols), rates)
     np.fill_diagonal(Q, -Q.sum(axis=1))
     return ReducedGenerator(states=states, rates=Q)
-
-
-def full_transitions(config: NetworkConfig, s: FullState) -> list[tuple[FullState, float]]:
-    """Positive-rate transitions out of a joint state ``(n, k)``.
-
-    Three families: arrivals (admitted only while local stock is on hand,
-    otherwise the customer is lost), services (need a customer and a unit
-    of stock; completing one consumes the unit and places a supplier
-    order), and replenishments routed by deficit priority.  The transfer
-    family is appended when the channel is enabled.
-    """
-    s.k.validate(config.b)
-    J = config.J
-    n, k = s.n, s.k.k
-    out: list[tuple[FullState, float]] = []
-
-    for i in range(J):
-        if k[i] > 0:
-            target = FullState(n[:i] + (n[i] + 1,) + n[i + 1:], s.k)
-            out.append((target, config.lam[i]))
-
-    for i in range(J):
-        if n[i] > 0 and k[i] > 0:
-            new_k = list(k)
-            new_k[i] -= 1
-            new_k[-1] += 1
-            target = FullState(
-                n[:i] + (n[i] - 1,) + n[i + 1:], InventoryState(tuple(new_k))
-            )
-            out.append((target, config.mu[i].rate(n[i])))
-
-    probs = routing_probs(s.k, config.b)
-    for i in range(J):
-        if k[i] < config.b[i] and probs[i] > 0:
-            new_k = list(k)
-            new_k[i] += 1
-            new_k[-1] -= 1
-            out.append((FullState(n, InventoryState(tuple(new_k))), config.nu * probs[i]))
-
-    if config.has_transfer:
-        for i, j in ((0, 1), (1, 0)):
-            if k[i] - k[j] >= 2:
-                new_k = list(k)
-                new_k[i] -= 1
-                new_k[j] += 1
-                out.append((FullState(n, InventoryState(tuple(new_k))), config.transfer_beta))
-
-    return out

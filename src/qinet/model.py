@@ -15,16 +15,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError
 
 __all__ = [
     "ServiceRateProfile",
     "NetworkConfig",
     "InventoryState",
-    "FullState",
     "enumerate_inventory_states",
-    "routing_prob",
     "routing_probs",
+    "method_inapplicable",
 ]
 
 
@@ -167,21 +166,6 @@ class InventoryState:
             raise ConfigError("supplier coordinate must equal the total deficit")
 
 
-@dataclass(frozen=True)
-class FullState:
-    """Joint state: queue lengths ``n`` plus inventory state ``k``."""
-
-    n: tuple[int, ...]
-    k: InventoryState
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", tuple(int(x) for x in self.n))
-        if any(x < 0 for x in self.n):
-            raise ConfigError("queue lengths must be non-negative")
-        if len(self.n) != len(self.k.k) - 1:
-            raise ConfigError("queue vector length must match the location count")
-
-
 def enumerate_inventory_states(b) -> tuple[InventoryState, ...]:
     """All inventory states for base-stock vector b, in canonical order.
 
@@ -199,35 +183,44 @@ def enumerate_inventory_states(b) -> tuple[InventoryState, ...]:
     return tuple(states)
 
 
-def _argmax_deficit(on_hand, b) -> list[int]:
-    deficits = [bj - kj for kj, bj in zip(on_hand, b)]
-    top = max(deficits)
-    return [j for j, d in enumerate(deficits) if d == top]
-
-
-def routing_prob(k: InventoryState, i: int, b) -> float:
-    """Probability that a finished item is routed to location i (1-based).
+def routing_probs(k: InventoryState, b) -> tuple[float, ...]:
+    """Probability that a finished item is routed to each location.
 
     The item goes to the location(s) with the largest deficit ``b_j - k_j``;
     a tie among m locations gives each probability 1/m.  When every
     inventory is full the deficits tie at zero and the uniform value 1/J is
     returned; transitions guard replenishment with ``k_i < b_i``, so that
-    value never multiplies a positive rate.
+    value never multiplies a positive rate.  This scalar form is the
+    reference the vectorized transition arrays are tested against.
     """
     b = tuple(int(x) for x in b)
-    if not 1 <= i <= len(b):
-        raise PreconditionError(f"location index {i} out of range 1..{len(b)}")
     k.validate(b)
-    winners = _argmax_deficit(k.on_hand, b)
-    if (i - 1) not in winners:
-        return 0.0
-    return 1.0 / len(winners)
+    deficits = [bj - kj for kj, bj in zip(k.on_hand, b)]
+    top = max(deficits)
+    p = 1.0 / deficits.count(top)
+    return tuple(p if d == top else 0.0 for d in deficits)
 
 
-def routing_probs(k: InventoryState, b) -> tuple[float, ...]:
-    """Routing probabilities for all locations at once (sums to one)."""
-    b = tuple(int(x) for x in b)
-    k.validate(b)
-    winners = _argmax_deficit(k.on_hand, b)
-    p = 1.0 / len(winners)
-    return tuple(p if j in winners else 0.0 for j in range(len(b)))
+def method_inapplicable(config: NetworkConfig, method: str) -> str | None:
+    """Why ``method`` cannot solve ``config``, or ``None`` when it can.
+
+    ``"exact"`` solves every configuration; ``"closed"`` needs every
+    ``b_j = 1``; ``"recursive"`` needs two locations with
+    ``b1 >= b2 > 1`` and no transfer channel.
+    """
+    if method == "closed":
+        if any(bj != 1 for bj in config.b):
+            return "closed form requires every base-stock level to equal one; use exact"
+    elif method == "recursive":
+        if config.J != 2:
+            return "recursive elimination handles exactly two locations; use exact"
+        if config.transfer_beta is not None:
+            return "recursive elimination does not cover the transfer channel; use exact"
+        b1, b2 = config.b
+        if b1 == b2 == 1:
+            return "all base stocks equal one; use the closed form"
+        if b1 < b2:
+            return "recursive elimination expects b1 >= b2; relabel the locations or use exact"
+        if b2 == 1:
+            return "recursive elimination requires b2 > 1; use exact"
+    return None

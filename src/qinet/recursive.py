@@ -14,9 +14,9 @@ that are already in the table (zero-rate terms excluded), and the
 implementation raises :class:`SequencingError` the moment that is
 violated rather than silently reading garbage.
 
-Routing probabilities come from :func:`qinet.model.routing_prob`, the same
-source the generator uses, so the half-rate ties on the deficit diagonal
-are never hard-coded here.
+The balance equations are read off the transition arrays of
+:mod:`qinet.generator`, the one description of the dynamics, so the
+half-rate ties on the deficit diagonal are never hard-coded here.
 """
 from __future__ import annotations
 
@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import DegenerateEliminationError, PreconditionError, SequencingError, SolverError
 from .exact import ThetaMeasure
-from .model import InventoryState, NetworkConfig, enumerate_inventory_states, routing_probs
+from .generator import _transition_arrays
+from .model import NetworkConfig, enumerate_inventory_states, method_inapplicable
 
 __all__ = ["AffineKappa", "ThetaTable", "gbe_residual", "solve_theta_recursive"]
 
@@ -123,48 +124,33 @@ class ThetaTable:
         return np.array([[v.a for v in row] for row in self._grid])
 
 
-def _gbe_terms(config: NetworkConfig, state: tuple[int, int]):
-    """Coefficients of the balance equation at ``state``.
+def _balance_terms(config: NetworkConfig) -> dict:
+    """Coefficients of every balance equation, keyed by on-hand state.
 
-    Returns ``[((k1, k2), coef), ...]`` such that the equation reads
-    ``sum coef * theta(entry) = 0``: the state itself carries its total
-    outflow rate, each in-neighbour the negated rate into ``state``.
-    Zero-rate terms are dropped, which is what makes the printed
-    elimination order feasible.
+    ``terms[state]`` is ``[((k1, k2), coef), ...]`` such that the equation
+    reads ``sum coef * theta(entry) = 0``: the state itself carries its
+    total outflow rate (summed in family order), then each in-neighbour
+    the negated rate into ``state``, in family order.  Zero-rate terms are
+    absent, which is what makes the printed elimination order feasible.
     """
     b1, b2 = config.b
-    lam1, lam2 = config.lam
-    nu = config.nu
-    k1, k2 = state
-
-    def probs(x, y):
-        return routing_probs(InventoryState.from_on_hand((x, y), config.b), config.b)
-
-    p1, p2 = probs(k1, k2)
-    outflow = 0.0
-    if k1 > 0:
-        outflow += lam1
-    if k2 > 0:
-        outflow += lam2
-    if k1 < b1:
-        outflow += nu * p1
-    if k2 < b2:
-        outflow += nu * p2
-
-    terms: list[tuple[tuple[int, int], float]] = [((k1, k2), outflow)]
-    if k1 + 1 <= b1:
-        terms.append(((k1 + 1, k2), -lam1))
-    if k2 + 1 <= b2:
-        terms.append(((k1, k2 + 1), -lam2))
-    if k1 >= 1:
-        q1, _ = probs(k1 - 1, k2)
-        if q1 > 0:
-            terms.append(((k1 - 1, k2), -nu * q1))
-    if k2 >= 1:
-        _, q2 = probs(k1, k2 - 1)
-        if q2 > 0:
-            terms.append(((k1, k2 - 1), -nu * q2))
+    src, dst, rate, family = _transition_arrays(config)
+    cells = [divmod(s, b2 + 1) for s in range((b1 + 1) * (b2 + 1))]
+    outflow = [0.0] * len(cells)
+    for s, r in zip(src.tolist(), rate.tolist()):
+        outflow[s] += r
+    terms = {cell: [(cell, out)] for cell, out in zip(cells, outflow)}
+    order = np.lexsort((family, dst))
+    for s, d, r in zip(src[order].tolist(), dst[order].tolist(), rate[order].tolist()):
+        terms[cells[d]].append((cells[s], -r))
     return terms
+
+
+def _residual(table: ThetaTable, terms) -> AffineKappa:
+    residual = AffineKappa(0.0, 0.0)
+    for entry, coef in terms:
+        residual = residual + table.get(*entry).scaled(coef)
+    return residual
 
 
 def gbe_residual(table: ThetaTable, config: NetworkConfig, state: tuple[int, int]) -> AffineKappa:
@@ -174,17 +160,14 @@ def gbe_residual(table: ThetaTable, config: NetworkConfig, state: tuple[int, int
     """
     if config.J != 2:
         raise PreconditionError("balance tables are two-dimensional (J = 2)")
-    residual = AffineKappa(0.0, 0.0)
-    for entry, coef in _gbe_terms(config, state):
-        residual = residual + table.get(*entry).scaled(coef)
-    return residual
+    return _residual(table, _balance_terms(config)[tuple(state)])
 
 
-def _derive(table: ThetaTable, config: NetworkConfig, state, target) -> AffineKappa:
+def _derive(table: ThetaTable, terms: dict, state, target) -> AffineKappa:
     """Use the balance equation of ``state`` to express ``target``."""
     coef_target = None
     acc = AffineKappa(0.0, 0.0)
-    for entry, coef in _gbe_terms(config, state):
+    for entry, coef in terms[state]:
         if entry == tuple(target):
             coef_target = coef
         else:
@@ -198,9 +181,9 @@ def _derive(table: ThetaTable, config: NetworkConfig, state, target) -> AffineKa
     return value
 
 
-def _close(table: ThetaTable, config: NetworkConfig, state) -> float:
+def _close(table: ThetaTable, terms: dict, state) -> float:
     """Solve the balance equation of ``state`` for kappa."""
-    residual = gbe_residual(table, config, state)
+    residual = _residual(table, terms[state])
     if residual.c == 0.0 or abs(residual.c) <= 1e-14 * abs(residual.a):
         raise DegenerateEliminationError(
             f"closing balance equation at {tuple(state)} cannot determine kappa "
@@ -218,39 +201,22 @@ def solve_theta_recursive(config: NetworkConfig) -> ThetaMeasure:
     introduce one fresh kappa, derive entries as affine forms, close with
     a designated balance equation and substitute before moving on.
     """
-    if config.J != 2:
-        raise PreconditionError(
-            "recursive elimination handles exactly two locations; use solve_theta_exact"
-        )
-    if config.transfer_beta is not None:
-        raise PreconditionError(
-            "recursive elimination does not cover the transfer channel; use solve_theta_exact"
-        )
+    reason = method_inapplicable(config, "recursive")
+    if reason:
+        raise PreconditionError(reason)
     b1, b2 = config.b
-    if b1 == 1 and b2 == 1:
-        raise PreconditionError(
-            "all base stocks equal one; use theta_unit_base_stock (closed form)"
-        )
-    if b1 < b2:
-        raise PreconditionError(
-            "recursive elimination expects b1 >= b2; relabel the locations "
-            "or use solve_theta_exact"
-        )
-    if b2 == 1:
-        raise PreconditionError(
-            "recursive elimination requires b2 > 1; use solve_theta_exact"
-        )
+    terms = _balance_terms(config)
 
     table = ThetaTable(b1, b2)
     table.set(b1, 0, AffineKappa(1.0, 0.0))
 
     for k2 in range(b2, 0, -1):
         if k2 == b2:
-            _sweep_top(table, config)
+            _sweep_top(table, b1, b2, terms)
         elif k2 >= 2:
-            _sweep_middle(table, config, k2)
+            _sweep_middle(table, b1, b2, terms, k2)
         else:
-            _sweep_bottom(table, config)
+            _sweep_bottom(table, b1, b2, terms)
         table.assert_resolved()
 
     if not table.is_complete():
@@ -268,55 +234,52 @@ def solve_theta_recursive(config: NetworkConfig) -> ThetaMeasure:
     )
 
 
-def _sweep_top(table: ThetaTable, config: NetworkConfig) -> None:
+def _sweep_top(table: ThetaTable, b1: int, b2: int, terms: dict) -> None:
     """First sweep: top row and right column."""
-    b1, b2 = config.b
     table.set(0, b2, AffineKappa(0.0, 1.0))
     # Right column from the seed upwards; these balance equations only link
     # right-column entries, so each result must stay independent of kappa.
     for ell in range(0, b2 - 1):
-        value = _derive(table, config, (b1, ell), (b1, ell + 1))
+        value = _derive(table, terms, (b1, ell), (b1, ell + 1))
         if not value.is_constant:
             raise SolverError(
                 f"right-column entry ({b1},{ell + 1}) unexpectedly depends on kappa"
             )
     # Top row left to right.
     for k1 in range(0, b1 - 1):
-        _derive(table, config, (k1, b2), (k1 + 1, b2))
+        _derive(table, terms, (k1, b2), (k1 + 1, b2))
     # Full corner from its own balance equation, then step inside.
-    _derive(table, config, (b1, b2), (b1, b2))
-    _derive(table, config, (b1 - 1, b2), (b1 - 1, b2 - 1))
-    kappa = _close(table, config, (b1, b2 - 1))
+    _derive(table, terms, (b1, b2), (b1, b2))
+    _derive(table, terms, (b1 - 1, b2), (b1 - 1, b2 - 1))
+    kappa = _close(table, terms, (b1, b2 - 1))
     table.resolve_kappa(kappa)
 
 
-def _sweep_middle(table: ThetaTable, config: NetworkConfig, k2: int) -> None:
+def _sweep_middle(table: ThetaTable, b1: int, b2: int, terms: dict, k2: int) -> None:
     """Row ``b2 > k2 >= 2`` plus the diagonal-column segment below it."""
-    b1, b2 = config.b
     diag = b1 - (b2 - k2)  # column where the two deficits tie on this row
     table.set(0, k2, AffineKappa(0.0, 1.0))
     for k1 in range(0, diag):
         if k1 < diag - 1:
-            _derive(table, config, (k1, k2), (k1 + 1, k2))
+            _derive(table, terms, (k1, k2), (k1 + 1, k2))
         else:
-            _derive(table, config, (k1, k2), (k1, k2 - 1))
+            _derive(table, terms, (k1, k2), (k1, k2 - 1))
     for ell in range(k2, 0, -1):
-        _derive(table, config, (diag, ell), (diag, ell - 1))
-    kappa = _close(table, config, (diag, 0))
+        _derive(table, terms, (diag, ell), (diag, ell - 1))
+    kappa = _close(table, terms, (diag, 0))
     table.resolve_kappa(kappa)
 
 
-def _sweep_bottom(table: ThetaTable, config: NetworkConfig) -> None:
+def _sweep_bottom(table: ThetaTable, b1: int, b2: int, terms: dict) -> None:
     """Final sweep: row one and the remaining bottom row."""
-    b1, b2 = config.b
     gap = b1 - b2
     table.set(0, 1, AffineKappa(0.0, 1.0))
     for k1 in range(0, gap + 2):
         if k1 < gap:
-            _derive(table, config, (k1, 1), (k1 + 1, 1))
+            _derive(table, terms, (k1, 1), (k1 + 1, 1))
         else:
-            _derive(table, config, (k1, 1), (k1, 0))
+            _derive(table, terms, (k1, 1), (k1, 0))
     for k1 in range(gap, 0, -1):
-        _derive(table, config, (k1, 0), (k1 - 1, 0))
-    kappa = _close(table, config, (gap + 1, 0))
+        _derive(table, terms, (k1, 0), (k1 - 1, 0))
+    kappa = _close(table, terms, (gap + 1, 0))
     table.resolve_kappa(kappa)

@@ -8,20 +8,25 @@ Randomness comes from ``numpy.random.default_rng`` (PCG64) seeded by the
 caller, with uniforms and exponentials pre-drawn in fixed-size blocks, so
 a run is fully reproducible from its seed.
 
-The transition rates only depend on the queue vector through, per
-location, "empty / one of the head levels / in the constant tail", so the
-outgoing-rate tables are cached per (queue signature, inventory state) and
-the inner loop is table lookups.
+The outgoing-rate tables come from the transition arrays of
+:mod:`qinet.generator`: an arrival at location i is admitted exactly where
+a consumption edge for i leaves the inventory state, and a service at i is
+that same edge at rate ``mu_i(n_i)``.  Rates only depend on the queue
+vector through, per location, "empty / one of the head levels / in the
+constant tail", so the tables are cached per (queue signature, inventory
+state) and the inner loop is table lookups.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ErgodicityError, PreconditionError
 from .exact import ThetaMeasure
-from .model import NetworkConfig, enumerate_inventory_states, routing_probs
+from .generator import _transition_arrays
+from .model import NetworkConfig, enumerate_inventory_states
 
 __all__ = ["SimulationResult", "simulate", "decoupling_test", "merge_results"]
 
@@ -58,66 +63,54 @@ class SimulationResult:
 
 
 def _transition_tables(config: NetworkConfig, require_stock_for_service: bool):
-    """Lazy per-(signature, inventory index) outgoing-rate tables.
+    """Lazy per-(signature, inventory index) outgoing moves.
 
-    A table row is ``(total_rate, cumulative_rates, deltas)`` with each
-    delta ``(location, dn, new_k_index)``; ``location == -1`` means the
-    queues do not move.  Setting ``require_stock_for_service=False`` builds
-    a deliberately coupled counter-model in which servers keep working
-    with depleted stock (draining the queue without consuming inventory);
-    it exists purely as a negative control for the decoupling test.
+    ``moves(sig)[k]`` is ``(rates, deltas)`` for inventory index ``k``
+    under queue signature ``sig``, with each delta
+    ``(location, dn, new_k_index)``; ``location == -1`` means the queues
+    do not move.  Arrivals come first, then services, then the
+    inventory-only moves, each in family order.  Setting
+    ``require_stock_for_service=False`` builds a deliberately coupled
+    counter-model in which servers keep working with depleted stock
+    (draining the queue without consuming inventory); it exists purely as
+    a negative control for the decoupling test.
     """
     states = enumerate_inventory_states(config.b)
-    index = {s.k: i for i, s in enumerate(states)}
     J = config.J
     caps = [len(p.head) + 1 for p in config.mu]  # signature cap per location
+    src, dst, rate, family = (a.tolist() for a in _transition_arrays(config))
+    edges = [[] for _ in states]  # per source state: (family, target, rate)
+    for s, d, r, f in zip(src, dst, rate, family):
+        edges[s].append((f, d, r))
 
-    def build(sig):
+    def moves(sig):
+        mu = [config.mu[i].rate(sig[i]) if sig[i] > 0 else None for i in range(J)]
         rows = []
-        for s in states:
-            k = s.k
-            rates: list[float] = []
-            deltas: list[tuple[int, int, int]] = []
+        for k, out in enumerate(edges):
+            consumed = {f: d for f, d, _ in out if f < J}
+            rates = [r for f, _, r in out if f < J]
+            deltas = [(i, 1, k) for i in consumed]
             for i in range(J):
-                if k[i] > 0:
-                    rates.append(config.lam[i])
-                    deltas.append((i, 1, index[k]))
-            for i in range(J):
-                if sig[i] > 0:
-                    if k[i] > 0:
-                        new_k = list(k)
-                        new_k[i] -= 1
-                        new_k[-1] += 1
-                        rates.append(config.mu[i].rate(sig[i]))
-                        deltas.append((i, -1, index[tuple(new_k)]))
-                    elif not require_stock_for_service:
-                        rates.append(config.mu[i].rate(sig[i]))
-                        deltas.append((i, -1, index[k]))
-            probs = routing_probs(s, config.b)
-            for i in range(J):
-                if k[i] < config.b[i] and probs[i] > 0:
-                    new_k = list(k)
-                    new_k[i] += 1
-                    new_k[-1] -= 1
-                    rates.append(config.nu * probs[i])
-                    deltas.append((-1, 0, index[tuple(new_k)]))
-            if config.has_transfer:
-                for i, j in ((0, 1), (1, 0)):
-                    if k[i] - k[j] >= 2:
-                        new_k = list(k)
-                        new_k[i] -= 1
-                        new_k[j] += 1
-                        rates.append(config.transfer_beta)
-                        deltas.append((-1, 0, index[tuple(new_k)]))
-            cum = []
-            acc = 0.0
-            for r in rates:
-                acc += r
-                cum.append(acc)
-            rows.append((acc, cum, deltas))
+                if mu[i] is not None and (i in consumed or not require_stock_for_service):
+                    rates.append(mu[i])
+                    deltas.append((i, -1, consumed.get(i, k)))
+            for f, d, r in out:
+                if f >= J:
+                    rates.append(r)
+                    deltas.append((-1, 0, d))
+            rows.append((rates, deltas))
         return rows
 
-    return states, caps, build
+    return states, caps, moves
+
+
+def _rate_table(rows):
+    """Sampling rows ``(total_rate, cumulative_rates, deltas)`` of ``moves(sig)``."""
+    table = []
+    for rates, deltas in rows:
+        cum = list(itertools.accumulate(rates))
+        table.append((cum[-1], cum, deltas))
+    return table
 
 
 def simulate(
@@ -138,6 +131,8 @@ def simulate(
 
     if total_events < 1:
         raise PreconditionError("total_events must be >= 1")
+    if n_obs < 0:
+        raise PreconditionError("n_obs must be >= 0")
     if not 0.0 <= burn_in < 1.0:
         raise PreconditionError("burn_in must lie in [0, 1)")
     report = ergodicity_check(config)
@@ -145,7 +140,7 @@ def simulate(
         bad = [d.location for d in report.per_location if not d.ergodic]
         raise ErgodicityError(f"simulation refused: locations {bad} are unstable")
 
-    states, caps, build = _transition_tables(config, require_stock_for_service)
+    states, caps, moves = _transition_tables(config, require_stock_for_service)
     n_states = len(states)
     tables: dict[tuple[int, ...], list] = {}
     J = config.J
@@ -154,7 +149,7 @@ def simulate(
     n = [0] * J
     sig = (0,) * J
     kidx = n_states - 1  # all inventories full in canonical (lexicographic) order
-    row = tables.setdefault(sig, build(sig))
+    row = tables.setdefault(sig, _rate_table(moves(sig)))
 
     burn = int(round(burn_in * total_events))
     occ: dict[int, float] = {}
@@ -191,7 +186,7 @@ def simulate(
                 sig = sig[:loc] + (s,) + sig[loc + 1 :]
                 row = tables.get(sig)
                 if row is None:
-                    row = tables.setdefault(sig, build(sig))
+                    row = tables.setdefault(sig, _rate_table(moves(sig)))
 
     if t_acc <= 0:
         raise PreconditionError("no simulated time left after burn-in")

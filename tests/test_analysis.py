@@ -239,6 +239,12 @@ class TestSymmetry:
             check_symmetry(theta, cfg)
         assert check_symmetry(theta, cfg, allow_heterogeneous=True) > 1e-3
 
+    def test_unequal_base_stocks_rejected(self):
+        # Permuting locations with different levels leaves the state space.
+        cfg = make_config((1.0, 1.0), (2, 1), 1.0)
+        with pytest.raises(PreconditionError, match="equal base stocks"):
+            check_symmetry(exact_theta(cfg), cfg, allow_heterogeneous=True)
+
 
 class TestCrossSolverAndStructure:
     def test_identities_hold_for_all_solvers(self, rng):

@@ -205,6 +205,16 @@ class TestSimulate:
         assert "not ergodic" in err
         assert "UNSTABLE" in err
 
+    def test_zero_replications_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["simulate", path, "--events", "1000", "--replications", "0"]) == 1
+        assert "replications" in capsys.readouterr().err
+
+    def test_negative_n_obs_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["simulate", path, "--events", "1000", "--n-obs", "-1"]) == 1
+        assert "n_obs" in capsys.readouterr().err
+
     def test_simulate_json(self, tmp_path):
         path = write_config(tmp_path)
         out = tmp_path / "sim.json"

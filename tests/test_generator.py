@@ -3,16 +3,34 @@ import pytest
 
 from conftest import draw_rates, make_config
 from qinet import (
-    FullState,
-    InventoryState,
     NetworkConfig,
     ReducibilityError,
     ServiceRateProfile,
     build_reduced_generator,
     enumerate_inventory_states,
-    full_transitions,
+    routing_probs,
 )
-from qinet.generator import _assert_strongly_connected
+from qinet.generator import _assert_strongly_connected, _transition_arrays
+from qinet.simulate import _transition_tables
+
+
+def joint_moves(config, n, k):
+    """Outgoing moves of the joint state ``(n, k)`` as ``[((n', k'), rate), ...]``.
+
+    Read off the simulator's per-signature tables, which add the queues to
+    the inventory transition arrays.
+    """
+    states, caps, moves = _transition_tables(config, require_stock_for_service=True)
+    sig = tuple(min(x, cap) for x, cap in zip(n, caps))
+    index = {s.k: i for i, s in enumerate(states)}
+    rates, deltas = moves(sig)[index[tuple(k)]]
+    out = []
+    for rate, (loc, dn, target) in zip(rates, deltas):
+        n_next = list(n)
+        if loc >= 0:
+            n_next[loc] += dn
+        out.append(((tuple(n_next), states[target].k), rate))
+    return out
 
 
 def test_tie_split_from_empty_state():
@@ -60,12 +78,11 @@ def test_full_transitions_depleted_state():
     # Both inventories empty: arrivals are lost, services blocked, only the
     # two replenishment moves remain.
     cfg = make_config((1, 1), (1, 1), 1.0)
-    s = FullState(n=(0, 0), k=InventoryState((0, 0, 2)))
-    out = full_transitions(cfg, s)
+    out = joint_moves(cfg, (0, 0), (0, 0, 2))
     assert len(out) == 2
-    targets = {t.k.k: rate for t, rate in out}
+    targets = {k: rate for (_, k), rate in out}
     assert targets == {(1, 0, 1): 0.5, (0, 1, 1): 0.5}
-    assert all(t.n == (0, 0) for t, _ in out)
+    assert all(n == (0, 0) for (n, _), _ in out)
 
 
 def test_full_transitions_service_and_arrivals():
@@ -75,8 +92,7 @@ def test_full_transitions_service_and_arrivals():
         b=(1, 1),
         nu=1.0,
     )
-    s = FullState(n=(3, 0), k=InventoryState((1, 1, 0)))
-    out = {(t.n, t.k.k): rate for t, rate in full_transitions(cfg, s)}
+    out = dict(joint_moves(cfg, (3, 0), (1, 1, 0)))
     assert out == {
         ((4, 0), (1, 1, 0)): 1.0,          # arrival at 1
         ((3, 1), (1, 1, 0)): 1.0,          # arrival at 2
@@ -88,8 +104,7 @@ def test_full_transitions_service_blocked_without_stock():
     # n2 = 5 customers waiting but k2 = 0: the server idles until the next
     # replenishment.
     cfg = make_config((1, 1), (1, 1), 1.0)
-    s = FullState(n=(0, 5), k=InventoryState((1, 0, 1)))
-    out = {(t.n, t.k.k): rate for t, rate in full_transitions(cfg, s)}
+    out = dict(joint_moves(cfg, (0, 5), (1, 0, 1)))
     assert ((0, 4), (1, 0, 1)) not in out and all(t[0][1] != 4 for t in out)
     # arrival only at location 1 (k2 = 0 loses demand), replenishment to 2
     assert out == {
@@ -111,11 +126,10 @@ def test_aggregation_matches_reduced_generator(rng):
     )
     gen = build_reduced_generator(cfg)
     for s0 in enumerate_inventory_states(b):
-        full = full_transitions(cfg, FullState(n=(4, 4), k=s0))
         agg: dict[tuple, float] = {}
-        for target, rate in full:
-            if target.k.k != s0.k:
-                agg[target.k.k] = agg.get(target.k.k, 0.0) + rate
+        for (_, k), rate in joint_moves(cfg, (4, 4), s0.k):
+            if k != s0.k:
+                agg[k] = agg.get(k, 0.0) + rate
         row = gen.rates[gen.index_of(s0)]
         expected = {
             gen.states[c].k: row[c] for c in np.nonzero(row > 0)[0]
@@ -130,8 +144,8 @@ def test_inventory_conservation(rng):
     cfg = make_config(draw_rates(rng, 3), b, 1.0)
     total = sum(b)
     for s0 in enumerate_inventory_states(b):
-        for target, _ in full_transitions(cfg, FullState(n=(1, 0, 2), k=s0)):
-            assert sum(target.k.k) == total
+        for (_, k), _ in joint_moves(cfg, (1, 0, 2), s0.k):
+            assert sum(k) == total
 
 
 def test_transfer_zero_equals_absent():
@@ -151,9 +165,33 @@ def test_transfer_adds_lateral_moves():
     # gap of one does not
     assert gen.rates[gen.index_of((2, 1, 3)), gen.index_of((1, 2, 3))] == 0.0
 
-    s = FullState(n=(0, 0), k=InventoryState((3, 1, 2)))
-    out = {t.k.k: rate for t, rate in full_transitions(cfg, s) if t.n == s.n and t.k != s.k}
+    k0 = (3, 1, 2)
+    out = {k: rate for (n, k), rate in joint_moves(cfg, (0, 0), k0) if n == (0, 0) and k != k0}
     assert out[(2, 2, 2)] == pytest.approx(0.7)
+
+
+@pytest.mark.parametrize("b", [(2, 1), (3, 2), (2, 2, 2), (1, 2, 3)])
+def test_kernel_routing_matches_scalar_reference(b, rng):
+    # The vectorized replenishment family equals nu * routing_probs, on
+    # exactly the locations below their base stock, and every edge list is
+    # ordered by source state, then by family.
+    cfg = make_config(draw_rates(rng, len(b)), b, 1.3)
+    J = cfg.J
+    states = enumerate_inventory_states(b)
+    src, dst, rate, family = _transition_arrays(cfg)
+    assert list(zip(src, family)) == sorted(zip(src, family))
+    got = {}
+    for s, d, r, f in zip(src, dst, rate, family):
+        if J <= f < 2 * J:
+            step = np.subtract(states[d].on_hand, states[s].on_hand)
+            assert step.tolist() == [int(j == f - J) for j in range(J)]
+            got[(s, f - J)] = r
+    expected = {}
+    for idx, state in enumerate(states):
+        for i, p in enumerate(routing_probs(state, b)):
+            if state.on_hand[i] < b[i] and p > 0:
+                expected[(idx, i)] = cfg.nu * p
+    assert got == expected
 
 
 def test_reducibility_detection():

@@ -5,13 +5,10 @@ from hypothesis import strategies as st
 from conftest import const_mu, make_config
 from qinet import (
     ConfigError,
-    FullState,
     InventoryState,
     NetworkConfig,
-    PreconditionError,
     ServiceRateProfile,
     enumerate_inventory_states,
-    routing_prob,
     routing_probs,
 )
 
@@ -92,13 +89,6 @@ class TestInventoryState:
         with pytest.raises(ConfigError):
             InventoryState((1, 0, 0)).validate((2, 1))  # wrong supplier count
 
-    def test_full_state(self):
-        k = InventoryState.from_on_hand((1, 1), (1, 1))
-        with pytest.raises(ConfigError):
-            FullState(n=(1,), k=k)
-        with pytest.raises(ConfigError):
-            FullState(n=(1, -1), k=k)
-
 
 class TestEnumeration:
     def test_two_unit_levels(self):
@@ -129,29 +119,27 @@ class TestRouting:
     def test_unique_leader(self):
         b = (2, 1)
         k = InventoryState((0, 1, 2))
-        assert routing_prob(k, 1, b) == 1.0
-        assert routing_prob(k, 2, b) == 0.0
+        assert routing_probs(k, b) == (1.0, 0.0)
 
     def test_tie(self):
         b = (2, 1)
         k = InventoryState((1, 0, 2))
-        assert routing_prob(k, 1, b) == 0.5
-        assert routing_prob(k, 2, b) == 0.5
+        assert routing_probs(k, b) == (0.5, 0.5)
 
     def test_all_full_guard_value(self):
         # Deficits all tie at zero: uniform value, never rate-effective
         # because k_i < b_i fails everywhere.
         b = (1, 1)
         k = InventoryState((1, 1, 0))
-        assert routing_prob(k, 1, b) == 0.5
+        assert routing_probs(k, b) == (0.5, 0.5)
 
     def test_index_range(self):
-        b = (1, 1)
+        # The state must fit the base-stock vector it is routed against.
         k = InventoryState((0, 0, 2))
-        with pytest.raises(PreconditionError):
-            routing_prob(k, 0, b)
-        with pytest.raises(PreconditionError):
-            routing_prob(k, 3, b)
+        with pytest.raises(ConfigError):
+            routing_probs(k, (1, 1, 1))
+        with pytest.raises(ConfigError):
+            routing_probs(InventoryState((2, 0, 0)), (1, 1))
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -162,7 +150,9 @@ class TestRouting:
         k = InventoryState.from_on_hand(levels, b)
         probs = routing_probs(k, b)
         assert abs(sum(probs) - 1.0) < 1e-15
-        assert probs == tuple(routing_prob(k, i, b) for i in range(1, J + 1))
+        deficits = [bj - kj for kj, bj in zip(levels, b)]
+        leaders = [d == max(deficits) for d in deficits]
+        assert probs == tuple(1.0 / sum(leaders) if lead else 0.0 for lead in leaders)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -17,7 +18,7 @@ from qinet import (
     total_variation,
 )
 from qinet.model import InventoryState, routing_probs
-from qinet.recursive import _close
+from qinet.recursive import _balance_terms, _close
 
 
 def brute_force_gbe(config, grid, state):
@@ -208,10 +209,17 @@ class TestRecursiveSolver:
         with pytest.raises(PreconditionError, match="transfer"):
             solve_theta_recursive(make_config((1, 1), (2, 2), 1.0, beta=0.3))
 
+    def test_weights_pinned(self):
+        # Fingerprint of one heterogeneous solve: a change to the order in
+        # which balance terms are summed changes these bytes.
+        cfg = make_config((1.3, 0.8), (12, 6), 1.1)
+        digest = hashlib.sha256(solve_theta_recursive(cfg).weights.tobytes()).hexdigest()
+        assert digest == "7e5baddb96d5aac66e9f98ed93a5b960b57e750a54a70c7d3808cee9eb2a4226"
+
     def test_degenerate_close_detected(self):
         # A fully constant table leaves no kappa to solve for.
         cfg = make_config((1, 1), (2, 2), 1.0)
         grid = np.ones((3, 3))
         table = table_from_grid(grid)
         with pytest.raises(DegenerateEliminationError):
-            _close(table, cfg, (1, 0))
+            _close(table, _balance_terms(cfg), (1, 0))

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from conftest import make_config
@@ -29,6 +31,14 @@ def test_determinism(base_run):
     assert simulate(BASE, total_events=50_000, seed=43).joint != simulate(
         BASE, total_events=50_000, seed=44
     ).joint
+
+
+def test_seeded_stream_pinned(base_run):
+    # A change to event order or table order changes the seeded stream.
+    assert base_run.sim_time == float.fromhex("0x1.b7f7a030c3dafp+16")
+    joint = repr([(key, float(p)) for key, p in sorted(base_run.joint.items())])
+    digest = hashlib.sha256(joint.encode()).hexdigest()
+    assert digest == "34f31877f08e859278474ae673695e8324b2daa4e3f5bc6b1d9ef490ebe43d40"
 
 
 def test_masses_sum_to_one(base_run):
@@ -127,6 +137,8 @@ def test_parameter_validation():
         simulate(BASE, total_events=0, seed=1)
     with pytest.raises(PreconditionError):
         simulate(BASE, total_events=100, seed=1, burn_in=1.0)
+    with pytest.raises(PreconditionError):
+        simulate(BASE, total_events=100, seed=1, n_obs=-1)
 
 
 def test_transfer_channel_runs():
