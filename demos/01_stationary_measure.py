@@ -40,8 +40,9 @@ residual = np.abs(theta.weights @ gen.rates).max()
 print(f"balance residual: {residual:.2e}")
 
 print("\nstationary inventory measure (k1, k2, k3, outstanding):")
-for state, weight in zip(theta.states, theta.weights):
-    print(f"  {state.k}: {weight:.6f}")
+for k in np.ndindex(theta.grid.shape):
+    outstanding = sum(config.b) - sum(k)
+    print(f"  {k + (outstanding,)}: {theta.grid[k]:.6f}")
 
 print("\non-hand marginals:")
 for j in (1, 2, 3):

@@ -34,14 +34,13 @@ print(f"TV(closed form, exact solve) = {total_variation(theta, exact):.2e}")
 print("\nmost and least likely inventory patterns:")
 order = np.argsort(theta.weights)
 for idx in (*order[-3:][::-1], *order[:2]):
-    state = theta.states[idx]
-    print(f"  on-hand {state.on_hand}  outstanding {state.outstanding}: "
+    on_hand = tuple(int(k) for k in np.unravel_index(idx, theta.grid.shape))
+    print(f"  on-hand {on_hand}  outstanding {J - sum(on_hand)}: "
           f"{theta.weights[idx]:.5f}")
 
 # The total stock on hand follows from the same product structure.
-by_total = {}
-for state, w in zip(theta.states, theta.weights):
-    by_total[sum(state.on_hand)] = by_total.get(sum(state.on_hand), 0.0) + w
+stocked = np.indices(theta.grid.shape).sum(axis=0)
+by_total = np.bincount(stocked.reshape(-1), weights=theta.weights)
 print("\ndistribution of the total on-hand stock:")
-for total in sorted(by_total):
-    print(f"  {total} unit(s): {by_total[total]:.4f}")
+for total, p in enumerate(by_total):
+    print(f"  {total} unit(s): {p:.4f}")

@@ -30,9 +30,7 @@ exact = solve_theta_exact(build_reduced_generator(config))
 print(f"TV(recursive, exact) = {total_variation(rec, exact):.2e}")
 
 b1, b2 = config.b
-grid = np.zeros((b1 + 1, b2 + 1))
-for state, weight in zip(rec.states, rec.weights):
-    grid[state.on_hand] = weight
+grid = rec.grid
 
 print(f"\ntheta on the (k1, k2) grid, k1 rows 0..{b1}, k2 columns 0..{b2}:")
 for k1 in range(b1 + 1):

@@ -30,14 +30,9 @@ print("beta   P(|k1-k2| >= 2)   P(balanced)   symmetry residual")
 for beta in (0.0, 0.5, 2.0, 10.0):
     config = config_with(beta)
     theta = solve_theta_exact(build_reduced_generator(config))
-    spread = sum(
-        w for s, w in zip(theta.states, theta.weights)
-        if abs(s.on_hand[0] - s.on_hand[1]) >= 2
-    )
-    balanced = sum(
-        w for s, w in zip(theta.states, theta.weights)
-        if s.on_hand[0] == s.on_hand[1]
-    )
+    k1, k2 = np.indices(theta.grid.shape)
+    spread = theta.grid[abs(k1 - k2) >= 2].sum()
+    balanced = np.trace(theta.grid)
     sym = check_symmetry(theta, config)
     print(f"{beta:>4.1f}   {spread:>14.4f}   {balanced:>11.4f}   {sym:.2e}")
 

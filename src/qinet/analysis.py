@@ -7,6 +7,10 @@ identities the inventory measure must satisfy: permutation symmetry for
 homogeneous locations, and flow-balance identities across state-space cuts
 (one family for homogeneous networks, four families plus a geometric decay
 relation for two heterogeneous locations).
+
+Every check reads the measure as its ``(b1+1, ..., bJ+1)`` grid: a
+marginal is an axis sum, the flow across a cut is a sum over slices of
+the box, and a relabelling of the locations is a transpose.
 """
 from __future__ import annotations
 
@@ -141,18 +145,28 @@ def inventory_marginal(theta: ThetaMeasure, j: int) -> np.ndarray:
     """Marginal distribution of the on-hand stock at location ``j`` (1-based)."""
     if not theta.normalized:
         raise PreconditionError("inventory_marginal expects a normalized measure")
-    J = len(theta.states[0].k) - 1
+    J = theta.grid.ndim
     if not 1 <= j <= J:
         raise PreconditionError(f"location index {j} out of range 1..{J}")
-    bj = max(s.k[j - 1] for s in theta.states)
-    out = np.zeros(bj + 1)
-    for s, w in zip(theta.states, theta.weights):
-        out[s.k[j - 1]] += w
-    return out
+    # A running sum in canonical state order rather than numpy's pairwise sum,
+    # so a marginal equals a plain per-state loop bit for bit.
+    rows = np.moveaxis(theta.grid, j - 1, -1).reshape(-1, theta.grid.shape[j - 1])
+    return np.cumsum(rows, axis=0)[-1]
 
 
-def _on_hand_dict(theta: ThetaMeasure) -> dict[tuple[int, ...], float]:
-    return {s.on_hand: float(w) for s, w in zip(theta.states, theta.weights)}
+def _transfer_outflow(grid: np.ndarray, level: int, config: NetworkConfig) -> float:
+    """Net transfer-channel flow out of the cut ``{k_1 >= level}`` (zero without one).
+
+    The channel moves a unit out of location 1 at ``level`` while location
+    2 sits at ``level - 2`` or below, and into it at ``level - 1`` while
+    location 2 sits at ``level + 1`` or above.  Pass ``grid.T`` for the
+    cut on location 2.
+    """
+    if not config.has_transfer:
+        return 0.0
+    out = grid[level, : level - 1].sum()
+    back = grid[level - 1, level + 1 :].sum()
+    return config.transfer_beta * (out - back)
 
 
 def check_cut_homogeneous(theta: ThetaMeasure, config: NetworkConfig) -> float:
@@ -162,7 +176,8 @@ def check_cut_homogeneous(theta: ThetaMeasure, config: NetworkConfig) -> float:
     out of {stock at location 1 >= l} must equal the replenishment flow
     in, which pins P(Y_1 = l) * lam_1 to a combinatorial sum over the
     states where location 1 sits at ``l - 1`` and is (possibly tied)
-    deficit leader.  Requires a homogeneous configuration.
+    deficit leader.  A transfer channel adds its net flow across the cut
+    to the outflow side.  Requires a homogeneous configuration.
     """
     if not config.is_homogeneous():
         raise PreconditionError("homogeneous cut identity needs equal b and equal lam")
@@ -172,16 +187,15 @@ def check_cut_homogeneous(theta: ThetaMeasure, config: NetworkConfig) -> float:
     b = config.b[0]
     lam = config.lam[0]
     nu = config.nu
-    prob = _on_hand_dict(theta)
+    grid = theta.grid
 
     worst = 0.0
     for level in range(1, b + 1):
-        lhs = lam * sum(w for k, w in prob.items() if k[0] == level)
-        rhs = prob[(level - 1,) * J] * nu / J
+        lhs = lam * grid[level].sum() + _transfer_outflow(grid, level, config)
+        rhs = grid[(level - 1,) * J] * nu / J
         for i in range(1, J):
-            mass = 0.0
-            for rest in itertools.product(range(level, b + 1), repeat=J - i):
-                mass += prob[(level - 1,) * i + rest]
+            # first i locations at level - 1, the other J - i at level or above
+            mass = grid[(level - 1,) * i + (slice(level, None),) * (J - i)].sum()
             rhs += mass * math.comb(J - 1, i - 1) * nu / i
         worst = max(worst, abs(lhs - rhs))
     return worst
@@ -208,6 +222,9 @@ def check_cut_heterogeneous(theta: ThetaMeasure, config: NetworkConfig) -> Heter
     * ``full``: l1 = b1, same split at the top level.
     * ``second``: the analogous identity for location 2 levels 1..b2.
     * ``geometric``: P(Y1=l1) = P(Y1=0) (nu/lam1)^l1 on the ``low`` range.
+
+    With a transfer channel, ``mid``, ``full`` and ``second`` also count
+    the channel's net flow across their cut.
     """
     if config.J != 2:
         raise PreconditionError("heterogeneous cut identities are for J = 2")
@@ -216,55 +233,43 @@ def check_cut_heterogeneous(theta: ThetaMeasure, config: NetworkConfig) -> Heter
     b1, b2 = config.b
     lam1, lam2 = config.lam
     nu = config.nu
-    prob = _on_hand_dict(theta)
+    grid = theta.grid
+    p1 = grid.sum(axis=1)  # P(Y1 = l)
+    p2 = grid.sum(axis=0)  # P(Y2 = l)
 
     def joint(y1, y2):
-        return prob.get((y1, y2), 0.0)
-
-    def p1(level):
-        return sum(w for k, w in prob.items() if k[0] == level)
-
-    def p2(level):
-        return sum(w for k, w in prob.items() if k[1] == level)
-
-    def p1_above(y1_fixed, y2_gt):
-        return sum(
-            w for k, w in prob.items() if k[0] == y1_fixed and k[1] > y2_gt
-        )
-
-    def p2_above(y2_fixed, y1_gt):
-        return sum(
-            w for k, w in prob.items() if k[1] == y2_fixed and k[0] > y1_gt
-        )
+        # Levels outside the box carry no mass (a negative index would wrap).
+        return grid[y1, y2] if 0 <= y1 <= b1 and 0 <= y2 <= b2 else 0.0
 
     fams: dict[str, float] = {}
 
     low = 0.0
     for l1 in range(1, b1 - b2 + 1):
-        low = max(low, abs(p1(l1) * lam1 - p1(l1 - 1) * nu))
+        low = max(low, abs(p1[l1] * lam1 - p1[l1 - 1] * nu))
     fams["low"] = low
 
     mid = 0.0
     for l1 in range(max(1, b1 - b2 + 1), b1):
         tie_level = l1 - 1 - b1 + b2
-        rhs = joint(l1 - 1, tie_level) * 0.5 * nu + p1_above(l1 - 1, tie_level) * nu
-        mid = max(mid, abs(p1(l1) * lam1 - rhs))
+        above = grid[l1 - 1, max(tie_level + 1, 0) :].sum()
+        rhs = joint(l1 - 1, tie_level) * 0.5 * nu + above * nu
+        mid = max(mid, abs(p1[l1] * lam1 + _transfer_outflow(grid, l1, config) - rhs))
     fams["mid"] = mid
 
     rhs = joint(b1 - 1, b2 - 1) * 0.5 * nu + joint(b1 - 1, b2) * nu
-    fams["full"] = abs(p1(b1) * lam1 - rhs)
+    fams["full"] = abs(p1[b1] * lam1 + _transfer_outflow(grid, b1, config) - rhs)
 
     second = 0.0
     for l2 in range(1, b2 + 1):
         tie_level = b1 - b2 + l2 - 1
-        rhs = joint(tie_level, l2 - 1) * 0.5 * nu + p2_above(l2 - 1, tie_level) * nu
-        second = max(second, abs(p2(l2) * lam2 - rhs))
+        above = grid[max(tie_level + 1, 0) :, l2 - 1].sum()
+        rhs = joint(tie_level, l2 - 1) * 0.5 * nu + above * nu
+        second = max(second, abs(p2[l2] * lam2 + _transfer_outflow(grid.T, l2, config) - rhs))
     fams["second"] = second
 
     geometric = 0.0
-    base = p1(0)
     for l1 in range(1, b1 - b2 + 1):
-        geometric = max(geometric, abs(p1(l1) - base * (nu / lam1) ** l1))
+        geometric = max(geometric, abs(p1[l1] - p1[0] * (nu / lam1) ** l1))
     fams["geometric"] = geometric
 
     return HeterogeneousCutReport(families=fams, max_residual=max(fams.values()))
@@ -286,7 +291,7 @@ def check_symmetry(
             "symmetry check needs equal base stocks: permuting locations with "
             "different levels does not map the state space onto itself"
         )
-    grid = theta.weights.reshape([config.b[0] + 1] * config.J)
+    grid = theta.grid
     worst = 0.0
     for sigma in itertools.permutations(range(config.J)):
         worst = max(worst, float(np.abs(grid - np.transpose(grid, sigma)).max()))
@@ -295,8 +300,6 @@ def check_symmetry(
 
 def total_variation(p: ThetaMeasure, q: ThetaMeasure) -> float:
     """Total-variation distance between two measures on the same state space."""
-    pd = p.as_dict()
-    qd = q.as_dict()
-    if set(pd) != set(qd):
+    if p.grid.shape != q.grid.shape:
         raise PreconditionError("measures live on different state spaces")
-    return 0.5 * sum(abs(pd[k] - qd[k]) for k in pd)
+    return float(0.5 * np.abs(p.grid - q.grid).sum())

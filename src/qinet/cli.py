@@ -28,7 +28,7 @@ from .errors import (
 )
 from .exact import ThetaMeasure, solve_theta_exact
 from .generator import balance_residual, build_reduced_generator
-from .model import InventoryState, NetworkConfig, ServiceRateProfile, method_inapplicable
+from .model import NetworkConfig, ServiceRateProfile, method_inapplicable
 from .recursive import solve_theta_recursive
 from .simulate import decoupling_test, merge_results, simulate
 
@@ -158,8 +158,8 @@ def _solve_report(config: NetworkConfig, method: str, note: str) -> tuple[dict, 
             for d in ergo.per_location
         ],
         "theta": {
-            "states": [list(s.k) for s in theta.states],
-            "weights": [float(w) for w in theta.weights],
+            "states": _state_rows(theta.b),
+            "weights": theta.weights.tolist(),
             "normalized": theta.normalized,
             "provenance": theta.provenance,
         },
@@ -169,27 +169,40 @@ def _solve_report(config: NetworkConfig, method: str, note: str) -> tuple[dict, 
     }, theta
 
 
+def _state_rows(b) -> list[list[int]]:
+    """``[k_1, ..., k_J, k_sup]`` for every cell of the ``(b+1)`` grid, in canonical order."""
+    on_hand = np.indices([bj + 1 for bj in b]).reshape(len(b), -1).T
+    return [row + [sum(b) - sum(row)] for row in on_hand.tolist()]
+
+
 def read_theta_json(path: str) -> ThetaMeasure:
-    """Re-read a measure written by ``--json`` (exact round trip)."""
+    """Re-read a measure written by ``--json`` (exact round trip).
+
+    Weights are placed by position, so the state rows must be the
+    canonical enumeration of the inventory box; anything else raises
+    :class:`ConfigError`.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     block = doc["theta"] if "theta" in doc else doc
-    states = tuple(InventoryState(tuple(s)) for s in block["states"])
+    rows, weights = block["states"], np.array(block["weights"], dtype=float)
+    b = rows[-1][:-1] if rows else []  # the last canonical row is (b_1, ..., b_J, 0)
+    if len(b) < 2 or min(b) < 1 or rows != _state_rows(b) or weights.shape != (len(rows),):
+        raise ConfigError("theta states are not the canonical enumeration of an inventory box")
     return ThetaMeasure(
-        states=states,
-        weights=np.array(block["weights"], dtype=float),
+        grid=weights.reshape([bj + 1 for bj in b]),
         normalized=block["normalized"],
         provenance=block["provenance"],
     )
 
 
 def _print_theta(theta: ThetaMeasure) -> None:
-    J = len(theta.states[0].k) - 1
+    J = len(theta.b)
     header = "  ".join(f"k{j}" for j in range(1, J + 1)) + "  k_sup  weight"
     print(header)
-    for s, w in zip(theta.states, theta.weights):
-        coords = "  ".join(f"{x:>2d}" for x in s.on_hand)
-        print(f"{coords}  {s.outstanding:>5d}  {w:.12g}")
+    for row, w in zip(_state_rows(theta.b), theta.weights):
+        coords = "  ".join(f"{x:>2d}" for x in row[:-1])
+        print(f"{coords}  {row[-1]:>5d}  {w:.12g}")
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -364,7 +377,8 @@ def cmd_simulate(args) -> int:
         rows.append(row)
 
     merged = merge_results(runs) if len(runs) > 1 else runs[0]
-    merged_theta_tv = analysis.total_variation(merged.empirical_theta(), theta_exact)
+    merged_theta = merged.empirical_theta()
+    merged_theta_tv = analysis.total_variation(merged_theta, theta_exact)
     merged_dec = decoupling_test(merged)
 
     for row in rows:
@@ -379,8 +393,8 @@ def cmd_simulate(args) -> int:
                 "replications": rows,
                 "merged": {"theta_tv": merged_theta_tv, "decoupling_tv": merged_dec},
                 "theta": {
-                    "states": [list(s.k) for s in merged.empirical_theta().states],
-                    "weights": [float(w) for w in merged.empirical_theta().weights],
+                    "states": _state_rows(merged_theta.b),
+                    "weights": merged_theta.weights.tolist(),
                     "normalized": True,
                     "provenance": "empirical",
                 },

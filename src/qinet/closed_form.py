@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .exact import ThetaMeasure
-from .model import NetworkConfig, enumerate_inventory_states, method_inapplicable
+# enumerate_inventory_states is unused here; perfbench/spans.py traces this binding.
+from .model import NetworkConfig, enumerate_inventory_states, method_inapplicable  # noqa: F401
 
 __all__ = ["theta_unit_base_stock", "unit_base_stock_weights"]
 
@@ -31,23 +32,23 @@ def unit_base_stock_weights(config: NetworkConfig) -> np.ndarray:
     for s in range(1, J + 1):
         prefactor[s] = prefactor[s - 1] / (J - (s - 1))
 
-    states = enumerate_inventory_states(config.b)
-    weights = np.empty(len(states))
-    for i, state in enumerate(states):
-        w = prefactor[sum(state.on_hand)]
-        for kj, lamj in zip(state.on_hand, config.lam):
-            if kj:
-                w /= lamj
-        weights[i] = w * (1.0 / config.nu) ** state.outstanding
-    return weights
+    # supplier[s] = (1/nu)^s by Python's pow, which numpy's vectorized power may not match
+    supplier = np.array([(1.0 / config.nu) ** s for s in range(J + 1)])
+
+    on_hand = np.indices([2] * J)  # on_hand[j] is k_{j+1} on the (2, ..., 2) grid
+    stocked = on_hand.sum(axis=0)
+    grid = prefactor[stocked]
+    for kj, lamj in zip(on_hand, config.lam):
+        grid = np.where(kj > 0, grid / lamj, grid)
+    grid = grid * supplier[J - stocked]
+    return grid.reshape(-1)
 
 
 def theta_unit_base_stock(config: NetworkConfig) -> ThetaMeasure:
     """Normalized closed-form inventory measure (all ``b_j = 1``)."""
     weights = unit_base_stock_weights(config)
     return ThetaMeasure(
-        states=enumerate_inventory_states(config.b),
-        weights=weights / weights.sum(),
+        grid=(weights / weights.sum()).reshape([2] * config.J),
         normalized=True,
         provenance="closed_form",
     )

@@ -7,15 +7,13 @@ assembles the product-form joint distribution on a finite queue window.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ErgodicityError, PreconditionError, ReducibilityError, SolverError
-from .generator import ReducedGenerator, build_reduced_generator
-from .model import InventoryState, NetworkConfig
+from .generator import ReducedGenerator, _assert_strongly_connected, build_reduced_generator
+from .model import NetworkConfig
 
 __all__ = ["ThetaMeasure", "PiWindow", "solve_theta_exact", "solve_pi_truncated"]
 
@@ -29,60 +27,53 @@ PROVENANCES = ("exact", "closed_form", "recursive", "empirical")
 
 @dataclass(frozen=True)
 class ThetaMeasure:
-    """A positive measure on the canonical inventory state space.
+    """A positive measure on the inventory box ``0 <= k_j <= b_j``.
 
-    ``weights[i]`` belongs to ``states[i]``.  Analytic provenances carry
-    strictly positive weights; empirical measures may put zero mass on
-    states a finite run never visited.
+    ``grid[k_1, ..., k_J]`` is the weight of on-hand vector ``k``; the
+    supplier coordinate ``sum_j (b_j - k_j)`` is implied.  ``weights`` is
+    the same array flattened in canonical (lexicographic) state order.
+    Analytic provenances carry strictly positive weights; empirical
+    measures may put zero mass on states a finite run never visited.
     """
 
-    states: tuple[InventoryState, ...]
-    weights: np.ndarray
+    grid: np.ndarray
     normalized: bool
     provenance: str
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "states", tuple(self.states))
+        g = np.asarray(self.grid, dtype=float)
+        object.__setattr__(self, "grid", g)
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        if w.shape != (len(self.states),):
-            raise ValueError("one weight per state required")
-        if not np.all(np.isfinite(w)):
+        if g.ndim == 0 or min(g.shape) < 2:
+            raise ValueError("grid needs one axis of length b_j + 1 >= 2 per location")
+        if not np.all(np.isfinite(g)):
             raise SolverError("non-finite weights")
         if self.provenance == "empirical":
-            if w.min() < 0:
+            if g.min() < 0:
                 raise SolverError("empirical weights must be non-negative")
-        elif w.min() <= 0:
+        elif g.min() <= 0:
             raise SolverError("stationary weights must be strictly positive")
-        if self.normalized and abs(w.sum() - 1.0) > 1e-12:
+        if self.normalized and abs(g.sum() - 1.0) > 1e-12:
             raise SolverError("normalized measure must sum to one")
 
-    def as_dict(self) -> dict[tuple[int, ...], float]:
-        return {s.k: float(w) for s, w in zip(self.states, self.weights)}
+    @property
+    def b(self) -> tuple[int, ...]:
+        return tuple(n - 1 for n in self.grid.shape)
 
-    def weight_of(self, k) -> float:
-        key = k.k if isinstance(k, InventoryState) else tuple(k)
-        for s, w in zip(self.states, self.weights):
-            if s.k == key:
-                return float(w)
-        raise KeyError(key)
+    @property
+    def weights(self) -> np.ndarray:
+        return self.grid.reshape(-1)
 
 
 def _diagnose_failure(gen: ReducedGenerator, detail: str) -> Exception:
     # Distinguish a reducible chain (null space dimension > 1) from a
-    # plain numerical breakdown.
-    off = gen.rates.copy()
-    np.fill_diagonal(off, 0.0)
-    rows, cols = np.nonzero(off > 0)
-    graph = coo_matrix((off[rows, cols], (rows, cols)), shape=off.shape)
-    ncomp, _ = connected_components(graph, directed=True, connection="strong")
-    if ncomp != 1:
-        return ReducibilityError(
-            f"stationary solve failed: {ncomp} strongly connected components, "
-            "null space dimension exceeds one"
-        )
+    # plain numerical breakdown.  The positive entries are the off-diagonal rates.
+    rows, cols = np.nonzero(gen.rates > 0)
+    try:
+        _assert_strongly_connected(gen.size, rows, cols, gen.rates[rows, cols])
+    except ReducibilityError as exc:
+        return exc
     return SolverError(f"stationary solve failed: {detail}")
 
 
@@ -123,25 +114,25 @@ def solve_theta_exact(gen: ReducedGenerator) -> ThetaMeasure:
         raise _diagnose_failure(
             gen, f"weight {theta.min():.3e} at or below positivity floor"
         )
-    return ThetaMeasure(states=gen.states, weights=theta, normalized=True, provenance="exact")
+    shape = [k + 1 for k in gen.states[-1].on_hand]  # the last canonical state is b
+    return ThetaMeasure(grid=theta.reshape(shape), normalized=True, provenance="exact")
 
 
 @dataclass(frozen=True)
 class PiWindow:
     """Product-form joint distribution on a finite queue window.
 
-    ``pi[n_1, ..., n_J, s]`` is the stationary probability of queue vector
-    ``n`` and inventory state ``states[s]``; ``window_mass`` is the total
+    ``pi[n_1, ..., n_J, k_1, ..., k_J]`` is the stationary probability of
+    queue vector ``n`` and on-hand vector ``k``, so ``pi`` has shape
+    ``(n_1+1, ..., n_J+1, b_1+1, ..., b_J+1)``; ``window_mass`` is the total
     probability the window captures (computed analytically from the
     geometric queue tails, so it is exact, not a sum of the array).
     """
 
-    states: tuple[InventoryState, ...]
     caps: tuple[int, ...]
     pi: np.ndarray
     window_mass: float
     theta: ThetaMeasure
-    queue_weights: tuple[np.ndarray, ...] = field(repr=False, default=())
 
 
 def solve_pi_truncated(config: NetworkConfig, n_max) -> PiWindow:
@@ -173,17 +164,15 @@ def solve_pi_truncated(config: NetworkConfig, n_max) -> PiWindow:
     queue_part = xi_vecs[0]
     for vec in xi_vecs[1:]:
         queue_part = np.multiply.outer(queue_part, vec)
-    pi = np.multiply.outer(queue_part, theta.weights)
+    pi = np.multiply.outer(queue_part, theta.grid)
 
     window_mass = 1.0
     for m, cap in zip(marginals, caps):
         window_mass *= m.cdf(cap)
 
     return PiWindow(
-        states=theta.states,
         caps=caps,
         pi=pi,
         window_mass=float(window_mass),
         theta=theta,
-        queue_weights=tuple(xi_vecs),
     )

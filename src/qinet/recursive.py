@@ -27,7 +27,8 @@ import numpy as np
 from .errors import DegenerateEliminationError, PreconditionError, SequencingError, SolverError
 from .exact import ThetaMeasure
 from .generator import _transition_arrays
-from .model import NetworkConfig, enumerate_inventory_states, method_inapplicable
+# enumerate_inventory_states is unused here; perfbench/spans.py traces this binding.
+from .model import NetworkConfig, enumerate_inventory_states, method_inapplicable  # noqa: F401
 
 __all__ = ["AffineKappa", "ThetaTable", "gbe_residual", "solve_theta_recursive"]
 
@@ -78,10 +79,6 @@ class ThetaTable:
     def _check_bounds(self, k1: int, k2: int) -> None:
         if not (0 <= k1 <= self.b1 and 0 <= k2 <= self.b2):
             raise KeyError((k1, k2))
-
-    def has(self, k1: int, k2: int) -> bool:
-        self._check_bounds(k1, k2)
-        return self._grid[k1][k2] is not None
 
     def get(self, k1: int, k2: int) -> AffineKappa:
         self._check_bounds(k1, k2)
@@ -219,19 +216,10 @@ def solve_theta_recursive(config: NetworkConfig) -> ThetaMeasure:
             _sweep_bottom(table, b1, b2, terms)
         table.assert_resolved()
 
-    if not table.is_complete():
-        raise SequencingError("elimination finished with missing entries")
-
-    grid = table.values()
+    grid = table.values()  # raises SequencingError if an entry is missing
     if grid.min() <= 0:
         raise SolverError(f"non-positive weight {grid.min():.3e} in recursive table")
-    weights = grid.reshape(-1)  # row-major == canonical lexicographic order
-    return ThetaMeasure(
-        states=enumerate_inventory_states(config.b),
-        weights=weights / weights.sum(),
-        normalized=True,
-        provenance="recursive",
-    )
+    return ThetaMeasure(grid=grid / grid.sum(), normalized=True, provenance="recursive")
 
 
 def _sweep_top(table: ThetaTable, b1: int, b2: int, terms: dict) -> None:

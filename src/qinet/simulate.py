@@ -54,12 +54,11 @@ class SimulationResult:
     inventory_occupancy: dict[tuple[int, ...], float]
 
     def empirical_theta(self) -> ThetaMeasure:
-        """Empirical inventory measure in canonical state order."""
-        states = enumerate_inventory_states(self.b)
-        weights = np.array([self.inventory_occupancy.get(s.k, 0.0) for s in states])
-        return ThetaMeasure(
-            states=states, weights=weights, normalized=True, provenance="empirical"
-        )
+        """Empirical inventory measure; unvisited states carry zero mass."""
+        grid = np.zeros([bj + 1 for bj in self.b])
+        for k, p in self.inventory_occupancy.items():
+            grid[k[:-1]] = p
+        return ThetaMeasure(grid=grid, normalized=True, provenance="empirical")
 
 
 def _transition_tables(config: NetworkConfig, require_stock_for_service: bool):

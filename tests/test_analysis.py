@@ -12,6 +12,7 @@ from qinet import (
     check_cut_heterogeneous,
     check_cut_homogeneous,
     check_symmetry,
+    enumerate_inventory_states,
     ergodicity_check,
     inventory_marginal,
     queue_marginal,
@@ -101,6 +102,16 @@ class TestInventoryMarginal:
         marg = inventory_marginal(exact_theta(cfg), 1)
         assert marg == pytest.approx([0.6, 0.4], abs=1e-12)
 
+    def test_equals_per_state_loop(self, rng):
+        # Reference: accumulate the weights state by state in canonical order.
+        cfg = make_config(draw_rates(rng, 3), (4, 2, 5), 0.8)
+        theta = exact_theta(cfg)
+        for j in (1, 2, 3):
+            expected = np.zeros(cfg.b[j - 1] + 1)
+            for state, w in zip(enumerate_inventory_states(cfg.b), theta.weights):
+                expected[state.on_hand[j - 1]] += w
+            assert np.array_equal(inventory_marginal(theta, j), expected)
+
     def test_homogeneous_marginals_agree(self, rng):
         cfg = make_config((1.3,) * 3, (2, 2, 2), 0.7)
         theta = exact_theta(cfg)
@@ -117,10 +128,7 @@ class TestInventoryMarginal:
     def test_requires_normalized(self):
         cfg = make_config((1, 1), (1, 1), 1.0)
         theta = exact_theta(cfg)
-        raw = ThetaMeasure(
-            states=theta.states, weights=theta.weights * 3.0,
-            normalized=False, provenance="exact",
-        )
+        raw = ThetaMeasure(grid=theta.grid * 3.0, normalized=False, provenance="exact")
         with pytest.raises(PreconditionError):
             inventory_marginal(raw, 1)
 
@@ -131,9 +139,8 @@ class TestHomogeneousCut:
         # 0.4 * 1 == theta(0,0) * nu/2 + theta(0,1) * nu
         cfg = make_config((1, 1), (1, 1), 1.0)
         theta = exact_theta(cfg)
-        d = theta.as_dict()
         lhs = 0.4 * 1.0
-        rhs = d[(0, 0, 2)] * 0.5 + d[(0, 1, 1)] * 1.0
+        rhs = theta.grid[0, 0] * 0.5 + theta.grid[0, 1] * 1.0
         assert lhs == pytest.approx(rhs, abs=1e-12)
         assert check_cut_homogeneous(theta, cfg) <= 1e-12
 
@@ -147,12 +154,10 @@ class TestHomogeneousCut:
         cfg = make_config((1, 1), (2, 2), 1.0)
         theta = exact_theta(cfg)
         eps = 1e-3
-        weights = theta.weights.copy()
-        weights[0] += eps
-        weights[-1] -= eps
-        bent = ThetaMeasure(
-            states=theta.states, weights=weights, normalized=True, provenance="exact"
-        )
+        grid = theta.grid.copy()
+        grid[0, 0] += eps
+        grid[2, 2] -= eps
+        bent = ThetaMeasure(grid=grid, normalized=True, provenance="exact")
         assert check_cut_homogeneous(bent, cfg) > eps / 10
 
     def test_heterogeneous_rejected(self):
@@ -185,9 +190,21 @@ class TestHeterogeneousCut:
         assert report.families["geometric"] == 0.0
         assert report.max_residual <= 1e-10
 
-    def test_swapped_labels_still_hold(self, rng):
-        cfg = make_config(draw_rates(rng, 2), (2, 3), 1.0)
+    @pytest.mark.parametrize("b", [(2, 3), (3, 7), (2, 6)])
+    def test_swapped_labels_still_hold(self, b, rng):
+        # b1 < b2 puts tie levels below zero; they must count as empty, not
+        # wrap around to the far edge of the grid.
+        cfg = make_config(draw_rates(rng, 2), b, 1.0)
         assert check_cut_heterogeneous(exact_theta(cfg), cfg).max_residual <= 1e-10
+
+    def test_swapped_labels_bent_measure_fails(self):
+        # (2, 3) is the cell a wrapped tie level -1 would read at l2 = 4.
+        cfg = make_config((1.1, 0.9), (2, 6), 1.0)
+        grid = exact_theta(cfg).grid.copy()
+        grid[2, 3] += 1e-4
+        grid[0, 0] -= 1e-4
+        bent = ThetaMeasure(grid=grid, normalized=True, provenance="exact")
+        assert check_cut_heterogeneous(bent, cfg).families["second"] > 1e-6
 
     def test_wrong_location_count(self):
         cfg = make_config((1, 1, 1), (2, 2, 2), 1.0)
@@ -197,12 +214,10 @@ class TestHeterogeneousCut:
     def test_perturbation_breaks_families(self):
         cfg = make_config((1.3, 0.8), (3, 2), 1.0)
         theta = exact_theta(cfg)
-        weights = theta.weights.copy()
-        weights[0] += 1e-3
-        weights[-1] -= 1e-3
-        bent = ThetaMeasure(
-            states=theta.states, weights=weights, normalized=True, provenance="exact"
-        )
+        grid = theta.grid.copy()
+        grid[0, 0] += 1e-3
+        grid[-1, -1] -= 1e-3
+        bent = ThetaMeasure(grid=grid, normalized=True, provenance="exact")
         assert check_cut_heterogeneous(bent, cfg).max_residual > 1e-5
 
     def test_mid_family_reacts_to_perturbation(self):
@@ -210,14 +225,50 @@ class TestHeterogeneousCut:
         # mid-range identity for b=(4,3), so the family must notice.
         cfg = make_config((1.0, 0.7), (4, 3), 1.2)
         theta = exact_theta(cfg)
-        weights = theta.weights.copy()
-        spots = {s.on_hand: i for i, s in enumerate(theta.states)}
-        weights[spots[(2, 0)]] += 1e-4
-        weights[spots[(0, 0)]] -= 1e-4
-        bent = ThetaMeasure(
-            states=theta.states, weights=weights, normalized=True, provenance="exact"
-        )
+        grid = theta.grid.copy()
+        grid[2, 0] += 1e-4
+        grid[0, 0] -= 1e-4
+        bent = ThetaMeasure(grid=grid, normalized=True, provenance="exact")
         assert check_cut_heterogeneous(bent, cfg).families["mid"] > 1e-6
+
+
+class TestTransferCut:
+    """Cut identities of two homogeneous locations joined by a transfer channel."""
+
+    @pytest.mark.parametrize("beta", [0.6, 2.0])
+    def test_exact_measure_passes(self, beta):
+        cfg = make_config((1.0, 1.0), (6, 6), 1.2, beta=beta)
+        theta = exact_theta(cfg)
+        assert check_cut_homogeneous(theta, cfg) <= 1e-12
+        assert check_cut_heterogeneous(theta, cfg).max_residual <= 1e-12
+
+    def test_bent_measure_fails(self):
+        cfg = make_config((1.0, 1.0), (6, 6), 1.2, beta=0.6)
+        grid = exact_theta(cfg).grid.copy()
+        grid[4, 2] += 1e-4
+        grid[3, 3] -= 1e-4
+        bent = ThetaMeasure(grid=grid, normalized=True, provenance="exact")
+        assert check_cut_homogeneous(bent, cfg) > 1e-6
+        report = check_cut_heterogeneous(bent, cfg)
+        assert report.families["mid"] > 1e-6 and report.families["second"] > 1e-6
+
+    def test_channel_flow_is_counted(self):
+        # The measure without a channel must fail the identities of the
+        # network with one, and the other way round.
+        base = make_config((1.0, 1.0), (6, 6), 1.2)
+        channel = make_config((1.0, 1.0), (6, 6), 1.2, beta=0.6)
+        assert check_cut_homogeneous(exact_theta(base), channel) > 1e-4
+        assert check_cut_homogeneous(exact_theta(channel), base) > 1e-4
+
+    def test_zero_beta_matches_no_channel_bitwise(self):
+        theta = exact_theta(make_config((1.0, 1.0), (6, 6), 1.2))
+        none = make_config((1.0, 1.0), (6, 6), 1.2)
+        zero = make_config((1.0, 1.0), (6, 6), 1.2, beta=0.0)
+        assert check_cut_homogeneous(theta, zero) == check_cut_homogeneous(theta, none)
+        assert (
+            check_cut_heterogeneous(theta, zero).families
+            == check_cut_heterogeneous(theta, none).families
+        )
 
 
 class TestSymmetry:
@@ -229,7 +280,7 @@ class TestSymmetry:
     def test_three_locations_all_permutations(self):
         cfg = make_config((1, 1, 1), (1, 1, 1), 1.0)
         theta = exact_theta(cfg)
-        assert len(theta.states) == 8
+        assert theta.grid.shape == (2, 2, 2)
         assert check_symmetry(theta, cfg) <= 1e-12
 
     def test_negative_control(self):
@@ -281,7 +332,7 @@ class TestCrossSolverAndStructure:
         # pi(n, k) / pi(n', k) must not depend on k.
         cfg = make_config((0.9, 1.1), (2, 2), 1.0)
         window = solve_pi_truncated(cfg, 3)
-        flat = window.pi.reshape(-1, window.pi.shape[-1])
+        flat = window.pi.reshape(-1, window.theta.grid.size)  # (queue vector, state)
         ratios = flat / flat[0]
         for col in range(1, ratios.shape[1]):
             assert np.allclose(ratios[:, col], ratios[:, 0], rtol=1e-12)

@@ -115,9 +115,27 @@ class TestSolve:
         cfg = load_config(path)
         expected = solve_theta_exact(build_reduced_generator(cfg))
         reread = read_theta_json(str(out))
-        assert np.array_equal(reread.weights, expected.weights)
-        assert [s.k for s in reread.states] == [s.k for s in expected.states]
+        assert np.array_equal(reread.grid, expected.grid)
         assert reread.provenance == "exact" and reread.normalized
+
+    @pytest.mark.parametrize("damage", ["shuffled", "short"])
+    def test_json_non_canonical_states_rejected(self, tmp_path, damage):
+        # Weights are placed by position, so rows out of canonical order
+        # (even with their weights moved along) or missing rows must not load.
+        path = write_config(tmp_path, b=[2, 3])
+        out = tmp_path / "report.json"
+        assert main(["solve", path, "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        pairs = list(zip(doc["theta"]["states"], doc["theta"]["weights"]))
+        if damage == "shuffled":
+            pairs = pairs[::2] + pairs[1::2]
+        else:
+            pairs = pairs[:-1]
+        doc["theta"]["states"] = [s for s, _ in pairs]
+        doc["theta"]["weights"] = [w for _, w in pairs]
+        out.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="canonical"):
+            read_theta_json(str(out))
 
     def test_csv_output(self, tmp_path):
         path = write_config(tmp_path)

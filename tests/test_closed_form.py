@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -61,13 +62,12 @@ def test_matches_exact_solver(J, rng):
 def test_permutation_equivariance(rng):
     lam = draw_rates(rng, 3)
     cfg = make_config(lam, (1, 1, 1), 1.3)
-    theta = theta_unit_base_stock(cfg).as_dict()
+    grid = theta_unit_base_stock(cfg).grid
     sigma = (2, 0, 1)
     cfg_perm = make_config(tuple(lam[s] for s in sigma), (1, 1, 1), 1.3)
-    theta_perm = theta_unit_base_stock(cfg_perm).as_dict()
-    for k, w in theta.items():
-        permuted = tuple(k[s] for s in sigma) + (k[-1],)
-        assert theta_perm[permuted] == pytest.approx(w, rel=1e-13)
+    grid_perm = theta_unit_base_stock(cfg_perm).grid
+    # location i of the permuted network is location sigma[i] of the original
+    assert grid_perm == pytest.approx(np.transpose(grid, sigma), rel=1e-13)
 
 
 def test_alternative_constant_same_distribution(rng):
@@ -83,3 +83,16 @@ def test_requires_unit_base_stocks():
     cfg = make_config((1, 1), (2, 1), 1.0)
     with pytest.raises(PreconditionError):
         theta_unit_base_stock(cfg)
+
+
+def test_weights_pinned():
+    # sha256 of the raw and normalized weights for J = 2, 3, 4; recorded
+    # from the per-state loop the vectorized formula replaced.
+    digest = hashlib.sha256()
+    for lam, nu in (((0.7, 1.9), 0.35), ((1.3, 0.45, 2.2), 3.1), ((0.6, 1.0, 1.7, 0.9), 1.3)):
+        cfg = make_config(lam, (1,) * len(lam), nu)
+        digest.update(unit_base_stock_weights(cfg).tobytes())
+        digest.update(theta_unit_base_stock(cfg).weights.tobytes())
+    assert digest.hexdigest() == (
+        "a0ebc6a570f076c393e1aa6c8cc729918d82663e130ab934d26aadd1c0365c1c"
+    )

@@ -54,8 +54,8 @@ def test_unit_example_exact_solver():
     theta = solve_theta_exact(build_reduced_generator(cfg))
     assert theta.provenance == "exact"
     assert theta.normalized
-    for state, weight in zip(theta.states, theta.weights):
-        assert weight == pytest.approx(UNIT_THETA[state.k], abs=1e-13)
+    for k, weight in UNIT_THETA.items():
+        assert theta.grid[k[:-1]] == pytest.approx(weight, abs=1e-13)
 
 
 @pytest.mark.parametrize("b", [(1, 1), (3, 2), (2, 2, 2), (1, 3, 2)])
@@ -72,10 +72,8 @@ def test_residual_and_positivity(b, rng):
 
 def test_homogeneous_symmetry(rng):
     cfg = make_config((1.4, 1.4), (2, 2), 0.9)
-    theta = solve_theta_exact(build_reduced_generator(cfg)).as_dict()
-    for k, w in theta.items():
-        swapped = (k[1], k[0], k[2])
-        assert w == pytest.approx(theta[swapped], rel=1e-12)
+    grid = solve_theta_exact(build_reduced_generator(cfg)).grid
+    assert grid == pytest.approx(grid.T, rel=1e-12)
 
 
 def test_rate_scaling_invariance(rng):
@@ -121,20 +119,31 @@ def test_reducible_generator_rejected():
 
 
 def test_theta_measure_validation():
-    states = enumerate_inventory_states((1, 1))
     with pytest.raises(SolverError):
-        ThetaMeasure(states=states, weights=np.array([0.5, 0.5, 0.0, 0.0]),
+        ThetaMeasure(grid=np.array([[0.5, 0.5], [0.0, 0.0]]),
                      normalized=True, provenance="exact")
     with pytest.raises(SolverError):
-        ThetaMeasure(states=states, weights=np.array([0.5, 0.5, 0.5, 0.5]),
-                     normalized=True, provenance="exact")
+        ThetaMeasure(grid=np.full((2, 2), 0.5), normalized=True, provenance="exact")
     # empirical measures may carry zeros
-    emp = ThetaMeasure(states=states, weights=np.array([0.5, 0.5, 0.0, 0.0]),
+    emp = ThetaMeasure(grid=np.array([[0.5, 0.5], [0.0, 0.0]]),
                        normalized=True, provenance="empirical")
-    assert emp.weight_of((0, 1, 1)) == 0.5
+    assert emp.grid[0, 1] == 0.5
+    assert emp.b == (1, 1)
+    assert np.array_equal(emp.weights, [0.5, 0.5, 0.0, 0.0])
     with pytest.raises(ValueError):
-        ThetaMeasure(states=states, weights=np.ones(4) / 4,
-                     normalized=True, provenance="guesswork")
+        ThetaMeasure(grid=np.full((2, 2), 0.25), normalized=True, provenance="guesswork")
+    with pytest.raises(ValueError, match="b_j"):
+        ThetaMeasure(grid=np.full((1, 4), 0.25), normalized=True, provenance="exact")
+
+
+def test_grid_flattens_to_canonical_order():
+    # weights is the grid read in the order of enumerate_inventory_states.
+    cfg = make_config((1.3, 0.8, 1.1), (2, 1, 3), 0.9)
+    gen = build_reduced_generator(cfg)
+    theta = solve_theta_exact(gen)
+    assert theta.grid.shape == (3, 2, 4) and theta.b == cfg.b
+    for state, weight in zip(enumerate_inventory_states(cfg.b), theta.weights):
+        assert theta.grid[state.on_hand] == weight
 
 
 class TestPiTruncated:
@@ -143,17 +152,14 @@ class TestPiTruncated:
         cfg = make_config((1, 1), (1, 1), 1.0, mu_rate=2.0)
         window = solve_pi_truncated(cfg, 4)
         for (n1, n2) in itertools.product(range(5), repeat=2):
-            for s, theta_w in zip(window.states, window.theta.weights):
-                expected = 0.5 ** (n1 + 1) * 0.5 ** (n2 + 1) * theta_w
-                assert window.pi[n1, n2, window.states.index(s)] == pytest.approx(
-                    expected, rel=1e-12
-                )
+            expected = 0.5 ** (n1 + 1) * 0.5 ** (n2 + 1) * window.theta.grid
+            assert window.pi[n1, n2] == pytest.approx(expected, rel=1e-12)
 
     def test_factorization_is_k_free(self):
         cfg = make_config((0.9, 1.3), (2, 1), 1.1)
         window = solve_pi_truncated(cfg, 3)
-        ratio = window.pi / window.theta.weights  # broadcasts over the k axis
-        spread = ratio.max(axis=-1) - ratio.min(axis=-1)
+        ratio = window.pi / window.theta.grid  # broadcasts over the k axes
+        spread = ratio.max(axis=(-2, -1)) - ratio.min(axis=(-2, -1))
         assert spread.max() <= 1e-14 * ratio.max()
 
     def test_window_mass_monotone_to_one(self):
@@ -168,7 +174,7 @@ class TestPiTruncated:
     def test_per_location_caps(self):
         cfg = make_config((1, 1), (1, 1), 1.0, mu_rate=2.0)
         window = solve_pi_truncated(cfg, (2, 4))
-        assert window.pi.shape == (3, 5, 4)
+        assert window.pi.shape == (3, 5, 2, 2)
 
     def test_non_ergodic_rejected(self):
         cfg = make_config((3, 1), (1, 1), 1.0, mu_rate=2.0)

@@ -104,10 +104,7 @@ class TestGbeResidual:
     def test_solved_table_has_zero_residual(self):
         cfg = make_config((1.2, 0.7), (3, 2), 1.4)
         theta = solve_theta_exact(build_reduced_generator(cfg))
-        grid = np.zeros((4, 3))
-        for s, w in zip(theta.states, theta.weights):
-            grid[s.on_hand] = w
-        table = table_from_grid(grid)
+        table = table_from_grid(theta.grid)
         for k1 in range(4):
             for k2 in range(3):
                 res = gbe_residual(table, cfg, (k1, k2))
@@ -175,18 +172,15 @@ class TestRecursiveSolver:
         for b in ((3, 2), (4, 4), (5, 3)):
             cfg = make_config(draw_rates(rng, 2), b, 1.9)
             rec = solve_theta_recursive(cfg)
-            grid = np.zeros((b[0] + 1, b[1] + 1))
-            for s, w in zip(rec.states, rec.weights):
-                grid[s.on_hand] = w
+            grid = rec.grid
             scale = max(max(cfg.lam), cfg.nu)
             for state in itertools.product(range(b[0] + 1), range(b[1] + 1)):
                 assert abs(brute_force_gbe(cfg, grid, state)) <= 1e-10 * scale
 
     def test_homogeneous_symmetry(self, rng):
         cfg = make_config((1.1, 1.1), (3, 3), 0.8)
-        rec = solve_theta_recursive(cfg).as_dict()
-        for k, w in rec.items():
-            assert rec[(k[1], k[0], k[2])] == pytest.approx(w, rel=1e-12)
+        grid = solve_theta_recursive(cfg).grid
+        assert grid.T == pytest.approx(grid, rel=1e-12)
 
     def test_scaling_invariance(self, rng):
         lam = draw_rates(rng, 2)
