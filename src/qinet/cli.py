@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .exact import ThetaMeasure, solve_theta_exact
 from .generator import balance_residual, build_reduced_generator
-from .model import NetworkConfig, ServiceRateProfile, method_inapplicable
+from .model import NetworkConfig, ServiceRateProfile, enumerate_inventory_states, method_inapplicable
 from .recursive import solve_theta_recursive
 from .simulate import decoupling_test, merge_results, simulate
 
@@ -158,7 +159,7 @@ def _solve_report(config: NetworkConfig, method: str, note: str) -> tuple[dict, 
             for d in ergo.per_location
         ],
         "theta": {
-            "states": _state_rows(theta.b),
+            "states": [list(s.k) for s in enumerate_inventory_states(theta.b)],
             "weights": theta.weights.tolist(),
             "normalized": theta.normalized,
             "provenance": theta.provenance,
@@ -167,12 +168,6 @@ def _solve_report(config: NetworkConfig, method: str, note: str) -> tuple[dict, 
         "inventory_marginals": marginals,
         "xi": xi_params,
     }, theta
-
-
-def _state_rows(b) -> list[list[int]]:
-    """``[k_1, ..., k_J, k_sup]`` for every cell of the ``(b+1)`` grid, in canonical order."""
-    on_hand = np.indices([bj + 1 for bj in b]).reshape(len(b), -1).T
-    return [row + [sum(b) - sum(row)] for row in on_hand.tolist()]
 
 
 def read_theta_json(path: str) -> ThetaMeasure:
@@ -186,8 +181,16 @@ def read_theta_json(path: str) -> ThetaMeasure:
         doc = json.load(fh)
     block = doc["theta"] if "theta" in doc else doc
     rows, weights = block["states"], np.array(block["weights"], dtype=float)
-    b = rows[-1][:-1] if rows else []  # the last canonical row is (b_1, ..., b_J, 0)
-    if len(b) < 2 or min(b) < 1 or rows != _state_rows(b) or weights.shape != (len(rows),):
+    # The last canonical row is (b_1, ..., b_J, 0).  Check its shape and the
+    # row count before enumerating, so a bad file cannot ask for a huge box.
+    b = rows[-1][:-1] if isinstance(rows, list) and rows and isinstance(rows[-1], list) else []
+    if (
+        len(b) < 2
+        or any(type(bj) is not int for bj in b)
+        or len(rows) != math.prod(bj + 1 for bj in b)
+        or weights.shape != (len(rows),)
+        or rows != [list(s.k) for s in enumerate_inventory_states(b)]
+    ):
         raise ConfigError("theta states are not the canonical enumeration of an inventory box")
     return ThetaMeasure(
         grid=weights.reshape([bj + 1 for bj in b]),
@@ -200,9 +203,9 @@ def _print_theta(theta: ThetaMeasure) -> None:
     J = len(theta.b)
     header = "  ".join(f"k{j}" for j in range(1, J + 1)) + "  k_sup  weight"
     print(header)
-    for row, w in zip(_state_rows(theta.b), theta.weights):
-        coords = "  ".join(f"{x:>2d}" for x in row[:-1])
-        print(f"{coords}  {row[-1]:>5d}  {w:.12g}")
+    for state, w in zip(enumerate_inventory_states(theta.b), theta.weights):
+        coords = "  ".join(f"{x:>2d}" for x in state.on_hand)
+        print(f"{coords}  {state.k[-1]:>5d}  {w:.12g}")
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -393,7 +396,7 @@ def cmd_simulate(args) -> int:
                 "replications": rows,
                 "merged": {"theta_tv": merged_theta_tv, "decoupling_tv": merged_dec},
                 "theta": {
-                    "states": _state_rows(merged_theta.b),
+                    "states": [list(s.k) for s in enumerate_inventory_states(merged_theta.b)],
                     "weights": merged_theta.weights.tolist(),
                     "normalized": True,
                     "provenance": "empirical",

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qinet import build_reduced_generator, solve_theta_exact
+from qinet import build_reduced_generator, enumerate_inventory_states, solve_theta_exact
 from qinet.cli import load_config, main, read_theta_json
 from qinet.errors import ConfigError, SolverError
 
@@ -114,14 +114,20 @@ class TestSolve:
         assert main(["solve", path, "--method", "exact", "--json", str(out)]) == 0
         cfg = load_config(path)
         expected = solve_theta_exact(build_reduced_generator(cfg))
+        doc = json.loads(out.read_text())
+        assert doc["theta"]["states"] == [list(s.k) for s in enumerate_inventory_states(cfg.b)]
         reread = read_theta_json(str(out))
         assert np.array_equal(reread.grid, expected.grid)
         assert reread.provenance == "exact" and reread.normalized
 
-    @pytest.mark.parametrize("damage", ["shuffled", "short"])
+    @pytest.mark.parametrize(
+        "damage", ["shuffled", "short", [1000, 1000, 1000, 0], [2.0, 3, 0], ["2", 3, 0], 7]
+    )
     def test_json_non_canonical_states_rejected(self, tmp_path, damage):
         # Weights are placed by position, so rows out of canonical order
         # (even with their weights moved along) or missing rows must not load.
+        # The box is read off the last row; an oversized or non-integer one
+        # must be refused before any enumeration of that box.
         path = write_config(tmp_path, b=[2, 3])
         out = tmp_path / "report.json"
         assert main(["solve", path, "--json", str(out)]) == 0
@@ -129,8 +135,10 @@ class TestSolve:
         pairs = list(zip(doc["theta"]["states"], doc["theta"]["weights"]))
         if damage == "shuffled":
             pairs = pairs[::2] + pairs[1::2]
-        else:
+        elif damage == "short":
             pairs = pairs[:-1]
+        else:
+            pairs[-1] = (damage, pairs[-1][1])
         doc["theta"]["states"] = [s for s, _ in pairs]
         doc["theta"]["weights"] = [w for _, w in pairs]
         out.write_text(json.dumps(doc))
