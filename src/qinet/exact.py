@@ -114,7 +114,7 @@ def solve_theta_exact(gen: ReducedGenerator) -> ThetaMeasure:
         raise _diagnose_failure(
             gen, f"weight {theta.min():.3e} at or below positivity floor"
         )
-    shape = [k + 1 for k in gen.states[-1].on_hand]  # the last canonical state is b
+    shape = [bj + 1 for bj in gen.b]
     return ThetaMeasure(grid=theta.reshape(shape), normalized=True, provenance="exact")
 
 

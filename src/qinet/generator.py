@@ -18,7 +18,8 @@ derived from it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -35,21 +36,21 @@ ROW_SUM_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class ReducedGenerator:
-    """Dense rate matrix over the canonical inventory state space.
+    """Dense rate matrix over the inventory box of base stocks ``b``.
 
     ``rates[r, c]`` is the transition rate from ``states[r]`` to
-    ``states[c]``; diagonal entries are the negated row sums.  Strong
+    ``states[c]`` (canonical order); diagonal entries are the negated row
+    sums.  ``states`` is enumerated on each read, not stored.  Strong
     connectivity of the positive-rate graph is verified by
     :func:`build_reduced_generator`, not here, so that solver error paths
     stay testable on hand-built instances.
     """
 
-    states: tuple[InventoryState, ...]
+    b: tuple[int, ...]
     rates: np.ndarray
-    index: dict[tuple[int, ...], int] = field(repr=False, default=None)
 
     def __post_init__(self):
-        n = len(self.states)
+        n = self.size
         if self.rates.shape != (n, n):
             raise ConfigError("rate matrix shape must match the state count")
         off = self.rates.copy()
@@ -62,18 +63,20 @@ class ReducedGenerator:
         rows = np.abs(self.rates.sum(axis=1))
         if rows.max() > ROW_SUM_RTOL * scale:
             raise ConfigError("generator rows must sum to zero")
-        if self.index is None:
-            object.__setattr__(
-                self, "index", {s.k: i for i, s in enumerate(self.states)}
-            )
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return math.prod(bj + 1 for bj in self.b)
+
+    @property
+    def states(self) -> tuple[InventoryState, ...]:
+        return enumerate_inventory_states(self.b)
 
     def index_of(self, k) -> int:
-        key = k.k if isinstance(k, InventoryState) else tuple(k)
-        return self.index[key]
+        """Canonical index of an inventory state (or its ``k`` tuple)."""
+        state = k if isinstance(k, InventoryState) else InventoryState(k)
+        state.validate(self.b)
+        return int(np.ravel_multi_index(state.on_hand, [bj + 1 for bj in self.b]))
 
 
 def _transition_arrays(config: NetworkConfig):
@@ -152,12 +155,11 @@ def build_reduced_generator(config: NetworkConfig) -> ReducedGenerator:
     strongly connected (cannot happen for valid configs, but it is checked,
     not assumed).
     """
-    states = enumerate_inventory_states(config.b)
-    n = len(states)
+    n = math.prod(bj + 1 for bj in config.b)
     rows, cols, rates, _ = _transition_arrays(config)
     _assert_strongly_connected(n, rows, cols, rates)
 
     Q = np.zeros((n, n))
     np.add.at(Q, (rows, cols), rates)
     np.fill_diagonal(Q, -Q.sum(axis=1))
-    return ReducedGenerator(states=states, rates=Q)
+    return ReducedGenerator(b=config.b, rates=Q)

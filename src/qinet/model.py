@@ -13,6 +13,8 @@ inventory deficit ``b_j - k_j`` (strict priority, ties split uniformly).
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -25,6 +27,13 @@ __all__ = [
     "routing_probs",
     "method_inapplicable",
 ]
+
+
+def _finite(x, what: str) -> float:
+    """``x`` as a float; a bool, a non-number or a non-finite value is a :class:`ConfigError`."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+        raise ConfigError(f"{what} must be a finite number, got {x!r}")
+    return float(x)
 
 
 @dataclass(frozen=True)
@@ -41,8 +50,8 @@ class ServiceRateProfile:
     tail: float
 
     def __post_init__(self):
-        object.__setattr__(self, "head", tuple(float(r) for r in self.head))
-        object.__setattr__(self, "tail", float(self.tail))
+        object.__setattr__(self, "head", tuple(_finite(r, "service rate") for r in self.head))
+        object.__setattr__(self, "tail", _finite(self.tail, "service rate tail"))
         if any(r <= 0 for r in self.head) or self.tail <= 0:
             raise ConfigError("service rates must be strictly positive")
 
@@ -82,10 +91,12 @@ class NetworkConfig:
     transfer_beta: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(float(x) for x in self.lam))
+        object.__setattr__(self, "lam", tuple(_finite(x, "arrival rate") for x in self.lam))
         object.__setattr__(self, "mu", tuple(self.mu))
+        if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for x in self.b):
+            raise ConfigError(f"base-stock levels must be integers, got {list(self.b)!r}")
         object.__setattr__(self, "b", tuple(int(x) for x in self.b))
-        object.__setattr__(self, "nu", float(self.nu))
+        object.__setattr__(self, "nu", _finite(self.nu, "supplier rate nu"))
         J = len(self.b)
         if J <= 1:
             raise ConfigError("a network needs J > 1 locations")
@@ -100,7 +111,7 @@ class NetworkConfig:
         if self.nu <= 0:
             raise ConfigError("supplier rate nu must be strictly positive")
         if self.transfer_beta is not None:
-            object.__setattr__(self, "transfer_beta", float(self.transfer_beta))
+            object.__setattr__(self, "transfer_beta", _finite(self.transfer_beta, "transfer_beta"))
             if self.transfer_beta < 0:
                 raise ConfigError("transfer_beta must be non-negative")
             if J != 2 or self.b[0] != self.b[1] or self.lam[0] != self.lam[1]:

@@ -19,6 +19,7 @@ state) and the inner loop is table lookups.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,21 +27,22 @@ import numpy as np
 from .errors import ErgodicityError, PreconditionError
 from .exact import ThetaMeasure
 from .generator import _transition_arrays
-from .model import NetworkConfig, enumerate_inventory_states
+# enumerate_inventory_states is unused here; perfbench/spans.py traces this binding.
+from .model import NetworkConfig, enumerate_inventory_states  # noqa: F401
 
 __all__ = ["SimulationResult", "simulate", "decoupling_test", "merge_results"]
 
 _BLOCK = 1 << 15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationResult:
     """Time-weighted occupancy statistics of one run (or a merge of runs).
 
-    ``joint`` maps ``(clipped queue vector, inventory state tuple)`` to its
-    occupancy fraction; queue lengths are clipped at ``n_obs`` (the last
-    bucket means "at least n_obs").  Clipping cannot touch the inventory
-    coordinates, which live on the finite space anyway.
+    Three parallel arrays over the visited cells, in first-visit order for
+    a single run.  Queue lengths are clipped at ``n_obs`` (the last bucket
+    means "at least n_obs").  Marginals are ``np.bincount`` reductions, e.g.
+    ``np.bincount(queues[:, j - 1], mass)`` for the queue at location j.
     """
 
     b: tuple[int, ...]
@@ -49,16 +51,15 @@ class SimulationResult:
     total_events: int
     events: int            # events that contributed after burn-in
     sim_time: float        # simulated time after burn-in
-    joint: dict[tuple[tuple[int, ...], tuple[int, ...]], float]
-    queue_marginals: tuple[dict[int, float], ...]
-    inventory_occupancy: dict[tuple[int, ...], float]
+    queues: np.ndarray     # (cells, J) clipped queue vectors
+    states: np.ndarray     # (cells,) canonical inventory indices
+    mass: np.ndarray       # (cells,) occupancy fractions
 
     def empirical_theta(self) -> ThetaMeasure:
         """Empirical inventory measure; unvisited states carry zero mass."""
-        grid = np.zeros([bj + 1 for bj in self.b])
-        for k, p in self.inventory_occupancy.items():
-            grid[k[:-1]] = p
-        return ThetaMeasure(grid=grid, normalized=True, provenance="empirical")
+        shape = [bj + 1 for bj in self.b]
+        grid = np.bincount(self.states, self.mass, minlength=math.prod(shape))
+        return ThetaMeasure(grid=grid.reshape(shape), normalized=True, provenance="empirical")
 
 
 def _transition_tables(config: NetworkConfig, require_stock_for_service: bool):
@@ -74,11 +75,10 @@ def _transition_tables(config: NetworkConfig, require_stock_for_service: bool):
     (draining the queue without consuming inventory); it exists purely as
     a negative control for the decoupling test.
     """
-    states = enumerate_inventory_states(config.b)
     J = config.J
     caps = [len(p.head) + 1 for p in config.mu]  # signature cap per location
     src, dst, rate, family = (a.tolist() for a in _transition_arrays(config))
-    edges = [[] for _ in states]  # per source state: (family, target, rate)
+    edges = [[] for _ in range(math.prod(bj + 1 for bj in config.b))]  # per source: (family, dst, rate)
     for s, d, r, f in zip(src, dst, rate, family):
         edges[s].append((f, d, r))
 
@@ -100,7 +100,7 @@ def _transition_tables(config: NetworkConfig, require_stock_for_service: bool):
             rows.append((rates, deltas))
         return rows
 
-    return states, caps, moves
+    return caps, moves
 
 
 def _rate_table(rows):
@@ -139,8 +139,8 @@ def simulate(
         bad = [d.location for d in report.per_location if not d.ergodic]
         raise ErgodicityError(f"simulation refused: locations {bad} are unstable")
 
-    states, caps, moves = _transition_tables(config, require_stock_for_service)
-    n_states = len(states)
+    caps, moves = _transition_tables(config, require_stock_for_service)
+    n_states = math.prod(bj + 1 for bj in config.b)
     tables: dict[tuple[int, ...], list] = {}
     J = config.J
 
@@ -190,23 +190,16 @@ def simulate(
     if t_acc <= 0:
         raise PreconditionError("no simulated time left after burn-in")
 
-    joint: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
-    queue_marginals: list[dict[int, float]] = [dict() for _ in range(J)]
-    inventory: dict[tuple[int, ...], float] = {}
-    for code, w in occ.items():
-        p = w / t_acc
-        s_idx = code % n_states
-        code //= n_states
-        nvec = [0] * J
-        for i in range(J - 1, -1, -1):
-            nvec[i] = code % clip
-            code //= clip
-        nkey = tuple(nvec)
-        kkey = states[s_idx].k
-        joint[(nkey, kkey)] = joint.get((nkey, kkey), 0.0) + p
-        for i in range(J):
-            queue_marginals[i][nvec[i]] = queue_marginals[i].get(nvec[i], 0.0) + p
-        inventory[kkey] = inventory.get(kkey, 0.0) + p
+    # Unpack the codes, last digit first.  A huge n_obs can push them past
+    # int64; they are then unpacked as Python ints.
+    wide = clip**J * n_states > np.iinfo(np.int64).max
+    codes = np.fromiter(occ, dtype=object if wide else np.int64, count=len(occ))
+    states = (codes % n_states).astype(np.intp)
+    codes //= n_states
+    queues = np.empty((len(occ), J), dtype=np.int64)
+    for i in range(J - 1, -1, -1):
+        queues[:, i] = codes % clip
+        codes //= clip
 
     return SimulationResult(
         b=config.b,
@@ -215,9 +208,9 @@ def simulate(
         total_events=total_events,
         events=total_events - burn,
         sim_time=t_acc,
-        joint=joint,
-        queue_marginals=tuple(queue_marginals),
-        inventory_occupancy=inventory,
+        queues=queues,
+        states=states,
+        mass=np.fromiter(occ.values(), dtype=float, count=len(occ)) / t_acc,
     )
 
 
@@ -226,17 +219,16 @@ def decoupling_test(result: SimulationResult) -> float:
 
     Zero means the clipped joint factorizes exactly into (queue vector
     marginal) x (inventory marginal); the product-form theory predicts a
-    small value for long ergodic runs of the true dynamics.
+    small value for long ergodic runs of the true dynamics.  The sum runs
+    over visited queue vectors x visited states; an unvisited pair
+    contributes its product mass.
     """
-    queue_joint: dict[tuple[int, ...], float] = {}
-    for (nkey, _), p in result.joint.items():
-        queue_joint[nkey] = queue_joint.get(nkey, 0.0) + p
-    inv = result.inventory_occupancy
-    tv = 0.0
-    for nkey, pn in queue_joint.items():
-        for kkey, pk in inv.items():
-            tv += abs(result.joint.get((nkey, kkey), 0.0) - pn * pk)
-    return 0.5 * tv
+    qid = np.unique(result.queues, axis=0, return_inverse=True)[1].reshape(-1)
+    pn = np.bincount(qid, result.mass)
+    pk = np.bincount(result.states, result.mass)
+    product = pn[qid] * pk[result.states]
+    unvisited = pn.sum() * pk.sum() - product.sum()
+    return 0.5 * float(np.abs(result.mass - product).sum() + unvisited)
 
 
 def merge_results(results) -> SimulationResult:
@@ -248,21 +240,10 @@ def merge_results(results) -> SimulationResult:
     if any(r.b != first.b or r.n_obs != first.n_obs for r in results):
         raise PreconditionError("replications must share b and n_obs")
     total_time = sum(r.sim_time for r in results)
-    joint: dict = {}
-    inventory: dict = {}
-    queues: list[dict[int, float]] = [dict() for _ in first.queue_marginals]
-    for r in results:
-        w = r.sim_time / total_time
-        for key, p in r.joint.items():
-            joint[key] = joint.get(key, 0.0) + w * p
-        for key, p in r.inventory_occupancy.items():
-            inventory[key] = inventory.get(key, 0.0) + w * p
-        for i, marg in enumerate(r.queue_marginals):
-            for nval, p in marg.items():
-                queues[i][nval] = queues[i].get(nval, 0.0) + w * p
-    seeds = []
-    for r in results:
-        seeds.extend(r.seed if isinstance(r.seed, tuple) else (r.seed,))
+    cells = np.concatenate([np.column_stack([r.queues, r.states]) for r in results])
+    weighted = np.concatenate([r.sim_time / total_time * r.mass for r in results])
+    cells, inverse = np.unique(cells, axis=0, return_inverse=True)
+    seeds = [s for r in results for s in (r.seed if isinstance(r.seed, tuple) else (r.seed,))]
     return SimulationResult(
         b=first.b,
         n_obs=first.n_obs,
@@ -270,7 +251,7 @@ def merge_results(results) -> SimulationResult:
         total_events=sum(r.total_events for r in results),
         events=sum(r.events for r in results),
         sim_time=total_time,
-        joint=joint,
-        queue_marginals=tuple(queues),
-        inventory_occupancy=inventory,
+        queues=cells[:, :-1],
+        states=cells[:, -1],
+        mass=np.bincount(inverse.reshape(-1), weighted),
     )

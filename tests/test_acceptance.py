@@ -215,8 +215,8 @@ def test_criterion_7_simulation_decoupling():
         tv_theta = total_variation(run.empirical_theta(), exact)
         worst_theta = max(worst_theta, tv_theta)
         theta_hits += tv_theta <= 0.02
-        emp = run.queue_marginals[0]
-        tv_queue = 0.5 * sum(abs(emp.get(n, 0.0) - qm.xi(n)) for n in range(6))
+        emp = np.bincount(run.queues[:, 0], run.mass, minlength=6)
+        tv_queue = 0.5 * sum(abs(emp[n] - qm.xi(n)) for n in range(6))
         worst_queue = max(worst_queue, tv_queue)
         queue_ok &= tv_queue <= 0.02
         dec = decoupling_test(run)

@@ -1,0 +1,68 @@
+"""The benchmark's span tracer still finds every binding it wraps.
+
+``perfbench/spans.py`` replaces qinet functions where their callers bind
+them (``BOUNDARIES``), so a renamed or dropped binding breaks only the
+traced benchmark run.  These tests read that file without changing it and
+check each binding, plus the generator attributes the harness reads.
+"""
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import qinet
+import qinet.cli  # noqa: F401  (the tracer patches bindings in every qinet module)
+from conftest import make_config
+from qinet.model import enumerate_inventory_states
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load_spans()
+CONFIG = make_config((1.0, 1.3, 0.8), (2, 1, 3), 1.2)
+
+
+@pytest.mark.parametrize(
+    "target, attr, name", spans.BOUNDARIES, ids=[f"{t}.{a}" for t, a, _ in spans.BOUNDARIES]
+)
+def test_binding_resolves(target, attr, name):
+    module, _, cls = target.partition(":")
+    owner = importlib.import_module(module)
+    if cls:
+        owner = getattr(owner, cls)
+        assert attr in owner.__dict__  # the tracer reads the class dict
+    assert callable(getattr(owner, attr))
+    assert name in spans.LAYERS
+    if attr == "enumerate_inventory_states":
+        assert getattr(owner, attr) is enumerate_inventory_states
+
+
+def test_generator_attributes_read_by_harness():
+    gen = qinet.build_reduced_generator(CONFIG)
+    assert gen.size == 24 == spans._count("generator.build", gen)
+    states = gen.states
+    assert [s.k for s in states] == [s.k for s in enumerate_inventory_states(CONFIG.b)]
+    assert states[7].k == (0, 1, 3, 2)
+
+
+def test_enumeration_only_when_states_are_read():
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        gen = qinet.build_reduced_generator(CONFIG)
+        qinet.simulate(CONFIG, 1_000, seed=1)
+        built = [span.name for span in tracer.spans]
+        gen.states
+        read = [span.name for span in tracer.spans[len(built):]]
+    finally:
+        tracer.uninstall()
+    assert "model.enumerate" not in built
+    assert read == ["model.enumerate"]

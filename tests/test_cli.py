@@ -62,6 +62,25 @@ class TestLoadConfig:
         path = write_config(tmp_path, b=[2, 2], beta=0.5)
         assert load_config(path).transfer_beta == 0.5
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"b": [2.7, 3]},
+            {"b": [True, 2]},
+            {"nu": "abc"},
+            {"mu": [{"head": [], "tail": None}, {"head": [], "tail": 2.0}]},
+            {"mu": [{"head": ["fast"], "tail": 2.0}, {"head": [], "tail": 2.0}]},
+            {"lambda": [float("inf"), 1.0]},
+            {"b": [2, 2], "beta": float("nan")},
+        ],
+        ids=["b_float", "b_bool", "nu_string", "tail_null", "head_string", "lambda_inf", "beta_nan"],
+    )
+    def test_bad_values_rejected(self, tmp_path, capsys, overrides):
+        path = write_config(tmp_path, **overrides)
+        assert main(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestSolve:
     def test_auto_picks_closed_form(self, tmp_path, capsys):
@@ -240,6 +259,13 @@ class TestSimulate:
         path = write_config(tmp_path)
         assert main(["simulate", path, "--events", "1000", "--n-obs", "-1"]) == 1
         assert "n_obs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_huge_n_obs(self, tmp_path, capsys, J):
+        path = write_config(tmp_path, J=J, b=[1] * J, **{"lambda": [1.0] * J},
+                            mu=[{"head": [], "tail": 2.0}] * J)
+        assert main(["simulate", path, "--n-obs", "1000000000000", "--events", "2000"]) == 0
+        assert f"queue{J}_tv" in capsys.readouterr().out
 
     def test_simulate_json(self, tmp_path):
         path = write_config(tmp_path)

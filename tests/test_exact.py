@@ -104,7 +104,6 @@ def test_cut_balance_on_random_partitions(rng):
 def test_reducible_generator_rejected():
     # Two disconnected 2-state blocks pass the local dataclass checks but
     # must be caught by the solver.
-    states = enumerate_inventory_states((1, 1))
     Q = np.array(
         [
             [-1.0, 1.0, 0.0, 0.0],
@@ -113,7 +112,7 @@ def test_reducible_generator_rejected():
             [0.0, 0.0, 2.0, -2.0],
         ]
     )
-    gen = ReducedGenerator(states=states, rates=Q)
+    gen = ReducedGenerator(b=(1, 1), rates=Q)
     with pytest.raises(ReducibilityError):
         solve_theta_exact(gen)
 

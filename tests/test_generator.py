@@ -3,6 +3,7 @@ import pytest
 
 from conftest import draw_rates, make_config
 from qinet import (
+    ConfigError,
     NetworkConfig,
     ReducibilityError,
     ServiceRateProfile,
@@ -20,7 +21,8 @@ def joint_moves(config, n, k):
     Read off the simulator's per-signature tables, which add the queues to
     the inventory transition arrays.
     """
-    states, caps, moves = _transition_tables(config, require_stock_for_service=True)
+    caps, moves = _transition_tables(config, require_stock_for_service=True)
+    states = enumerate_inventory_states(config.b)
     sig = tuple(min(x, cap) for x, cap in zip(n, caps))
     index = {s.k: i for i, s in enumerate(states)}
     rates, deltas = moves(sig)[index[tuple(k)]]
@@ -42,6 +44,17 @@ def test_tie_split_from_empty_state():
     assert row[gen.index_of((0, 1, 1))] == pytest.approx(0.5)
     assert row[gen.index_of((0, 0, 2))] == pytest.approx(-1.0)
     assert row[gen.index_of((1, 1, 0))] == 0.0
+
+
+def test_index_of_is_canonical_position():
+    cfg = make_config((1.0, 1.0, 1.0), (2, 1, 3), 1.0)
+    gen = build_reduced_generator(cfg)
+    assert gen.size == 24
+    for i, state in enumerate(gen.states):
+        assert gen.index_of(state) == gen.index_of(state.k) == i
+    for bad in ((3, 0, 0, 3), (1, 1, 1, 2), (1, 1, 3)):  # off the box, wrong supplier, too short
+        with pytest.raises(ConfigError):
+            gen.index_of(bad)
 
 
 def test_full_state_row():

@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from conftest import make_config
@@ -9,6 +10,7 @@ from qinet import (
     SimulationResult,
     build_reduced_generator,
     decoupling_test,
+    enumerate_inventory_states,
     merge_results,
     queue_marginal,
     simulate,
@@ -24,28 +26,62 @@ def base_run():
     return simulate(BASE, total_events=300_000, seed=42)
 
 
+def joint_items(result):
+    """Sorted ``((queue vector, inventory k tuple), mass)`` items of a result."""
+    states = enumerate_inventory_states(result.b)
+    return sorted(
+        ((tuple(q), states[s].k), p)
+        for q, s, p in zip(result.queues.tolist(), result.states.tolist(), result.mass.tolist())
+    )
+
+
+def same_cells(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("queues", "states", "mass"))
+
+
 def test_determinism(base_run):
     again = simulate(BASE, total_events=300_000, seed=42)
-    assert again.joint == base_run.joint
+    assert same_cells(again, base_run)
     assert again.sim_time == base_run.sim_time
-    assert simulate(BASE, total_events=50_000, seed=43).joint != simulate(
-        BASE, total_events=50_000, seed=44
-    ).joint
+    assert not same_cells(
+        simulate(BASE, total_events=50_000, seed=43), simulate(BASE, total_events=50_000, seed=44)
+    )
 
 
 def test_seeded_stream_pinned(base_run):
     # A change to event order or table order changes the seeded stream.
     assert base_run.sim_time == float.fromhex("0x1.b7f7a030c3dafp+16")
-    joint = repr([(key, float(p)) for key, p in sorted(base_run.joint.items())])
+    joint = repr(joint_items(base_run))
     digest = hashlib.sha256(joint.encode()).hexdigest()
     assert digest == "34f31877f08e859278474ae673695e8324b2daa4e3f5bc6b1d9ef490ebe43d40"
 
 
+def test_cells_are_distinct(base_run):
+    cells = np.column_stack([base_run.queues, base_run.states])
+    assert len(np.unique(cells, axis=0)) == len(cells)
+    assert base_run.queues.shape == (len(cells), BASE.J)
+    assert base_run.mass.min() > 0
+
+
 def test_masses_sum_to_one(base_run):
-    assert abs(sum(base_run.joint.values()) - 1.0) < 1e-9
-    assert abs(sum(base_run.inventory_occupancy.values()) - 1.0) < 1e-9
-    for marg in base_run.queue_marginals:
-        assert abs(sum(marg.values()) - 1.0) < 1e-9
+    assert abs(base_run.mass.sum() - 1.0) < 1e-9
+    assert abs(base_run.empirical_theta().grid.sum() - 1.0) < 1e-9
+    for j in range(BASE.J):
+        assert abs(np.bincount(base_run.queues[:, j], base_run.mass).sum() - 1.0) < 1e-9
+
+
+def test_reductions_equal_per_cell_loop(base_run):
+    # Same additions in the same (first-visit) order: bit-equal.
+    grid = np.zeros(base_run.empirical_theta().weights.size)
+    margs = [{} for _ in range(BASE.J)]
+    for q, s, p in zip(base_run.queues.tolist(), base_run.states.tolist(), base_run.mass.tolist()):
+        grid[s] += p
+        for j, n in enumerate(q):
+            margs[j][n] = margs[j].get(n, 0.0) + p
+    assert base_run.empirical_theta().weights.tolist() == grid.tolist()
+    for j, marg in enumerate(margs):
+        emp = np.bincount(base_run.queues[:, j], base_run.mass)
+        assert emp.tolist() == [marg.get(n, 0.0) for n in range(len(emp))]
 
 
 def test_empirical_theta_close_to_exact(base_run):
@@ -57,8 +93,8 @@ def test_empirical_theta_close_to_exact(base_run):
 
 def test_queue_marginal_close_to_geometric(base_run):
     qm = queue_marginal(BASE, 1)
-    emp = base_run.queue_marginals[0]
-    tv = 0.5 * sum(abs(emp.get(n, 0.0) - qm.xi(n)) for n in range(6))
+    emp = np.bincount(base_run.queues[:, 0], base_run.mass, minlength=6)
+    tv = 0.5 * sum(abs(emp[n] - qm.xi(n)) for n in range(6))
     assert tv <= 0.02
 
 
@@ -66,23 +102,54 @@ def test_decoupling_small_for_true_model(base_run):
     assert decoupling_test(base_run) <= 0.03
 
 
-def test_decoupling_zero_for_exact_product():
-    # Hand-built result whose joint is exactly the product of its marginals.
-    pn = {(0,): 0.7, (1,): 0.3}
-    pk = {(0, 1): 0.4, (1, 0): 0.6}
-    joint = {(n, k): pn[n] * pk[k] for n in pn for k in pk}
-    result = SimulationResult(
-        b=(1,),
-        n_obs=1,
-        seed=0,
+def hand_result(queues, states, mass, b=(1, 1), sim_time=1.0, seed=0):
+    return SimulationResult(
+        b=b,
+        n_obs=3,
+        seed=seed,
         total_events=1,
         events=1,
-        sim_time=1.0,
-        joint=joint,
-        queue_marginals=(pn,),
-        inventory_occupancy=pk,
+        sim_time=sim_time,
+        queues=np.array(queues, dtype=np.int64),
+        states=np.array(states),
+        mass=np.array(mass, dtype=float),
     )
+
+
+def test_decoupling_equals_per_pair_sum(base_run):
+    joint = dict(joint_items(base_run))
+    pn, pk = {}, {}
+    for (n, k), p in joint.items():
+        pn[n] = pn.get(n, 0.0) + p
+        pk[k] = pk.get(k, 0.0) + p
+    by_pair = 0.5 * sum(abs(joint.get((n, k), 0.0) - pn[n] * pk[k]) for n in pn for k in pk)
+    assert decoupling_test(base_run) == pytest.approx(by_pair, rel=0, abs=1e-13)
+
+
+def test_decoupling_zero_for_exact_product():
+    # Hand-built result whose joint is exactly the product of its marginals.
+    pn = {(0, 1): 0.7, (1, 0): 0.3}
+    pk = {0: 0.4, 3: 0.6}
+    cells = [(n, k, pn[n] * pk[k]) for n in pn for k in pk]
+    result = hand_result(*zip(*cells))
     assert decoupling_test(result) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_decoupling_counts_unvisited_pairs():
+    # Queue vectors (0,0), (1,0), (2,1); states 0, 1, 3.  Only four of the
+    # nine (queue vector, state) pairs are visited.
+    queues = [(0, 0), (0, 0), (1, 0), (2, 1)]
+    states = [0, 1, 3, 3]
+    mass = [0.1, 0.2, 0.3, 0.4]
+    pn = {(0, 0): 0.3, (1, 0): 0.3, (2, 1): 0.4}
+    pk = {0: 0.1, 1: 0.2, 3: 0.7}
+    joint = {(q, k): p for q, k, p in zip(queues, states, mass)}
+    by_hand = 0.5 * sum(
+        abs(joint.get((q, k), 0.0) - pn[q] * pk[k]) for q in pn for k in pk
+    )
+    # visited |joint - product|: .07 + .14 + .09 + .12; unvisited product: .21 + .03 + .06 + .04 + .08
+    assert by_hand == pytest.approx(0.5 * (0.42 + 0.42))
+    assert decoupling_test(hand_result(queues, states, mass)) == pytest.approx(by_hand, abs=1e-15)
 
 
 def test_coupled_counter_model_detected():
@@ -93,9 +160,7 @@ def test_coupled_counter_model_detected():
 
 def test_inventory_conservation(base_run):
     total = sum(BASE.b)
-    for k in base_run.inventory_occupancy:
-        assert sum(k) == total
-    for n, k in base_run.joint:
+    for (n, k), _ in joint_items(base_run):
         assert sum(k) == total
         assert all(0 <= x <= base_run.n_obs for x in n)
 
@@ -105,9 +170,21 @@ def test_clipping_does_not_touch_inventory_marginal():
     # by the summation order of the occupancy buckets.
     a = simulate(BASE, total_events=60_000, seed=5, n_obs=2)
     b = simulate(BASE, total_events=60_000, seed=5, n_obs=9)
-    assert a.inventory_occupancy.keys() == b.inventory_occupancy.keys()
-    for key, value in a.inventory_occupancy.items():
-        assert b.inventory_occupancy[key] == pytest.approx(value, abs=1e-12)
+    assert np.array_equal(np.unique(a.states), np.unique(b.states))
+    assert np.allclose(a.empirical_theta().grid, b.empirical_theta().grid, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("config", [BASE, make_config((1, 1, 1), (1, 2, 1), 1.5, mu_rate=2.0)],
+                         ids=["J2", "J3"])
+def test_huge_n_obs(config):
+    # Packed occupancy codes (n_obs + 1)^J * |K| exceed int64 here, and at
+    # J=3 so do the codes of visited cells; nothing may be sized by n_obs.
+    run = simulate(config, 2_000, seed=1, n_obs=10**12)
+    assert run.queues.dtype == np.int64
+    assert 0 < run.queues.max() < 2_000
+    assert abs(run.mass.sum() - 1.0) < 1e-9
+    small = simulate(config, 2_000, seed=1, n_obs=2_000)
+    assert same_cells(run, small)
 
 
 def test_convergence_majority_vote():
@@ -146,27 +223,37 @@ def test_transfer_channel_runs():
     run = simulate(cfg, total_events=200_000, seed=11)
     exact = solve_theta_exact(build_reduced_generator(cfg))
     assert total_variation(run.empirical_theta(), exact) <= 0.03
-    total = sum(cfg.b)
-    assert all(sum(k) == total for k in run.inventory_occupancy)
+    assert run.states.max() < 9
 
 
 def test_merge_results():
     runs = [simulate(BASE, total_events=50_000, seed=s) for s in (1, 2, 3)]
     merged = merge_results(runs)
     assert merged.total_events == 150_000
-    assert abs(sum(merged.joint.values()) - 1.0) < 1e-9
+    assert abs(merged.mass.sum() - 1.0) < 1e-9
     assert merged.seed == (1, 2, 3)
     expected_time = sum(r.sim_time for r in runs)
     assert merged.sim_time == pytest.approx(expected_time)
     # merged occupancy is the time-weighted average
-    key = next(iter(runs[0].inventory_occupancy))
-    manual = (
-        sum(r.inventory_occupancy.get(key, 0.0) * r.sim_time for r in runs)
-        / expected_time
-    )
-    assert merged.inventory_occupancy[key] == pytest.approx(manual, rel=1e-12)
+    theta = merged.empirical_theta().grid
+    manual = sum(r.empirical_theta().grid * r.sim_time for r in runs) / expected_time
+    assert np.allclose(theta, manual, rtol=1e-12, atol=0)
     with pytest.raises(PreconditionError):
         merge_results([])
     other = simulate(make_config((1, 1), (2, 2), 1.0, mu_rate=2.0), 1000, seed=1)
     with pytest.raises(PreconditionError):
         merge_results([runs[0], other])
+
+
+def test_merge_is_time_weighted_sum_per_cell():
+    a = hand_result([(0, 0), (1, 0), (0, 2)], [0, 0, 3], [0.5, 0.25, 0.25], sim_time=2.0, seed=1)
+    b = hand_result([(0, 2), (0, 0), (1, 1)], [3, 1, 0], [0.5, 0.25, 0.25], sim_time=6.0, seed=(2, 3))
+    merged = merge_results([a, b])
+    expected: dict = {}
+    for r in (a, b):
+        for (q, k), p in joint_items(r):
+            expected[(q, k)] = expected.get((q, k), 0.0) + r.sim_time / 8.0 * p
+    assert dict(joint_items(merged)) == expected
+    assert len(merged.mass) == 5  # (0,0) at state 0 and (0,2) at state 3 are shared
+    assert merged.seed == (1, 2, 3)
+    assert merged.sim_time == 8.0
