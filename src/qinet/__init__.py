@@ -44,13 +44,12 @@ from .model import (
     method_inapplicable,
     routing_probs,
 )
-from .recursive import AffineKappa, ThetaTable, gbe_residual, solve_theta_recursive
+from .recursive import solve_theta_recursive
 from .simulate import SimulationResult, decoupling_test, merge_results, simulate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineKappa",
     "ConfigError",
     "DegenerateEliminationError",
     "ErgodicityError",
@@ -70,7 +69,6 @@ __all__ = [
     "SimulationResult",
     "SolverError",
     "ThetaMeasure",
-    "ThetaTable",
     "balance_residual",
     "build_reduced_generator",
     "check_cut_heterogeneous",
@@ -79,7 +77,6 @@ __all__ = [
     "decoupling_test",
     "enumerate_inventory_states",
     "ergodicity_check",
-    "gbe_residual",
     "inventory_marginal",
     "merge_results",
     "queue_marginal",

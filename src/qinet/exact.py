@@ -7,6 +7,11 @@ assembles the product-form joint distribution on a finite queue window.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +26,10 @@ __all__ = ["ThetaMeasure", "PiWindow", "solve_theta_exact", "solve_pi_truncated"
 # positivity floor below which a solve is declared failed.
 RESIDUAL_RTOL = 1e-12
 POSITIVITY_FLOOR = 1e-14
+# Dense solves up to this many states run on one BLAS thread: there a
+# second OpenBLAS thread costs more than it saves (a 256-state solve took
+# 16 ms on two threads against 1 ms on one, on a 2-vCPU host).
+ONE_THREAD_MAX_STATES = 512
 
 PROVENANCES = ("exact", "closed_form", "recursive", "empirical")
 
@@ -77,6 +86,37 @@ def _diagnose_failure(gen: ReducedGenerator, detail: str) -> Exception:
     return SolverError(f"stationary solve failed: {detail}")
 
 
+@functools.cache
+def _openblas_threads():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, or None."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def _one_blas_thread(n: int):
+    """Run the block on one OpenBLAS thread when ``n`` is small; restore after."""
+    threads = _openblas_threads() if n <= ONE_THREAD_MAX_STATES else None
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    saved = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(saved)
+
+
 def solve_theta_exact(gen: ReducedGenerator) -> ThetaMeasure:
     """Solve ``theta . Q_red = 0``, normalize, and verify the residual.
 
@@ -86,7 +126,8 @@ def solve_theta_exact(gen: ReducedGenerator) -> ThetaMeasure:
     is LU-solved.  The residual is then checked against the *full*
     generator at ``1e-12`` relative to the largest rate, and every weight
     must clear the positivity floor; on failure the generator graph is
-    examined to raise the precise error.
+    examined to raise the precise error.  Systems of at most
+    ``ONE_THREAD_MAX_STATES`` states are solved on one BLAS thread.
     """
     Q = gen.rates
     n = gen.size
@@ -94,27 +135,31 @@ def solve_theta_exact(gen: ReducedGenerator) -> ThetaMeasure:
     M[-1, :] = 1.0
     rhs = np.zeros(n)
     rhs[-1] = 1.0
-    try:
-        theta = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise _diagnose_failure(gen, f"anchored system singular ({exc})") from exc
+    with _one_blas_thread(n):
+        try:
+            theta = np.linalg.solve(M, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise _diagnose_failure(gen, f"anchored system singular ({exc})") from exc
 
-    total = theta.sum()
-    if not np.isfinite(total) or total <= 0:
-        raise _diagnose_failure(gen, "normalization is singular")
-    theta = theta / total
+        total = theta.sum()
+        if not np.isfinite(total) or total <= 0:
+            raise _diagnose_failure(gen, "normalization is singular")
+        theta = theta / total
 
-    scale = max(np.abs(Q).max(), 1.0)
-    residual = np.abs(theta @ Q).max()
+        scale = max(np.abs(Q).max(), 1.0)
+        residual = np.abs(theta @ Q).max()
     if residual > RESIDUAL_RTOL * scale:
         raise _diagnose_failure(
             gen, f"balance residual {residual:.3e} exceeds {RESIDUAL_RTOL * scale:.3e}"
         )
-    if theta.min() <= POSITIVITY_FLOOR:
-        raise _diagnose_failure(
-            gen, f"weight {theta.min():.3e} at or below positivity floor"
-        )
     shape = [bj + 1 for bj in gen.b]
+    low = int(theta.argmin())
+    if theta[low] <= POSITIVITY_FLOOR:
+        on_hand = tuple(int(k) for k in np.unravel_index(low, shape))
+        raise _diagnose_failure(
+            gen, f"weight {theta[low]:.3e} at on-hand {on_hand} at or below positivity floor "
+            f"{POSITIVITY_FLOOR:.0e}"
+        )
     return ThetaMeasure(grid=theta.reshape(shape), normalized=True, provenance="exact")
 
 

@@ -217,7 +217,7 @@ def method_inapplicable(config: NetworkConfig, method: str) -> str | None:
 
     ``"exact"`` solves every configuration; ``"closed"`` needs every
     ``b_j = 1``; ``"recursive"`` needs two locations with
-    ``b1 >= b2 > 1`` and no transfer channel.
+    ``b1 >= b2 > 1`` and no transfer channel (``beta`` absent or zero).
     """
     if method == "closed":
         if any(bj != 1 for bj in config.b):
@@ -225,7 +225,7 @@ def method_inapplicable(config: NetworkConfig, method: str) -> str | None:
     elif method == "recursive":
         if config.J != 2:
             return "recursive elimination handles exactly two locations; use exact"
-        if config.transfer_beta is not None:
+        if config.has_transfer:
             return "recursive elimination does not cover the transfer channel; use exact"
         b1, b2 = config.b
         if b1 == b2 == 1:

@@ -102,6 +102,19 @@ class TestSolve:
         assert main(["solve", path]) == 0
         assert "method: recursive" in capsys.readouterr().out
 
+    def test_beta_zero_matches_no_beta(self, tmp_path):
+        # A zero transfer rate is no transfer channel: same route, same bytes.
+        docs = {}
+        for name, extra in (("plain", {}), ("zero", {"beta": 0})):
+            path = write_config(tmp_path, name=f"{name}.json", b=[4, 4], **extra)
+            out = tmp_path / f"{name}.report.json"
+            assert main(["solve", path, "--json", str(out)]) == 0
+            assert main(["solve", path, "--method", "recursive"]) == 0
+            docs[name] = json.loads(out.read_text())
+        assert docs["zero"]["method"] == docs["plain"]["method"] == "recursive"
+        assert docs["zero"]["note"] == docs["plain"]["note"]
+        assert docs["zero"]["theta"]["weights"] == docs["plain"]["theta"]["weights"]
+
     def test_auto_falls_back_to_exact(self, tmp_path, capsys):
         path = write_config(tmp_path, b=[2, 1])
         assert main(["solve", path]) == 0
@@ -196,6 +209,13 @@ class TestVerify:
         assert "cut_homogeneous" in out
         assert "simulation_decoupling_tv" in out
         assert "all checks passed" in out
+
+    def test_beta_zero_keeps_recursive_check(self, tmp_path, capsys):
+        # Too few events for the simulation checks; only the route matters.
+        path = write_config(tmp_path, b=[4, 4], beta=0)
+        main(["verify", path, "--events", "20000"])
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("recursive_vs_exact_tv") and line.endswith("pass") for line in lines)
 
     def test_heterogeneous_families_reported(self, tmp_path, capsys):
         path = write_config(tmp_path, **{"lambda": [1.4, 0.7]}, b=[3, 2])

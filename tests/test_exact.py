@@ -117,6 +117,48 @@ def test_reducible_generator_rejected():
         solve_theta_exact(gen)
 
 
+def test_floor_failure_names_cell():
+    # Strongly graded rates push the smallest weight under the absolute floor.
+    gen = build_reduced_generator(make_config((1.0, 1.0), (10, 6), 0.3))
+    with pytest.raises(SolverError, match=r"weight \S+ at on-hand \(0, 6\) at or below positivity floor 1e-14"):
+        solve_theta_exact(gen)
+
+
+def test_blas_thread_count_restored(monkeypatch):
+    from qinet import exact
+
+    threads = exact._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's bundled OpenBLAS is not loadable here")
+    get, set_ = threads
+    original = get()
+    seen = []
+    real_solve = np.linalg.solve
+
+    def spy(M, rhs):
+        seen.append(get())
+        return real_solve(M, rhs)
+
+    def singular(M, rhs):
+        seen.append(get())
+        raise np.linalg.LinAlgError("synthetic")
+
+    gen = build_reduced_generator(make_config((1.2, 0.7), (3, 2), 1.4))
+    try:
+        set_(2)
+        before = get()
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        solve_theta_exact(gen)
+        assert get() == before
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(SolverError):
+            solve_theta_exact(gen)
+        assert get() == before
+        assert seen == [1, 1]
+    finally:
+        set_(original)
+
+
 def test_theta_measure_validation():
     with pytest.raises(SolverError):
         ThetaMeasure(grid=np.array([[0.5, 0.5], [0.0, 0.0]]),

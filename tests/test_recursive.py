@@ -6,19 +6,17 @@ import pytest
 
 from conftest import draw_rates, make_config
 from qinet import (
-    AffineKappa,
     DegenerateEliminationError,
     PreconditionError,
     SequencingError,
-    ThetaTable,
+    SolverError,
     build_reduced_generator,
-    gbe_residual,
     solve_theta_exact,
     solve_theta_recursive,
     total_variation,
 )
 from qinet.model import InventoryState, routing_probs
-from qinet.recursive import _balance_terms, _close
+from qinet.recursive import _balance_terms, _combine, _sweep, _sweeps
 
 
 def brute_force_gbe(config, grid, state):
@@ -56,70 +54,91 @@ def brute_force_gbe(config, grid, state):
 
 
 def table_from_grid(grid):
-    b1 = len(grid) - 1
-    b2 = len(grid[0]) - 1
-    table = ThetaTable(b1, b2)
-    for k1 in range(b1 + 1):
-        for k2 in range(b2 + 1):
-            table.set(k1, k2, AffineKappa(float(grid[k1][k2]), 0.0))
-    return table
+    """A fully derived, kappa-free table holding `grid`, and its `known` mask."""
+    grid = np.asarray(grid, dtype=float)
+    table = np.zeros(grid.shape + (2,))
+    table[..., 0] = grid
+    return table, np.ones(grid.shape, dtype=bool)
+
+
+def involved(terms):
+    """Cells with a nonzero coefficient in one balance equation."""
+    return {entry for entry, coef in terms if coef != 0.0}
 
 
 class TestAffineKappa:
     def test_arithmetic(self):
-        x = AffineKappa(1.0, 2.0)
-        y = AffineKappa(0.5, -1.0)
-        assert (x + y) == AffineKappa(1.5, 1.0)
-        assert (x - y) == AffineKappa(0.5, 3.0)
-        assert (-x) == AffineKappa(-1.0, -2.0)
-        assert x.scaled(3.0) == AffineKappa(3.0, 6.0)
-        assert x.resolve(2.0) == 5.0
-        assert not x.is_constant
-        assert AffineKappa(7.0, 0.0).is_constant
+        # Entries are affine pairs (a, c) meaning a + c * kappa; combining
+        # them is exact linear arithmetic on both parts.
+        table = np.zeros((2, 2, 2))
+        known = np.ones((2, 2), dtype=bool)
+        table[0, 0] = 1.0, 2.0
+        table[0, 1] = 0.5, -1.0
+        x, y = (0, 0), (0, 1)
+        assert _combine(table, known, [(x, 1.0), (y, 1.0)]) == (1.5, 1.0)
+        assert _combine(table, known, [(x, 1.0), (y, -1.0)]) == (0.5, 3.0)
+        assert _combine(table, known, [(x, -1.0)]) == (-1.0, -2.0)
+        assert _combine(table, known, [(x, 3.0), (y, 1.0)], skip=y) == (3.0, 6.0)
 
 
 class TestThetaTable:
     def test_sequencing_guards(self):
-        table = ThetaTable(2, 2)
-        with pytest.raises(SequencingError):
-            table.get(0, 0)
-        table.set(0, 0, AffineKappa(1.0, 0.0))
-        with pytest.raises(SequencingError):
-            table.set(0, 0, AffineKappa(2.0, 0.0))
-        table.set(0, 0, AffineKappa(2.0, 0.0), overwrite=True)
-        assert table.get(0, 0).a == 2.0
-        with pytest.raises(KeyError):
-            table.get(3, 0)
+        table, known = table_from_grid(np.ones((3, 3)))
+        known[1, 2] = False
+        with pytest.raises(SequencingError, match=r"entry \(1,2\) referenced before it was derived"):
+            _combine(table, known, [((0, 0), 1.0), ((1, 2), -1.0)])
+        with pytest.raises(SequencingError, match=r"entry \(0,2\) derived twice"):
+            _sweep(table, known, {}, (0, 2), [], (0, 0))
 
     def test_resolution(self):
-        table = ThetaTable(1, 1)
-        table.set(0, 0, AffineKappa(1.0, 2.0))
-        table.set(1, 1, AffineKappa(3.0, 0.0))
-        table.resolve_kappa(0.25)
-        assert table.get(0, 0) == AffineKappa(1.5, 0.0)
-        table.assert_resolved()
+        # Closing solves 2 * kappa + 3 = 0 and substitutes kappa = -1.5
+        # into every entry that depends on it.
+        table, known = table_from_grid(np.zeros((2, 2)))
+        known[0, 1] = False
+        table[0, 0] = 1.0, 2.0
+        table[1, 1] = 3.0, 0.0
+        _sweep(table, known, {(1, 0): [((0, 1), 2.0), ((1, 1), 1.0)]}, (0, 1), [], (1, 0))
+        assert table[..., 0].tolist() == [[-2.0, -1.5], [0.0, 3.0]]
+        assert not table[..., 1].any()
+
+    def test_equation_lacks_target(self):
+        cfg = make_config((1, 1), (2, 2), 1.0)
+        table, known = table_from_grid(np.ones((3, 3)))
+        known[0, 2] = known[2, 2] = False
+        with pytest.raises(SequencingError, match=r"equation of \(0, 0\) does not involve \(2, 2\)"):
+            _sweep(table, known, _balance_terms(cfg), (0, 2), [((0, 0), (2, 2))], (0, 0))
+
+    def test_table_incomplete(self, monkeypatch):
+        import qinet.recursive as recursive
+
+        full = recursive._sweeps
+        monkeypatch.setattr(recursive, "_sweeps", lambda b1, b2: list(full(b1, b2))[:-1])
+        with pytest.raises(SequencingError, match="table is not complete"):
+            solve_theta_recursive(make_config((1.3, 0.8), (4, 3), 1.1))
 
 
 class TestGbeResidual:
     def test_solved_table_has_zero_residual(self):
         cfg = make_config((1.2, 0.7), (3, 2), 1.4)
         theta = solve_theta_exact(build_reduced_generator(cfg))
-        table = table_from_grid(theta.grid)
-        for k1 in range(4):
-            for k2 in range(3):
-                res = gbe_residual(table, cfg, (k1, k2))
-                assert res.c == 0.0
-                assert abs(res.a) < 1e-14
+        table, known = table_from_grid(theta.grid)
+        terms = _balance_terms(cfg)
+        for state in itertools.product(range(4), range(3)):
+            a, c = _combine(table, known, terms[state])
+            assert c == 0.0
+            assert abs(a) < 1e-14
 
     def test_linearity_single_entry(self, rng):
+        # brute_force_gbe is the independent reference for _balance_terms.
         cfg = make_config(draw_rates(rng, 2), (2, 2), 1.0)
+        terms = _balance_terms(cfg)
         for spot in ((0, 0), (1, 2), (2, 1)):
             grid = np.zeros((3, 3))
             grid[spot] = 1.0
-            table = table_from_grid(grid)
+            table, known = table_from_grid(grid)
             for state in itertools.product(range(3), repeat=2):
-                res = gbe_residual(table, cfg, state)
-                assert res.a == pytest.approx(brute_force_gbe(cfg, grid, state), abs=1e-15)
+                a, _ = _combine(table, known, terms[state])
+                assert a == pytest.approx(brute_force_gbe(cfg, grid, state), abs=1e-15)
 
     def test_seeded_corner_residual(self):
         # b=(2,2), lam=(1,2), nu=3, all entries zero except the seed
@@ -127,29 +146,78 @@ class TestGbeResidual:
         cfg = make_config((1, 2), (2, 2), 3.0)
         grid = np.zeros((3, 3))
         grid[2][0] = 1.0
-        table = table_from_grid(grid)
-        res = gbe_residual(table, cfg, (2, 0))
+        table, known = table_from_grid(grid)
+        a, c = _combine(table, known, _balance_terms(cfg)[(2, 0)])
         oracle = brute_force_gbe(cfg, grid, (2, 0))
-        assert res.c == 0.0
-        assert res.a == pytest.approx(oracle, abs=1e-15)
+        assert c == 0.0
+        assert a == pytest.approx(oracle, abs=1e-15)
         # lam1 consumption plus full-rate replenishment to location 2
         assert oracle == pytest.approx(1.0 + 3.0, abs=1e-15)
-
-    def test_missing_entry_raises(self):
-        cfg = make_config((1, 1), (2, 2), 1.0)
-        table = ThetaTable(2, 2)
-        table.set(2, 0, AffineKappa(1.0, 0.0))
-        with pytest.raises(SequencingError):
-            gbe_residual(table, cfg, (2, 0))  # needs theta(2, 1) too
 
     def test_zero_rate_terms_not_required(self):
         # The balance equation of (2,0) never references (1,0): the
         # replenishment from (1,0) routes entirely to location 2.
         cfg = make_config((1, 1), (2, 2), 1.0)
-        grid = np.zeros((3, 3))
-        table = table_from_grid(grid)
-        table.set(1, 0, None, overwrite=True)  # knock the entry out
-        gbe_residual(table, cfg, (2, 0))
+        table, known = table_from_grid(np.zeros((3, 3)))
+        known[1, 0] = False  # knock the entry out
+        _combine(table, known, _balance_terms(cfg)[(2, 0)])
+
+    def test_missing_entry_raises(self):
+        cfg = make_config((1, 1), (2, 2), 1.0)
+        table, known = table_from_grid(np.zeros((3, 3)))
+        known[:] = False
+        known[2, 0] = True
+        with pytest.raises(SequencingError, match=r"entry \(2,1\) referenced before it was derived"):
+            _combine(table, known, _balance_terms(cfg)[(2, 0)])  # needs theta(2, 1) too
+
+
+class TestSchedule:
+    @pytest.mark.parametrize(
+        "b",
+        [(b1, b2) for b2 in range(2, 16) for b1 in range(b2, 16)] + [(40, 20)],
+        ids=lambda b: f"{b[0]}x{b[1]}",
+    )
+    def test_schedule_is_feasible(self, b, rng):
+        # Replays the schedule on the nonzero pattern of the balance terms;
+        # the pattern depends only on b, so random positive rates suffice.
+        b1, b2 = b
+        cfg = make_config(draw_rates(rng, 2), b, float(draw_rates(rng, 1)[0]))
+        terms = _balance_terms(cfg)
+        # The right column below the corner (b1, b2) is derived before kappa
+        # is seeded into any equation it uses, so it never depends on kappa.
+        right = {(b1, k2) for k2 in range(b2)}
+        known = {(b1, 0)}
+        filled = [(b1, 0)]
+        for number, (seed, steps, close) in enumerate(_sweeps(b1, b2)):
+            known.add(seed)
+            filled.append(seed)
+            for state, target in steps:
+                cells = involved(terms[state])
+                assert target in cells
+                assert cells - {target} <= known
+                if number == 0 and target in right:
+                    assert cells <= right
+                known.add(target)
+                filled.append(target)
+            assert involved(terms[close]) <= known
+        assert sorted(filled) == list(itertools.product(range(b1 + 1), range(b2 + 1)))
+
+    def test_sweep_substitutes_kappa(self, rng):
+        # After each sweep no entry depends on kappa, and every equation the
+        # sweep used holds for the substituted values.
+        cfg = make_config(draw_rates(rng, 2), (5, 3), 1.3)
+        terms = _balance_terms(cfg)
+        table = np.zeros((6, 4, 2))
+        known = np.zeros((6, 4), dtype=bool)
+        table[5, 0], known[5, 0] = (1.0, 0.0), True
+        for seed, steps, close in _sweeps(5, 3):
+            _sweep(table, known, terms, seed, steps, close)
+            assert not table[..., 1].any()
+            for state in [s for s, _ in steps] + [close]:
+                a, c = _combine(table, known, terms[state])
+                assert c == 0.0
+                assert abs(a) <= 1e-12 * table[..., 0].max()
+        assert known.all()
 
 
 class TestRecursiveSolver:
@@ -203,17 +271,48 @@ class TestRecursiveSolver:
         with pytest.raises(PreconditionError, match="transfer"):
             solve_theta_recursive(make_config((1, 1), (2, 2), 1.0, beta=0.3))
 
-    def test_weights_pinned(self):
-        # Fingerprint of one heterogeneous solve: a change to the order in
-        # which balance terms are summed changes these bytes.
-        cfg = make_config((1.3, 0.8), (12, 6), 1.1)
-        digest = hashlib.sha256(solve_theta_recursive(cfg).weights.tobytes()).hexdigest()
-        assert digest == "7e5baddb96d5aac66e9f98ed93a5b960b57e750a54a70c7d3808cee9eb2a4226"
-
     def test_degenerate_close_detected(self):
-        # A fully constant table leaves no kappa to solve for.
+        # The closing equation of (1,0) does not reach the seeded cell, so
+        # the sweep leaves no kappa to solve for.
         cfg = make_config((1, 1), (2, 2), 1.0)
-        grid = np.ones((3, 3))
-        table = table_from_grid(grid)
-        with pytest.raises(DegenerateEliminationError):
-            _close(table, _balance_terms(cfg), (1, 0))
+        table, known = table_from_grid(np.ones((3, 3)))
+        known[0, 2] = False
+        with pytest.raises(DegenerateEliminationError, match=r"at \(1, 0\) cannot determine kappa"):
+            _sweep(table, known, _balance_terms(cfg), (0, 2), [], (1, 0))
+
+    def test_degenerate_text_pinned(self):
+        cfg = make_config((1.3, 0.8), (20, 20), 1.05)  # nu = mean(lam)
+        with pytest.raises(DegenerateEliminationError) as info:
+            solve_theta_recursive(cfg)
+        assert str(info.value) == (
+            "closing balance equation at (10, 0) cannot determine kappa "
+            "(coefficient -1.289e+07 against constant 1.920e+21)"
+        )
+
+    def test_beta_zero_is_no_transfer(self):
+        plain = solve_theta_recursive(make_config((1.1, 1.1), (3, 3), 0.8))
+        zero = solve_theta_recursive(make_config((1.1, 1.1), (3, 3), 0.8, beta=0.0))
+        assert zero.weights.tobytes() == plain.weights.tobytes()
+
+    def test_non_positive_weight_names_cell(self):
+        # At b=(20,20) with nu four times mean(lam) the elimination loses
+        # every digit and leaves a weight of zero.
+        cfg = make_config((1.3, 0.8), (20, 20), 4 * 1.05)
+        with pytest.raises(SolverError, match=r"non-positive weight \S+ at on-hand \(\d+, \d+\) .*floor 0"):
+            solve_theta_recursive(cfg)
+
+    @pytest.mark.parametrize(
+        "b, digest",
+        [
+            ((2, 2), "b4021167deb9dc457df5b57475a85fd710cd243fece2f68b072575135b0f8618"),
+            ((3, 2), "0cc0093413afe453b4fc328128e3f88a8f33e9ef1567a65c7086140d6b43a42a"),
+            ((12, 6), "7e5baddb96d5aac66e9f98ed93a5b960b57e750a54a70c7d3808cee9eb2a4226"),
+        ],
+        ids=["2x2", "3x2", "12x6"],
+    )
+    def test_weights_pinned(self, b, digest):
+        # Fingerprints of heterogeneous solves, (3, 2) without a middle
+        # sweep: a change to the order in which balance terms are summed
+        # changes these bytes.
+        cfg = make_config((1.3, 0.8), b, 1.1)
+        assert hashlib.sha256(solve_theta_recursive(cfg).weights.tobytes()).hexdigest() == digest
