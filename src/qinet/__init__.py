@@ -14,6 +14,7 @@ from .analysis import (
     ErgodicityReport,
     HeterogeneousCutReport,
     LocationDiagnostic,
+    PiWindow,
     QueueMarginal,
     check_cut_heterogeneous,
     check_cut_homogeneous,
@@ -21,6 +22,7 @@ from .analysis import (
     ergodicity_check,
     inventory_marginal,
     queue_marginal,
+    solve_pi_truncated,
     total_variation,
 )
 from .closed_form import theta_unit_base_stock, unit_base_stock_weights
@@ -34,7 +36,7 @@ from .errors import (
     SequencingError,
     SolverError,
 )
-from .exact import PiWindow, ThetaMeasure, solve_pi_truncated, solve_theta_exact
+from .exact import ThetaMeasure, solve_theta_exact
 from .generator import ReducedGenerator, balance_residual, build_reduced_generator
 from .model import (
     InventoryState,
@@ -42,7 +44,6 @@ from .model import (
     ServiceRateProfile,
     enumerate_inventory_states,
     method_inapplicable,
-    routing_probs,
 )
 from .recursive import solve_theta_recursive
 from .simulate import SimulationResult, decoupling_test, merge_results, simulate
@@ -81,7 +82,6 @@ __all__ = [
     "merge_results",
     "queue_marginal",
     "method_inapplicable",
-    "routing_probs",
     "simulate",
     "solve_pi_truncated",
     "solve_theta_exact",

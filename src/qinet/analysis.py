@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ErgodicityError, PreconditionError
-from .exact import ThetaMeasure
+from .exact import ThetaMeasure, solve_theta_exact
+from .generator import build_reduced_generator
 from .model import NetworkConfig
 
 __all__ = [
@@ -30,6 +31,8 @@ __all__ = [
     "ergodicity_check",
     "QueueMarginal",
     "queue_marginal",
+    "PiWindow",
+    "solve_pi_truncated",
     "inventory_marginal",
     "check_cut_homogeneous",
     "HeterogeneousCutReport",
@@ -141,10 +144,66 @@ def queue_marginal(config: NetworkConfig, j: int) -> QueueMarginal:
     return QueueMarginal(location=j, C=C, rho_tail=rho, head_weights=tuple(weights))
 
 
+@dataclass(frozen=True)
+class PiWindow:
+    """Product-form joint distribution on a finite queue window.
+
+    ``pi[n_1, ..., n_J, k_1, ..., k_J]`` is the stationary probability of
+    queue vector ``n`` and on-hand vector ``k``, so ``pi`` has shape
+    ``(n_1+1, ..., n_J+1, b_1+1, ..., b_J+1)``; ``window_mass`` is the total
+    probability the window captures (computed analytically from the
+    geometric queue tails, so it is exact, not a sum of the array).
+    """
+
+    caps: tuple[int, ...]
+    pi: np.ndarray
+    window_mass: float
+    theta: ThetaMeasure
+
+
+def solve_pi_truncated(config: NetworkConfig, n_max) -> PiWindow:
+    """Joint stationary probabilities for all ``n <= n_max`` componentwise.
+
+    ``n_max`` may be a single cap applied to every location or one cap per
+    location.  Requires an ergodic configuration.
+    """
+    report = ergodicity_check(config)
+    if not report.ergodic:
+        bad = [d.location for d in report.per_location if not d.ergodic]
+        raise ErgodicityError(f"configuration is not ergodic (locations {bad})")
+
+    if np.isscalar(n_max):
+        caps = (int(n_max),) * config.J
+    else:
+        caps = tuple(int(x) for x in n_max)
+        if len(caps) != config.J:
+            raise PreconditionError("one queue cap per location required")
+    if any(c < 0 for c in caps):
+        raise PreconditionError("queue caps must be non-negative")
+
+    theta = solve_theta_exact(build_reduced_generator(config))
+    marginals = [queue_marginal(config, j) for j in range(1, config.J + 1)]
+
+    xi_vecs = [np.array([m.xi(n) for n in range(cap + 1)]) for m, cap in zip(marginals, caps)]
+    queue_part = xi_vecs[0]
+    for vec in xi_vecs[1:]:
+        queue_part = np.multiply.outer(queue_part, vec)
+    pi = np.multiply.outer(queue_part, theta.grid)
+
+    window_mass = 1.0
+    for m, cap in zip(marginals, caps):
+        window_mass *= m.cdf(cap)
+
+    return PiWindow(
+        caps=caps,
+        pi=pi,
+        window_mass=float(window_mass),
+        theta=theta,
+    )
+
+
 def inventory_marginal(theta: ThetaMeasure, j: int) -> np.ndarray:
     """Marginal distribution of the on-hand stock at location ``j`` (1-based)."""
-    if not theta.normalized:
-        raise PreconditionError("inventory_marginal expects a normalized measure")
     J = theta.grid.ndim
     if not 1 <= j <= J:
         raise PreconditionError(f"location index {j} out of range 1..{J}")
@@ -181,8 +240,6 @@ def check_cut_homogeneous(theta: ThetaMeasure, config: NetworkConfig) -> float:
     """
     if not config.is_homogeneous():
         raise PreconditionError("homogeneous cut identity needs equal b and equal lam")
-    if not theta.normalized:
-        raise PreconditionError("cut identities expect a normalized measure")
     J = config.J
     b = config.b[0]
     lam = config.lam[0]
@@ -228,8 +285,6 @@ def check_cut_heterogeneous(theta: ThetaMeasure, config: NetworkConfig) -> Heter
     """
     if config.J != 2:
         raise PreconditionError("heterogeneous cut identities are for J = 2")
-    if not theta.normalized:
-        raise PreconditionError("cut identities expect a normalized measure")
     b1, b2 = config.b
     lam1, lam2 = config.lam
     nu = config.nu

@@ -101,17 +101,18 @@ def load_config(path: str) -> NetworkConfig:
 
 
 def _pick_method(config: NetworkConfig, method: str) -> tuple[str, str]:
-    """Resolve the requested method; returns (method, note)."""
-    if method == "auto":
-        if method_inapplicable(config, "closed") is None:
-            return "closed", "auto: all base stocks are one"
-        if method_inapplicable(config, "recursive") is None:
-            return "recursive", "auto: two locations with base stocks above one"
-        return "exact", "auto: fallback to the linear-algebra solve"
-    reason = method_inapplicable(config, method)
-    if reason:
-        raise PreconditionError(reason)
-    return method, ""
+    """Resolve ``auto``; returns (method, note).
+
+    An explicit method is passed through: its solver refuses a config
+    outside its domain with the :func:`method_inapplicable` reason.
+    """
+    if method != "auto":
+        return method, ""
+    if method_inapplicable(config, "closed") is None:
+        return "closed", "auto: all base stocks are one"
+    if method_inapplicable(config, "recursive") is None:
+        return "recursive", "auto: two locations with base stocks above one"
+    return "exact", "auto: fallback to the linear-algebra solve"
 
 
 def _solve_with(config: NetworkConfig, method: str) -> ThetaMeasure:
@@ -161,7 +162,7 @@ def _solve_report(config: NetworkConfig, method: str, note: str) -> tuple[dict, 
         "theta": {
             "states": [list(s.k) for s in enumerate_inventory_states(theta.b)],
             "weights": theta.weights.tolist(),
-            "normalized": theta.normalized,
+            "normalized": True,
             "provenance": theta.provenance,
         },
         "residual": residual,
@@ -174,8 +175,9 @@ def read_theta_json(path: str) -> ThetaMeasure:
     """Re-read a measure written by ``--json`` (exact round trip).
 
     Weights are placed by position, so the state rows must be the
-    canonical enumeration of the inventory box; anything else raises
-    :class:`ConfigError`.
+    canonical enumeration of the inventory box.  The block must say
+    ``"normalized": true`` and its weights must form a measure.  Anything
+    else raises :class:`ConfigError`.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -192,11 +194,12 @@ def read_theta_json(path: str) -> ThetaMeasure:
         or rows != [list(s.k) for s in enumerate_inventory_states(b)]
     ):
         raise ConfigError("theta states are not the canonical enumeration of an inventory box")
-    return ThetaMeasure(
-        grid=weights.reshape([bj + 1 for bj in b]),
-        normalized=block["normalized"],
-        provenance=block["provenance"],
-    )
+    if block.get("normalized") is not True:
+        raise ConfigError('theta block must say "normalized": true')
+    try:
+        return ThetaMeasure(grid=weights.reshape([bj + 1 for bj in b]), provenance=block["provenance"])
+    except SolverError as exc:
+        raise ConfigError(f"theta weights are not a measure: {exc}") from exc
 
 
 def _print_theta(theta: ThetaMeasure) -> None:

@@ -48,7 +48,5 @@ def theta_unit_base_stock(config: NetworkConfig) -> ThetaMeasure:
     """Normalized closed-form inventory measure (all ``b_j = 1``)."""
     weights = unit_base_stock_weights(config)
     return ThetaMeasure(
-        grid=(weights / weights.sum()).reshape([2] * config.J),
-        normalized=True,
-        provenance="closed_form",
+        grid=(weights / weights.sum()).reshape([2] * config.J), provenance="closed_form"
     )

@@ -40,10 +40,10 @@ class ReducedGenerator:
 
     ``rates[r, c]`` is the transition rate from ``states[r]`` to
     ``states[c]`` (canonical order); diagonal entries are the negated row
-    sums.  ``states`` is enumerated on each read, not stored.  Strong
-    connectivity of the positive-rate graph is verified by
-    :func:`build_reduced_generator`, not here, so that solver error paths
-    stay testable on hand-built instances.
+    sums.  ``states`` is enumerated on each read, not stored.  Construction
+    checks that the matrix is a conservative generator whose positive-rate
+    graph is strongly connected, so every instance has a unique stationary
+    measure; :class:`ReducibilityError` is raised otherwise.
     """
 
     b: tuple[int, ...]
@@ -53,16 +53,19 @@ class ReducedGenerator:
         n = self.size
         if self.rates.shape != (n, n):
             raise ConfigError("rate matrix shape must match the state count")
-        off = self.rates.copy()
-        np.fill_diagonal(off, 0.0)
-        if off.min() < 0:
+        # Zero entries are finite and carry no edge: the nonzero entries alone
+        # decide the sign, finiteness, scale and graph checks.
+        rows, cols = np.nonzero(self.rates)
+        values = self.rates[rows, cols]
+        off = rows != cols
+        if values[off].min(initial=0.0) < 0:  # NaN propagates to the finite check
             raise ConfigError("off-diagonal rates must be non-negative")
-        if not np.all(np.isfinite(self.rates)):
+        if not np.isfinite(values).all():
             raise ConfigError("rates must be finite")
-        scale = max(np.abs(self.rates).max(), 1.0)
-        rows = np.abs(self.rates.sum(axis=1))
-        if rows.max() > ROW_SUM_RTOL * scale:
+        scale = max(np.abs(values).max(initial=0.0), 1.0)
+        if np.abs(self.rates.sum(axis=1)).max() > ROW_SUM_RTOL * scale:
             raise ConfigError("generator rows must sum to zero")
+        _assert_strongly_connected(n, rows[off], cols[off], values[off])
 
     @property
     def size(self) -> int:
@@ -149,16 +152,13 @@ def _assert_strongly_connected(n: int, rows, cols, rates) -> None:
 
 
 def build_reduced_generator(config: NetworkConfig) -> ReducedGenerator:
-    """Build and verify the reduced generator for ``config``.
+    """Build the reduced generator for ``config``.
 
-    Raises :class:`ReducibilityError` if the positive-rate graph is not
-    strongly connected (cannot happen for valid configs, but it is checked,
-    not assumed).
+    Irreducibility cannot fail for a valid config, but
+    :class:`ReducedGenerator` checks it rather than assuming it.
     """
     n = math.prod(bj + 1 for bj in config.b)
     rows, cols, rates, _ = _transition_arrays(config)
-    _assert_strongly_connected(n, rows, cols, rates)
-
     Q = np.zeros((n, n))
     np.add.at(Q, (rows, cols), rates)
     np.fill_diagonal(Q, -Q.sum(axis=1))

@@ -24,7 +24,6 @@ __all__ = [
     "NetworkConfig",
     "InventoryState",
     "enumerate_inventory_states",
-    "routing_probs",
     "method_inapplicable",
 ]
 
@@ -79,9 +78,10 @@ class NetworkConfig:
     b : base-stock level per location, each >= 1.
     nu : service rate of the shared supplier, strictly positive.
     transfer_beta : optional lateral transfer rate between two locations,
-        active while their stock levels differ by at least two.  Only
-        meaningful for the two-location homogeneous extension, hence the
-        J == 2, b1 == b2, lam1 == lam2 restriction.
+        active while their stock levels differ by at least two.  A positive
+        rate is only meaningful for the two-location homogeneous extension,
+        hence the J == 2, b1 == b2, lam1 == lam2 restriction; zero (like
+        ``None``) means no channel and is allowed for any network.
     """
 
     lam: tuple[float, ...]
@@ -114,7 +114,7 @@ class NetworkConfig:
             object.__setattr__(self, "transfer_beta", _finite(self.transfer_beta, "transfer_beta"))
             if self.transfer_beta < 0:
                 raise ConfigError("transfer_beta must be non-negative")
-            if J != 2 or self.b[0] != self.b[1] or self.lam[0] != self.lam[1]:
+            if self.has_transfer and not (J == 2 and self.is_homogeneous()):
                 raise ConfigError(
                     "transfer channel requires two homogeneous locations "
                     "(J == 2, equal base stocks, equal arrival rates)"
@@ -192,24 +192,6 @@ def enumerate_inventory_states(b) -> tuple[InventoryState, ...]:
     for on_hand in itertools.product(*(range(bj + 1) for bj in b)):
         states.append(InventoryState(on_hand + (total - sum(on_hand),)))
     return tuple(states)
-
-
-def routing_probs(k: InventoryState, b) -> tuple[float, ...]:
-    """Probability that a finished item is routed to each location.
-
-    The item goes to the location(s) with the largest deficit ``b_j - k_j``;
-    a tie among m locations gives each probability 1/m.  When every
-    inventory is full the deficits tie at zero and the uniform value 1/J is
-    returned; transitions guard replenishment with ``k_i < b_i``, so that
-    value never multiplies a positive rate.  This scalar form is the
-    reference the vectorized transition arrays are tested against.
-    """
-    b = tuple(int(x) for x in b)
-    k.validate(b)
-    deficits = [bj - kj for kj, bj in zip(k.on_hand, b)]
-    top = max(deficits)
-    p = 1.0 / deficits.count(top)
-    return tuple(p if d == top else 0.0 for d in deficits)
 
 
 def method_inapplicable(config: NetworkConfig, method: str) -> str | None:

@@ -152,4 +152,4 @@ def solve_theta_recursive(config: NetworkConfig) -> ThetaMeasure:
             f"non-positive weight {grid[k1, k2]:.3e} at on-hand ({k1}, {k2}) in recursive table "
             f"(floor 0)"
         )
-    return ThetaMeasure(grid=grid / grid.sum(), normalized=True, provenance="recursive")
+    return ThetaMeasure(grid=grid / grid.sum(), provenance="recursive")

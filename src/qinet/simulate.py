@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import ergodicity_check
 from .errors import ErgodicityError, PreconditionError
 from .exact import ThetaMeasure
 from .generator import _transition_arrays
@@ -59,7 +60,7 @@ class SimulationResult:
         """Empirical inventory measure; unvisited states carry zero mass."""
         shape = [bj + 1 for bj in self.b]
         grid = np.bincount(self.states, self.mass, minlength=math.prod(shape))
-        return ThetaMeasure(grid=grid.reshape(shape), normalized=True, provenance="empirical")
+        return ThetaMeasure(grid=grid.reshape(shape), provenance="empirical")
 
 
 def _transition_tables(config: NetworkConfig, require_stock_for_service: bool):
@@ -126,8 +127,6 @@ def simulate(
     empty queues with full inventories.  Refuses non-ergodic
     configurations.
     """
-    from .analysis import ergodicity_check
-
     if total_events < 1:
         raise PreconditionError("total_events must be >= 1")
     if n_obs < 0:

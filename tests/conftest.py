@@ -20,6 +20,24 @@ def make_config(lam, b, nu, mu_rate=None, beta=None):
     )
 
 
+def routing_probs(k, b):
+    """Probability that a finished item is routed to each location.
+
+    Scalar reference for the replenishment family of the transition
+    arrays.  The item goes to the location(s) with the largest deficit
+    ``b_j - k_j``; a tie among m locations gives each probability 1/m.
+    When every inventory is full the deficits tie at zero and the uniform
+    value 1/J is returned; replenishment is guarded by ``k_i < b_i``, so
+    that value never multiplies a positive rate.
+    """
+    b = tuple(int(x) for x in b)
+    k.validate(b)
+    deficits = [bj - kj for kj, bj in zip(k.on_hand, b)]
+    top = max(deficits)
+    p = 1.0 / deficits.count(top)
+    return tuple(p if d == top else 0.0 for d in deficits)
+
+
 def draw_rates(rng, n, lo=0.5, hi=2.0):
     """Log-uniform positive rates."""
     return tuple(float(x) for x in np.exp(rng.uniform(np.log(lo), np.log(hi), size=n)))

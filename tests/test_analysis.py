@@ -7,6 +7,7 @@ from qinet import (
     NetworkConfig,
     PreconditionError,
     ServiceRateProfile,
+    SolverError,
     ThetaMeasure,
     build_reduced_generator,
     check_cut_heterogeneous,
@@ -126,11 +127,12 @@ class TestInventoryMarginal:
             assert inventory_marginal(theta, j).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_requires_normalized(self):
+        # A marginal is only read off a measure, and an unnormalized grid
+        # is refused when the measure is built.
         cfg = make_config((1, 1), (1, 1), 1.0)
         theta = exact_theta(cfg)
-        raw = ThetaMeasure(grid=theta.grid * 3.0, normalized=False, provenance="exact")
-        with pytest.raises(PreconditionError):
-            inventory_marginal(raw, 1)
+        with pytest.raises(SolverError, match="must sum to one"):
+            ThetaMeasure(grid=theta.grid * 3.0, provenance="exact")
 
 
 class TestHomogeneousCut:
@@ -157,7 +159,7 @@ class TestHomogeneousCut:
         grid = theta.grid.copy()
         grid[0, 0] += eps
         grid[2, 2] -= eps
-        bent = ThetaMeasure(grid=grid, normalized=True, provenance="exact")
+        bent = ThetaMeasure(grid=grid, provenance="exact")
         assert check_cut_homogeneous(bent, cfg) > eps / 10
 
     def test_heterogeneous_rejected(self):
@@ -203,7 +205,7 @@ class TestHeterogeneousCut:
         grid = exact_theta(cfg).grid.copy()
         grid[2, 3] += 1e-4
         grid[0, 0] -= 1e-4
-        bent = ThetaMeasure(grid=grid, normalized=True, provenance="exact")
+        bent = ThetaMeasure(grid=grid, provenance="exact")
         assert check_cut_heterogeneous(bent, cfg).families["second"] > 1e-6
 
     def test_wrong_location_count(self):
@@ -217,7 +219,7 @@ class TestHeterogeneousCut:
         grid = theta.grid.copy()
         grid[0, 0] += 1e-3
         grid[-1, -1] -= 1e-3
-        bent = ThetaMeasure(grid=grid, normalized=True, provenance="exact")
+        bent = ThetaMeasure(grid=grid, provenance="exact")
         assert check_cut_heterogeneous(bent, cfg).max_residual > 1e-5
 
     def test_mid_family_reacts_to_perturbation(self):
@@ -228,7 +230,7 @@ class TestHeterogeneousCut:
         grid = theta.grid.copy()
         grid[2, 0] += 1e-4
         grid[0, 0] -= 1e-4
-        bent = ThetaMeasure(grid=grid, normalized=True, provenance="exact")
+        bent = ThetaMeasure(grid=grid, provenance="exact")
         assert check_cut_heterogeneous(bent, cfg).families["mid"] > 1e-6
 
 
@@ -247,7 +249,7 @@ class TestTransferCut:
         grid = exact_theta(cfg).grid.copy()
         grid[4, 2] += 1e-4
         grid[3, 3] -= 1e-4
-        bent = ThetaMeasure(grid=grid, normalized=True, provenance="exact")
+        bent = ThetaMeasure(grid=grid, provenance="exact")
         assert check_cut_homogeneous(bent, cfg) > 1e-6
         report = check_cut_heterogeneous(bent, cfg)
         assert report.families["mid"] > 1e-6 and report.families["second"] > 1e-6

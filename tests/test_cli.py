@@ -115,6 +115,20 @@ class TestSolve:
         assert docs["zero"]["note"] == docs["plain"]["note"]
         assert docs["zero"]["theta"]["weights"] == docs["plain"]["theta"]["weights"]
 
+    @pytest.mark.parametrize("b", [[3, 2], [2, 1]], ids=["recursive", "exact"])
+    def test_heterogeneous_beta_zero_matches_no_beta(self, tmp_path, b):
+        # A zero rate is no transfer channel, so heterogeneous locations
+        # may carry one: same route, note and bytes as without beta.
+        docs = {}
+        for name, extra in (("plain", {}), ("zero", {"beta": 0})):
+            path = write_config(tmp_path, name=f"{name}.json", b=b, **{"lambda": [1.3, 0.8]}, **extra)
+            out = tmp_path / f"{name}.report.json"
+            assert main(["solve", path, "--json", str(out)]) == 0
+            docs[name] = json.loads(out.read_text())
+        for key in ("method", "note"):
+            assert docs["zero"][key] == docs["plain"][key]
+        assert docs["zero"]["theta"]["weights"] == docs["plain"]["theta"]["weights"]
+
     def test_auto_falls_back_to_exact(self, tmp_path, capsys):
         path = write_config(tmp_path, b=[2, 1])
         assert main(["solve", path]) == 0
@@ -150,7 +164,29 @@ class TestSolve:
         assert doc["theta"]["states"] == [list(s.k) for s in enumerate_inventory_states(cfg.b)]
         reread = read_theta_json(str(out))
         assert np.array_equal(reread.grid, expected.grid)
-        assert reread.provenance == "exact" and reread.normalized
+        assert reread.provenance == "exact"
+        assert doc["theta"]["normalized"] is True
+
+    @pytest.mark.parametrize("flag", [False, None, 1, "true"])
+    def test_json_not_normalized_rejected(self, tmp_path, flag):
+        path = write_config(tmp_path, b=[2, 2])
+        out = tmp_path / "report.json"
+        assert main(["solve", path, "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        doc["theta"]["normalized"] = flag
+        out.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="normalized"):
+            read_theta_json(str(out))
+
+    def test_json_weights_not_summing_to_one_rejected(self, tmp_path):
+        path = write_config(tmp_path, b=[2, 2])
+        out = tmp_path / "report.json"
+        assert main(["solve", path, "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        doc["theta"]["weights"] = [2 * w for w in doc["theta"]["weights"]]
+        out.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="sum to one"):
+            read_theta_json(str(out))
 
     @pytest.mark.parametrize(
         "damage", ["shuffled", "short", [1000, 1000, 1000, 0], [2.0, 3, 0], ["2", 3, 0], 7]

@@ -53,7 +53,7 @@ def test_unit_example_exact_solver():
     cfg = make_config((1, 1), (1, 1), 1.0)
     theta = solve_theta_exact(build_reduced_generator(cfg))
     assert theta.provenance == "exact"
-    assert theta.normalized
+    assert theta.weights.sum() == pytest.approx(1.0, abs=1e-12)
     for k, weight in UNIT_THETA.items():
         assert theta.grid[k[:-1]] == pytest.approx(weight, abs=1e-13)
 
@@ -102,8 +102,8 @@ def test_cut_balance_on_random_partitions(rng):
 
 
 def test_reducible_generator_rejected():
-    # Two disconnected 2-state blocks pass the local dataclass checks but
-    # must be caught by the solver.
+    # Two disconnected 2-state blocks form a conservative generator, but no
+    # ReducedGenerator is built from them, so no solver ever sees one.
     Q = np.array(
         [
             [-1.0, 1.0, 0.0, 0.0],
@@ -112,9 +112,8 @@ def test_reducible_generator_rejected():
             [0.0, 0.0, 2.0, -2.0],
         ]
     )
-    gen = ReducedGenerator(b=(1, 1), rates=Q)
-    with pytest.raises(ReducibilityError):
-        solve_theta_exact(gen)
+    with pytest.raises(ReducibilityError, match="2 strongly connected components"):
+        ReducedGenerator(b=(1, 1), rates=Q)
 
 
 def test_floor_failure_names_cell():
@@ -161,20 +160,18 @@ def test_blas_thread_count_restored(monkeypatch):
 
 def test_theta_measure_validation():
     with pytest.raises(SolverError):
-        ThetaMeasure(grid=np.array([[0.5, 0.5], [0.0, 0.0]]),
-                     normalized=True, provenance="exact")
-    with pytest.raises(SolverError):
-        ThetaMeasure(grid=np.full((2, 2), 0.5), normalized=True, provenance="exact")
+        ThetaMeasure(grid=np.array([[0.5, 0.5], [0.0, 0.0]]), provenance="exact")
+    with pytest.raises(SolverError, match="sum to one"):
+        ThetaMeasure(grid=np.full((2, 2), 0.5), provenance="exact")
     # empirical measures may carry zeros
-    emp = ThetaMeasure(grid=np.array([[0.5, 0.5], [0.0, 0.0]]),
-                       normalized=True, provenance="empirical")
+    emp = ThetaMeasure(grid=np.array([[0.5, 0.5], [0.0, 0.0]]), provenance="empirical")
     assert emp.grid[0, 1] == 0.5
     assert emp.b == (1, 1)
     assert np.array_equal(emp.weights, [0.5, 0.5, 0.0, 0.0])
     with pytest.raises(ValueError):
-        ThetaMeasure(grid=np.full((2, 2), 0.25), normalized=True, provenance="guesswork")
+        ThetaMeasure(grid=np.full((2, 2), 0.25), provenance="guesswork")
     with pytest.raises(ValueError, match="b_j"):
-        ThetaMeasure(grid=np.full((1, 4), 0.25), normalized=True, provenance="exact")
+        ThetaMeasure(grid=np.full((1, 4), 0.25), provenance="exact")
 
 
 def test_grid_flattens_to_canonical_order():

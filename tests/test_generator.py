@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import draw_rates, make_config
+from conftest import draw_rates, make_config, routing_probs
 from qinet import (
     ConfigError,
     NetworkConfig,
+    ReducedGenerator,
     ReducibilityError,
     ServiceRateProfile,
     build_reduced_generator,
     enumerate_inventory_states,
-    routing_probs,
 )
 from qinet.generator import _assert_strongly_connected, _transition_arrays
 from qinet.simulate import _transition_tables
@@ -215,3 +215,39 @@ def test_reducibility_detection():
             np.array([1, 0, 3, 2]),
             np.array([1.0, 1.0, 1.0, 1.0]),
         )
+
+
+def _damaged(kind):
+    """The b=(1,1) generator with one guard's condition broken."""
+    Q = build_reduced_generator(make_config((1.0, 1.0), (1, 1), 1.0)).rates.copy()
+    if kind == "shape":
+        return Q[:3, :3]
+    if kind == "non_finite":
+        Q[0, 3] = np.nan
+    elif kind == "negative_off_diagonal":
+        Q[1, 3] -= 2.0
+        Q[1, 2] += 2.0
+    elif kind == "row_sum":
+        Q[2, 2] -= 1e-6
+    else:  # two disconnected 2-state blocks: conservative but reducible
+        Q = np.kron(np.eye(2), [[-1.0, 1.0], [1.0, -1.0]])
+    return Q
+
+
+@pytest.mark.parametrize(
+    "kind, error, message",
+    [
+        ("shape", ConfigError, "rate matrix shape must match the state count"),
+        ("non_finite", ConfigError, "rates must be finite"),
+        ("negative_off_diagonal", ConfigError, "off-diagonal rates must be non-negative"),
+        ("row_sum", ConfigError, "generator rows must sum to zero"),
+        ("reducible", ReducibilityError,
+         "transition graph splits into 2 strongly connected components"),
+    ],
+    ids=["shape", "non_finite", "negative_off_diagonal", "row_sum", "reducible"],
+)
+def test_generator_guards(kind, error, message):
+    # Every ReducedGenerator is a conservative irreducible generator by
+    # construction; each guard fires with its own class and text.
+    with pytest.raises(error, match=message):
+        ReducedGenerator(b=(1, 1), rates=_damaged(kind))

@@ -2,14 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import const_mu, make_config
+from conftest import const_mu, make_config, routing_probs
 from qinet import (
     ConfigError,
     InventoryState,
     NetworkConfig,
     ServiceRateProfile,
+    build_reduced_generator,
     enumerate_inventory_states,
-    routing_probs,
+    method_inapplicable,
+    solve_theta_exact,
+    solve_theta_recursive,
 )
 
 
@@ -67,6 +70,23 @@ class TestNetworkConfig:
             make_config((1, 1), (2, 2), 1.0, beta=-0.1)
         cfg = make_config((1, 1), (2, 2), 1.0, beta=0.5)
         assert cfg.has_transfer
+
+    @pytest.mark.parametrize(
+        "lam, b", [((1.3, 0.8), (3, 2)), ((1.3, 0.8), (2, 1)), ((1.0, 1.2, 0.9), (2, 1, 3))]
+    )
+    def test_beta_zero_heterogeneous_is_no_transfer(self, lam, b):
+        # A zero rate is no channel, so the homogeneity restriction does
+        # not apply: every method decides and solves as without beta.
+        plain = make_config(lam, b, 1.1)
+        zero = make_config(lam, b, 1.1, beta=0.0)
+        assert not zero.has_transfer
+        for method in ("exact", "closed", "recursive"):
+            assert method_inapplicable(zero, method) == method_inapplicable(plain, method)
+        solves = [lambda c: solve_theta_exact(build_reduced_generator(c))]
+        if method_inapplicable(plain, "recursive") is None:
+            solves.append(solve_theta_recursive)
+        for solve in solves:
+            assert solve(zero).weights.tobytes() == solve(plain).weights.tobytes()
 
     def test_homogeneity(self):
         assert make_config((1, 1), (2, 2), 1.0).is_homogeneous()

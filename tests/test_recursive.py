@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import draw_rates, make_config
+from conftest import draw_rates, make_config, routing_probs
 from qinet import (
     DegenerateEliminationError,
     PreconditionError,
@@ -15,7 +15,7 @@ from qinet import (
     solve_theta_recursive,
     total_variation,
 )
-from qinet.model import InventoryState, routing_probs
+from qinet.model import InventoryState
 from qinet.recursive import _balance_terms, _combine, _sweep, _sweeps
 
 
