@@ -39,7 +39,6 @@ from .errors import (
 from .exact import ThetaMeasure, solve_theta_exact
 from .generator import ReducedGenerator, balance_residual, build_reduced_generator
 from .model import (
-    InventoryState,
     NetworkConfig,
     ServiceRateProfile,
     enumerate_inventory_states,
@@ -56,7 +55,6 @@ __all__ = [
     "ErgodicityError",
     "ErgodicityReport",
     "HeterogeneousCutReport",
-    "InventoryState",
     "LocationDiagnostic",
     "NetworkConfig",
     "PiWindow",

@@ -160,7 +160,7 @@ def _solve_report(config: NetworkConfig, method: str, note: str) -> tuple[dict, 
             for d in ergo.per_location
         ],
         "theta": {
-            "states": [list(s.k) for s in enumerate_inventory_states(theta.b)],
+            "states": enumerate_inventory_states(theta.b).tolist(),
             "weights": theta.weights.tolist(),
             "normalized": True,
             "provenance": theta.provenance,
@@ -179,47 +179,59 @@ def read_theta_json(path: str) -> ThetaMeasure:
     ``"normalized": true`` and its weights must form a measure.  Anything
     else raises :class:`ConfigError`.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
-    block = doc["theta"] if "theta" in doc else doc
-    rows, weights = block["states"], np.array(block["weights"], dtype=float)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        block = doc["theta"] if "theta" in doc else doc
+        rows, weights = block["states"], np.array(block["weights"], dtype=float)
+        provenance = block["provenance"]
+    except (OSError, ValueError, TypeError, KeyError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"cannot read a theta block from {path}: {exc!r}") from exc
     # The last canonical row is (b_1, ..., b_J, 0).  Check its shape and the
     # row count before enumerating, so a bad file cannot ask for a huge box.
     b = rows[-1][:-1] if isinstance(rows, list) and rows and isinstance(rows[-1], list) else []
     if (
         len(b) < 2
-        or any(type(bj) is not int for bj in b)
+        or any(type(bj) is not int or bj < 1 for bj in b)
         or len(rows) != math.prod(bj + 1 for bj in b)
         or weights.shape != (len(rows),)
-        or rows != [list(s.k) for s in enumerate_inventory_states(b)]
+        or rows != enumerate_inventory_states(b).tolist()
     ):
         raise ConfigError("theta states are not the canonical enumeration of an inventory box")
     if block.get("normalized") is not True:
         raise ConfigError('theta block must say "normalized": true')
     try:
-        return ThetaMeasure(grid=weights.reshape([bj + 1 for bj in b]), provenance=block["provenance"])
-    except SolverError as exc:
-        raise ConfigError(f"theta weights are not a measure: {exc}") from exc
+        return ThetaMeasure(grid=weights.reshape([bj + 1 for bj in b]), provenance=provenance)
+    except (SolverError, ValueError) as exc:  # ValueError: an unknown provenance
+        raise ConfigError(f"theta block is not a measure: {exc}") from exc
 
 
 def _print_theta(theta: ThetaMeasure) -> None:
     J = len(theta.b)
     header = "  ".join(f"k{j}" for j in range(1, J + 1)) + "  k_sup  weight"
     print(header)
-    for state, w in zip(enumerate_inventory_states(theta.b), theta.weights):
-        coords = "  ".join(f"{x:>2d}" for x in state.on_hand)
-        print(f"{coords}  {state.k[-1]:>5d}  {w:.12g}")
+    for k, w in zip(enumerate_inventory_states(theta.b).tolist(), theta.weights):
+        coords = "  ".join(f"{x:>2d}" for x in k[:-1])
+        print(f"{coords}  {k[-1]:>5d}  {w:.12g}")
+
+
+def _create(path: str, **kwargs):
+    """``open(path, "w")``; a path that cannot be written is a :class:`ConfigError`."""
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
 def _write_solve_csv(path: str, report: dict) -> None:
     J = len(report["theta"]["states"][0]) - 1
-    with open(path, "w", newline="") as fh:
+    with _create(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"k{j}" for j in range(1, J + 1)] + ["k_supplier", "weight"])
         for state, w in zip(report["theta"]["states"], report["theta"]["weights"]):
@@ -404,7 +416,7 @@ def cmd_simulate(args) -> int:
                 "replications": rows,
                 "merged": {"theta_tv": merged_theta_tv, "decoupling_tv": merged_dec},
                 "theta": {
-                    "states": [list(s.k) for s in enumerate_inventory_states(merged_theta.b)],
+                    "states": enumerate_inventory_states(merged_theta.b).tolist(),
                     "weights": merged_theta.weights.tolist(),
                     "normalized": True,
                     "provenance": "empirical",

@@ -26,7 +26,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError, ReducibilityError
-from .model import InventoryState, NetworkConfig, enumerate_inventory_states
+from .model import InventoryState, NetworkConfig, _on_hand_rows, enumerate_inventory_states
 
 __all__ = ["ReducedGenerator", "balance_residual", "build_reduced_generator"]
 
@@ -40,7 +40,8 @@ class ReducedGenerator:
 
     ``rates[r, c]`` is the transition rate from ``states[r]`` to
     ``states[c]`` (canonical order); diagonal entries are the negated row
-    sums.  ``states`` is enumerated on each read, not stored.  Construction
+    sums.  ``states`` holds one record per row of
+    :func:`enumerate_inventory_states`, built on each read.  Construction
     checks that the matrix is a conservative generator whose positive-rate
     graph is strongly connected, so every instance has a unique stationary
     measure; :class:`ReducibilityError` is raised otherwise.
@@ -73,13 +74,7 @@ class ReducedGenerator:
 
     @property
     def states(self) -> tuple[InventoryState, ...]:
-        return enumerate_inventory_states(self.b)
-
-    def index_of(self, k) -> int:
-        """Canonical index of an inventory state (or its ``k`` tuple)."""
-        state = k if isinstance(k, InventoryState) else InventoryState(k)
-        state.validate(self.b)
-        return int(np.ravel_multi_index(state.on_hand, [bj + 1 for bj in self.b]))
+        return tuple(InventoryState(tuple(k)) for k in enumerate_inventory_states(self.b).tolist())
 
 
 def _transition_arrays(config: NetworkConfig):
@@ -92,7 +87,7 @@ def _transition_arrays(config: NetworkConfig):
     """
     b = np.asarray(config.b)
     J = config.J
-    levels = np.indices(b + 1).reshape(J, -1).T  # canonical (lexicographic) order
+    levels = _on_hand_rows(b)
     strides = np.ones(J, dtype=np.int64)
     for j in range(J - 2, -1, -1):
         strides[j] = strides[j + 1] * (b[j + 1] + 1)

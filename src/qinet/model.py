@@ -12,10 +12,11 @@ inventory deficit ``b_j - k_j`` (strict priority, ties split uniformly).
 """
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -135,63 +136,30 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class InventoryState:
-    """Joint inventory/supplier state ``(k_1, ..., k_J, k_{J+1})``.
-
-    The last coordinate counts outstanding replenishment orders at the
-    supplier and is redundant: ``k_{J+1} = sum_j (b_j - k_j)``.  It is kept
-    explicit because the dynamics read more directly off it.
-    """
+    """A state ``k = (k_1, ..., k_J, k_{J+1})``, the record ``ReducedGenerator.states`` holds."""
 
     k: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", tuple(int(x) for x in self.k))
-        if any(x < 0 for x in self.k):
-            raise ConfigError("inventory coordinates must be non-negative")
 
-    @classmethod
-    def from_on_hand(cls, on_hand, b) -> "InventoryState":
-        on_hand = tuple(int(x) for x in on_hand)
-        b = tuple(int(x) for x in b)
-        if len(on_hand) != len(b):
-            raise ConfigError("on_hand and b must have equal length")
-        if any(not 0 <= k <= bj for k, bj in zip(on_hand, b)):
-            raise ConfigError("on-hand levels must satisfy 0 <= k_j <= b_j")
-        return cls(on_hand + (sum(b) - sum(on_hand),))
-
-    @property
-    def on_hand(self) -> tuple[int, ...]:
-        return self.k[:-1]
-
-    @property
-    def outstanding(self) -> int:
-        return self.k[-1]
-
-    def validate(self, b) -> None:
-        b = tuple(b)
-        if len(self.k) != len(b) + 1:
-            raise ConfigError("state length must be J + 1")
-        if any(not 0 <= kj <= bj for kj, bj in zip(self.on_hand, b)):
-            raise ConfigError("0 <= k_j <= b_j violated")
-        if self.outstanding != sum(b) - sum(self.on_hand):
-            raise ConfigError("supplier coordinate must equal the total deficit")
+def _on_hand_rows(b) -> np.ndarray:
+    """On-hand rows ``(k_1, ..., k_J)`` of the box ``0 <= k_j <= b_j``, in canonical order."""
+    b = np.asarray(b)
+    return np.indices(b + 1).reshape(b.size, -1).T
 
 
-def enumerate_inventory_states(b) -> tuple[InventoryState, ...]:
-    """All inventory states for base-stock vector b, in canonical order.
+def enumerate_inventory_states(b) -> np.ndarray:
+    """All inventory states for base-stock vector b: a ``(prod_j (b_j + 1), J + 1)`` int array.
 
-    Canonical order is lexicographic on ``(k_1, ..., k_J)``; every matrix
-    and measure in the package indexes the state space this way.  Returns
-    exactly ``prod_j (b_j + 1)`` states.
+    Row ``r`` is ``(k_1, ..., k_J, k_{J+1})``.  Canonical order is
+    lexicographic on ``(k_1, ..., k_J)``; every matrix and measure in the
+    package indexes the state space this way.  The supplier coordinate
+    ``k_{J+1} = sum_j (b_j - k_j)`` counts outstanding orders.
     """
     b = tuple(int(x) for x in b)
     if not b or any(x < 1 for x in b):
         raise ConfigError("base-stock levels must be a non-empty list of integers >= 1")
-    total = sum(b)
-    states = []
-    for on_hand in itertools.product(*(range(bj + 1) for bj in b)):
-        states.append(InventoryState(on_hand + (total - sum(on_hand),)))
-    return tuple(states)
+    on_hand = _on_hand_rows(b)
+    return np.column_stack([on_hand, sum(b) - on_hand.sum(axis=1)])
 
 
 def method_inapplicable(config: NetworkConfig, method: str) -> str | None:

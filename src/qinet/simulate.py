@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import ergodicity_check
+from . import analysis
 from .errors import ErgodicityError, PreconditionError
 from .exact import ThetaMeasure
 from .generator import _transition_arrays
@@ -125,7 +125,7 @@ def simulate(
 
     The first ``burn_in`` fraction of events is discarded.  Starts from
     empty queues with full inventories.  Refuses non-ergodic
-    configurations.
+    configurations and a negative ``seed``.
     """
     if total_events < 1:
         raise PreconditionError("total_events must be >= 1")
@@ -133,7 +133,9 @@ def simulate(
         raise PreconditionError("n_obs must be >= 0")
     if not 0.0 <= burn_in < 1.0:
         raise PreconditionError("burn_in must lie in [0, 1)")
-    report = ergodicity_check(config)
+    if seed < 0:
+        raise PreconditionError(f"seed must be >= 0, got {seed}")
+    report = analysis.ergodicity_check(config)
     if not report.ergodic:
         bad = [d.location for d in report.per_location if not d.ergodic]
         raise ErgodicityError(f"simulation refused: locations {bad} are unstable")

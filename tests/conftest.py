@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from qinet import NetworkConfig, ServiceRateProfile
+from qinet import ConfigError, NetworkConfig, ServiceRateProfile
 
 
 def const_mu(rate, J):
@@ -20,7 +20,7 @@ def make_config(lam, b, nu, mu_rate=None, beta=None):
     )
 
 
-def routing_probs(k, b):
+def routing_probs(on_hand, b):
     """Probability that a finished item is routed to each location.
 
     Scalar reference for the replenishment family of the transition
@@ -28,11 +28,14 @@ def routing_probs(k, b):
     ``b_j - k_j``; a tie among m locations gives each probability 1/m.
     When every inventory is full the deficits tie at zero and the uniform
     value 1/J is returned; replenishment is guarded by ``k_i < b_i``, so
-    that value never multiplies a positive rate.
+    that value never multiplies a positive rate.  ``on_hand`` is
+    ``(k_1, ..., k_J)`` and must lie in the box ``0 <= k_j <= b_j``.
     """
     b = tuple(int(x) for x in b)
-    k.validate(b)
-    deficits = [bj - kj for kj, bj in zip(k.on_hand, b)]
+    on_hand = tuple(int(x) for x in on_hand)
+    if len(on_hand) != len(b) or any(not 0 <= kj <= bj for kj, bj in zip(on_hand, b)):
+        raise ConfigError("on-hand levels must satisfy 0 <= k_j <= b_j")
+    deficits = [bj - kj for kj, bj in zip(on_hand, b)]
     top = max(deficits)
     p = 1.0 / deficits.count(top)
     return tuple(p if d == top else 0.0 for d in deficits)

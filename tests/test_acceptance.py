@@ -19,6 +19,7 @@ from qinet import (
     check_cut_homogeneous,
     check_symmetry,
     decoupling_test,
+    enumerate_inventory_states,
     ergodicity_check,
     queue_marginal,
     simulate,
@@ -274,9 +275,10 @@ def test_criterion_9_transfer_extension():
 
     conservative = True
     total = sum(b)
+    states = enumerate_inventory_states(b)
     rows, cols = np.nonzero(gen_beta.rates > 0)
     for r, c in zip(rows, cols):
-        if sum(gen_beta.states[r].k) != total or sum(gen_beta.states[c].k) != total:
+        if states[r].sum() != total or states[c].sum() != total:
             conservative = False
 
     base = make_config(lam, b, nu)

@@ -109,8 +109,8 @@ class TestInventoryMarginal:
         theta = exact_theta(cfg)
         for j in (1, 2, 3):
             expected = np.zeros(cfg.b[j - 1] + 1)
-            for state, w in zip(enumerate_inventory_states(cfg.b), theta.weights):
-                expected[state.on_hand[j - 1]] += w
+            for k, w in zip(enumerate_inventory_states(cfg.b).tolist(), theta.weights):
+                expected[k[j - 1]] += w
             assert np.array_equal(inventory_marginal(theta, j), expected)
 
     def test_homogeneous_marginals_agree(self, rng):

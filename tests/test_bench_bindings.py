@@ -3,10 +3,14 @@
 ``perfbench/spans.py`` replaces qinet functions where their callers bind
 them (``BOUNDARIES``), so a renamed or dropped binding breaks only the
 traced benchmark run.  These tests read that file without changing it and
-check each binding, plus the generator attributes the harness reads.
+check each binding, plus the generator attributes the harness reads.  They
+also run the harness's output check (``perfbench/workloads.py``) on fresh
+``qinet solve --json`` reports.
 """
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,17 +20,19 @@ import qinet.cli  # noqa: F401  (the tracer patches bindings in every qinet modu
 from conftest import make_config
 from qinet.model import enumerate_inventory_states
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
-spans = _load_spans()
+spans = _load("spans")
+workloads = _load("workloads")
 CONFIG = make_config((1.0, 1.3, 0.8), (2, 1, 3), 1.2)
 
 
@@ -49,7 +55,7 @@ def test_generator_attributes_read_by_harness():
     gen = qinet.build_reduced_generator(CONFIG)
     assert gen.size == 24 == spans._count("generator.build", gen)
     states = gen.states
-    assert [s.k for s in states] == [s.k for s in enumerate_inventory_states(CONFIG.b)]
+    assert [s.k for s in states] == [tuple(k) for k in enumerate_inventory_states(CONFIG.b).tolist()]
     assert states[7].k == (0, 1, 3, 2)
 
 
@@ -66,3 +72,27 @@ def test_enumeration_only_when_states_are_read():
         tracer.uninstall()
     assert "model.enumerate" not in built
     assert read == ["model.enumerate"]
+
+
+def test_simulate_ergodicity_check_is_traced():
+    # simulate reaches ergodicity_check through the analysis module, so the
+    # tracer's ("qinet.analysis", "ergodicity_check") binding sees the call.
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        qinet.simulate(CONFIG, 1_000, seed=1)
+    finally:
+        tracer.uninstall()
+    assert [span.name for span in tracer.spans] == ["analysis.ergodicity"]
+
+
+@pytest.mark.parametrize(
+    "lam, b", [((1.0, 0.7), (3, 2)), ((1.0, 1.3, 0.8), (2, 1, 3))], ids=["J2", "J3"]
+)
+def test_harness_accepts_solve_json(tmp_path, lam, b):
+    J = len(b)
+    config = tmp_path / "net.json"
+    config.write_text(json.dumps(workloads.config_doc(lam, workloads.constant_mu(4.0, J), b, 1.2)))
+    out = tmp_path / "out.json"
+    assert qinet.cli.main(["solve", str(config), "--json", str(out)]) == 0
+    assert workloads.check_solve_json(str(config), str(out)) == []

@@ -161,7 +161,7 @@ class TestSolve:
         cfg = load_config(path)
         expected = solve_theta_exact(build_reduced_generator(cfg))
         doc = json.loads(out.read_text())
-        assert doc["theta"]["states"] == [list(s.k) for s in enumerate_inventory_states(cfg.b)]
+        assert doc["theta"]["states"] == enumerate_inventory_states(cfg.b).tolist()
         reread = read_theta_json(str(out))
         assert np.array_equal(reread.grid, expected.grid)
         assert reread.provenance == "exact"
@@ -188,14 +188,26 @@ class TestSolve:
         with pytest.raises(ConfigError, match="sum to one"):
             read_theta_json(str(out))
 
+    MALFORMED = {
+        "no_states": "KeyError.*states",
+        "unknown_provenance": "unknown provenance 'guesswork'",
+        "string_weights": "ValueError.*could not convert string to float",
+        "list_root": "TypeError.*list indices",
+        "invalid_json": "JSONDecodeError",
+    }
+
     @pytest.mark.parametrize(
-        "damage", ["shuffled", "short", [1000, 1000, 1000, 0], [2.0, 3, 0], ["2", 3, 0], 7]
+        "damage",
+        ["shuffled", "short", [1000, 1000, 1000, 0], [2.0, 3, 0], ["2", 3, 0], 7, *MALFORMED,
+         [0, 11, 0]],
     )
     def test_json_non_canonical_states_rejected(self, tmp_path, damage):
         # Weights are placed by position, so rows out of canonical order
         # (even with their weights moved along) or missing rows must not load.
-        # The box is read off the last row; an oversized or non-integer one
-        # must be refused before any enumeration of that box.
+        # The box is read off the last row; an oversized, non-integer or
+        # empty (b_1 = 0, with a matching row count) one must be refused
+        # before any enumeration of that box.  A malformed file is a
+        # ConfigError too, never a bare KeyError, ValueError or TypeError.
         path = write_config(tmp_path, b=[2, 3])
         out = tmp_path / "report.json"
         assert main(["solve", path, "--json", str(out)]) == 0
@@ -205,13 +217,30 @@ class TestSolve:
             pairs = pairs[::2] + pairs[1::2]
         elif damage == "short":
             pairs = pairs[:-1]
-        else:
+        elif not isinstance(damage, str):
             pairs[-1] = (damage, pairs[-1][1])
         doc["theta"]["states"] = [s for s, _ in pairs]
         doc["theta"]["weights"] = [w for _, w in pairs]
-        out.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match="canonical"):
+        if damage == "no_states":
+            del doc["theta"]["states"]
+        elif damage == "unknown_provenance":
+            doc["theta"]["provenance"] = "guesswork"
+        elif damage == "string_weights":
+            doc["theta"]["weights"] = "heavy"
+        text = json.dumps([doc] if damage == "list_root" else doc)
+        out.write_text(text[:-1] if damage == "invalid_json" else text)
+        match = self.MALFORMED.get(damage, "canonical") if isinstance(damage, str) else "canonical"
+        with pytest.raises(ConfigError, match=match):
             read_theta_json(str(out))
+
+    @pytest.mark.parametrize("flag", ["--json", "--csv"])
+    def test_unwritable_output_path(self, tmp_path, capsys, flag):
+        path = write_config(tmp_path)
+        target = tmp_path / "missing" / "out"
+        assert main(["solve", path, flag, str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err
 
     def test_csv_output(self, tmp_path):
         path = write_config(tmp_path)
@@ -284,6 +313,11 @@ class TestVerify:
         assert doc["passed"] is True
         assert any(c["name"] == "closed_form_vs_exact_tv" for c in doc["checks"])
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["verify", path, "--events", "1000", "--seed", "-5"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -5\n"
+
 
 class TestSimulate:
     def test_reports_tv(self, tmp_path, capsys):
@@ -315,6 +349,11 @@ class TestSimulate:
         path = write_config(tmp_path)
         assert main(["simulate", path, "--events", "1000", "--n-obs", "-1"]) == 1
         assert "n_obs" in capsys.readouterr().err
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["simulate", path, "--events", "1000", "--seed", "-5"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -5\n"
 
     @pytest.mark.parametrize("J", [2, 3])
     def test_huge_n_obs(self, tmp_path, capsys, J):

@@ -24,7 +24,7 @@ def test_all_empty_state_weight(rng):
         cfg = make_config(lam, (1,) * J, nu)
         weights = unit_base_stock_weights(cfg)
         states = enumerate_inventory_states(cfg.b)
-        empty = next(i for i, s in enumerate(states) if sum(s.on_hand) == 0)
+        empty = next(i for i, k in enumerate(states.tolist()) if sum(k[:-1]) == 0)
         assert weights[empty] == pytest.approx((1.0 / nu) ** J, rel=1e-14)
 
 
@@ -35,7 +35,7 @@ def test_all_full_state_weight(rng):
         cfg = make_config(lam, (1,) * J, 1.7)
         weights = unit_base_stock_weights(cfg)
         states = enumerate_inventory_states(cfg.b)
-        full = next(i for i, s in enumerate(states) if all(k == 1 for k in s.on_hand))
+        full = next(i for i, k in enumerate(states.tolist()) if all(kj == 1 for kj in k[:-1]))
         expected = (1.0 / math.factorial(J)) * float(np.prod([1.0 / l for l in lam]))
         assert weights[full] == pytest.approx(expected, rel=1e-14)
 

@@ -180,8 +180,8 @@ def test_grid_flattens_to_canonical_order():
     gen = build_reduced_generator(cfg)
     theta = solve_theta_exact(gen)
     assert theta.grid.shape == (3, 2, 4) and theta.b == cfg.b
-    for state, weight in zip(enumerate_inventory_states(cfg.b), theta.weights):
-        assert theta.grid[state.on_hand] == weight
+    for k, weight in zip(enumerate_inventory_states(cfg.b).tolist(), theta.weights):
+        assert theta.grid[tuple(k[:-1])] == weight
 
 
 class TestPiTruncated:

@@ -22,49 +22,42 @@ def joint_moves(config, n, k):
     the inventory transition arrays.
     """
     caps, moves = _transition_tables(config, require_stock_for_service=True)
-    states = enumerate_inventory_states(config.b)
+    states = [tuple(s) for s in enumerate_inventory_states(config.b).tolist()]
     sig = tuple(min(x, cap) for x, cap in zip(n, caps))
-    index = {s.k: i for i, s in enumerate(states)}
-    rates, deltas = moves(sig)[index[tuple(k)]]
+    rates, deltas = moves(sig)[states.index(tuple(k))]
     out = []
     for rate, (loc, dn, target) in zip(rates, deltas):
         n_next = list(n)
         if loc >= 0:
             n_next[loc] += dn
-        out.append(((tuple(n_next), states[target].k), rate))
+        out.append(((tuple(n_next), states[target]), rate))
     return out
+
+
+def index_of(b, k):
+    """Canonical position of state ``k = (k_1, ..., k_J, k_{J+1})`` in the box of ``b``."""
+    return enumerate_inventory_states(b).tolist().index(list(k))
 
 
 def test_tie_split_from_empty_state():
     # b=(1,1), lam=(1,1), nu=1: out of (0,0,2) two replenishments at nu/2.
     cfg = make_config((1, 1), (1, 1), 1.0)
     gen = build_reduced_generator(cfg)
-    row = gen.rates[gen.index_of((0, 0, 2))]
-    assert row[gen.index_of((1, 0, 1))] == pytest.approx(0.5)
-    assert row[gen.index_of((0, 1, 1))] == pytest.approx(0.5)
-    assert row[gen.index_of((0, 0, 2))] == pytest.approx(-1.0)
-    assert row[gen.index_of((1, 1, 0))] == 0.0
-
-
-def test_index_of_is_canonical_position():
-    cfg = make_config((1.0, 1.0, 1.0), (2, 1, 3), 1.0)
-    gen = build_reduced_generator(cfg)
-    assert gen.size == 24
-    for i, state in enumerate(gen.states):
-        assert gen.index_of(state) == gen.index_of(state.k) == i
-    for bad in ((3, 0, 0, 3), (1, 1, 1, 2), (1, 1, 3)):  # off the box, wrong supplier, too short
-        with pytest.raises(ConfigError):
-            gen.index_of(bad)
+    row = gen.rates[index_of(cfg.b, (0, 0, 2))]
+    assert row[index_of(cfg.b, (1, 0, 1))] == pytest.approx(0.5)
+    assert row[index_of(cfg.b, (0, 1, 1))] == pytest.approx(0.5)
+    assert row[index_of(cfg.b, (0, 0, 2))] == pytest.approx(-1.0)
+    assert row[index_of(cfg.b, (1, 1, 0))] == 0.0
 
 
 def test_full_state_row():
     cfg = make_config((1.5, 0.5), (1, 1), 1.0)
     gen = build_reduced_generator(cfg)
-    row = gen.rates[gen.index_of((1, 1, 0))]
-    assert row[gen.index_of((0, 1, 1))] == pytest.approx(1.5)
-    assert row[gen.index_of((1, 0, 1))] == pytest.approx(0.5)
+    row = gen.rates[index_of(cfg.b, (1, 1, 0))]
+    assert row[index_of(cfg.b, (0, 1, 1))] == pytest.approx(1.5)
+    assert row[index_of(cfg.b, (1, 0, 1))] == pytest.approx(0.5)
     # no replenishment out of the all-full state
-    assert row[gen.index_of((1, 1, 0))] == pytest.approx(-2.0)
+    assert row[index_of(cfg.b, (1, 1, 0))] == pytest.approx(-2.0)
 
 
 @pytest.mark.parametrize("b", [(1, 1), (2, 1), (3, 2), (2, 2, 2), (1, 2, 3)])
@@ -81,10 +74,13 @@ def test_transitions_stay_inside_state_space(rng):
     b = (2, 3)
     cfg = make_config(draw_rates(rng, 2), b, 0.8)
     gen = build_reduced_generator(cfg)
-    valid = {s.k for s in enumerate_inventory_states(b)}
+    states = enumerate_inventory_states(b)
     rows, cols = np.nonzero(gen.rates > 0)
     for r, c in zip(rows, cols):
-        assert gen.states[r].k in valid and gen.states[c].k in valid
+        # one unit moves between a location and the supplier, inside the box
+        step = states[c] - states[r]
+        assert sorted(step.tolist()) == [-1, 0, 1]
+        assert np.all(states[c][:-1] <= b) and np.all(states[c] >= 0)
 
 
 def test_full_transitions_depleted_state():
@@ -138,14 +134,14 @@ def test_aggregation_matches_reduced_generator(rng):
         nu=1.1,
     )
     gen = build_reduced_generator(cfg)
-    for s0 in enumerate_inventory_states(b):
+    states = [tuple(s) for s in enumerate_inventory_states(b).tolist()]
+    for s0, row in zip(states, gen.rates):
         agg: dict[tuple, float] = {}
-        for (_, k), rate in joint_moves(cfg, (4, 4), s0.k):
-            if k != s0.k:
+        for (_, k), rate in joint_moves(cfg, (4, 4), s0):
+            if k != s0:
                 agg[k] = agg.get(k, 0.0) + rate
-        row = gen.rates[gen.index_of(s0)]
         expected = {
-            gen.states[c].k: row[c] for c in np.nonzero(row > 0)[0]
+            states[c]: row[c] for c in np.nonzero(row > 0)[0]
         }
         assert agg.keys() == expected.keys()
         for key in agg:
@@ -156,8 +152,8 @@ def test_inventory_conservation(rng):
     b = (2, 1, 2)
     cfg = make_config(draw_rates(rng, 3), b, 1.0)
     total = sum(b)
-    for s0 in enumerate_inventory_states(b):
-        for (_, k), _ in joint_moves(cfg, (1, 0, 2), s0.k):
+    for s0 in enumerate_inventory_states(b).tolist():
+        for (_, k), _ in joint_moves(cfg, (1, 0, 2), s0):
             assert sum(k) == total
 
 
@@ -173,10 +169,10 @@ def test_transfer_adds_lateral_moves():
     cfg = make_config((1, 1), (3, 3), 1.0, beta=0.7)
     gen = build_reduced_generator(cfg)
     # gap >= 2 triggers a transfer from the richer to the poorer location
-    assert gen.rates[gen.index_of((3, 0, 3)), gen.index_of((2, 1, 3))] == pytest.approx(0.7)
-    assert gen.rates[gen.index_of((0, 2, 4)), gen.index_of((1, 1, 4))] == pytest.approx(0.7)
+    assert gen.rates[index_of(cfg.b, (3, 0, 3)), index_of(cfg.b, (2, 1, 3))] == pytest.approx(0.7)
+    assert gen.rates[index_of(cfg.b, (0, 2, 4)), index_of(cfg.b, (1, 1, 4))] == pytest.approx(0.7)
     # gap of one does not
-    assert gen.rates[gen.index_of((2, 1, 3)), gen.index_of((1, 2, 3))] == 0.0
+    assert gen.rates[index_of(cfg.b, (2, 1, 3)), index_of(cfg.b, (1, 2, 3))] == 0.0
 
     k0 = (3, 1, 2)
     out = {k: rate for (n, k), rate in joint_moves(cfg, (0, 0), k0) if n == (0, 0) and k != k0}
@@ -190,19 +186,19 @@ def test_kernel_routing_matches_scalar_reference(b, rng):
     # ordered by source state, then by family.
     cfg = make_config(draw_rates(rng, len(b)), b, 1.3)
     J = cfg.J
-    states = enumerate_inventory_states(b)
+    on_hand = enumerate_inventory_states(b)[:, :-1]
     src, dst, rate, family = _transition_arrays(cfg)
     assert list(zip(src, family)) == sorted(zip(src, family))
     got = {}
     for s, d, r, f in zip(src, dst, rate, family):
         if J <= f < 2 * J:
-            step = np.subtract(states[d].on_hand, states[s].on_hand)
+            step = on_hand[d] - on_hand[s]
             assert step.tolist() == [int(j == f - J) for j in range(J)]
             got[(s, f - J)] = r
     expected = {}
-    for idx, state in enumerate(states):
-        for i, p in enumerate(routing_probs(state, b)):
-            if state.on_hand[i] < b[i] and p > 0:
+    for idx, k in enumerate(on_hand.tolist()):
+        for i, p in enumerate(routing_probs(k, b)):
+            if k[i] < b[i] and p > 0:
                 expected[(idx, i)] = cfg.nu * p
     assert got == expected
 

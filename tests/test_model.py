@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import const_mu, make_config, routing_probs
 from qinet import (
     ConfigError,
-    InventoryState,
     NetworkConfig,
     ServiceRateProfile,
     build_reduced_generator,
@@ -94,38 +96,22 @@ class TestNetworkConfig:
         assert not make_config((1, 1), (2, 3), 1.0).is_homogeneous()
 
 
-class TestInventoryState:
-    def test_from_on_hand(self):
-        s = InventoryState.from_on_hand((1, 0), (2, 1))
-        assert s.k == (1, 0, 2)
-        assert s.on_hand == (1, 0)
-        assert s.outstanding == 2
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            InventoryState.from_on_hand((3,), (2, 1))
-        with pytest.raises(ConfigError):
-            InventoryState.from_on_hand((3, 0), (2, 1))
-        with pytest.raises(ConfigError):
-            InventoryState((1, 0, 0)).validate((2, 1))  # wrong supplier count
-
-
 class TestEnumeration:
     def test_two_unit_levels(self):
         states = enumerate_inventory_states((1, 1))
-        assert [s.k for s in states] == [(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
+        assert isinstance(states, np.ndarray) and states.dtype.kind == "i"
+        assert states.tolist() == [[0, 0, 2], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
     def test_counts(self):
-        assert len(enumerate_inventory_states((2, 1))) == 6
+        assert enumerate_inventory_states((2, 1)).shape == (6, 3)
         states = enumerate_inventory_states((3, 2, 1))
-        assert len(states) == 24
-        for s in states:
-            assert s.k[3] == 6 - sum(s.k[:3])
+        assert states.shape == (24, 4)
+        assert np.array_equal(states[:, 3], 6 - states[:, :3].sum(axis=1))
 
     def test_lexicographic_and_distinct(self):
         states = enumerate_inventory_states((2, 3))
-        on_hand = [s.on_hand for s in states]
-        assert on_hand == sorted(on_hand)
+        on_hand = [tuple(k[:-1]) for k in states.tolist()]
+        assert on_hand == sorted(on_hand) == list(itertools.product(range(3), range(4)))
         assert len(set(on_hand)) == len(on_hand)
 
     def test_invalid_levels(self):
@@ -138,28 +124,24 @@ class TestEnumeration:
 class TestRouting:
     def test_unique_leader(self):
         b = (2, 1)
-        k = InventoryState((0, 1, 2))
-        assert routing_probs(k, b) == (1.0, 0.0)
+        assert routing_probs((0, 1), b) == (1.0, 0.0)
 
     def test_tie(self):
         b = (2, 1)
-        k = InventoryState((1, 0, 2))
-        assert routing_probs(k, b) == (0.5, 0.5)
+        assert routing_probs((1, 0), b) == (0.5, 0.5)
 
     def test_all_full_guard_value(self):
         # Deficits all tie at zero: uniform value, never rate-effective
         # because k_i < b_i fails everywhere.
         b = (1, 1)
-        k = InventoryState((1, 1, 0))
-        assert routing_probs(k, b) == (0.5, 0.5)
+        assert routing_probs((1, 1), b) == (0.5, 0.5)
 
     def test_index_range(self):
         # The state must fit the base-stock vector it is routed against.
-        k = InventoryState((0, 0, 2))
         with pytest.raises(ConfigError):
-            routing_probs(k, (1, 1, 1))
+            routing_probs((0, 0), (1, 1, 1))
         with pytest.raises(ConfigError):
-            routing_probs(InventoryState((2, 0, 0)), (1, 1))
+            routing_probs((2, 0), (1, 1))
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -167,8 +149,7 @@ class TestRouting:
         J = data.draw(st.integers(2, 5))
         b = tuple(data.draw(st.integers(1, 4)) for _ in range(J))
         levels = tuple(data.draw(st.integers(0, bj)) for bj in b)
-        k = InventoryState.from_on_hand(levels, b)
-        probs = routing_probs(k, b)
+        probs = routing_probs(levels, b)
         assert abs(sum(probs) - 1.0) < 1e-15
         deficits = [bj - kj for kj, bj in zip(levels, b)]
         leaders = [d == max(deficits) for d in deficits]
@@ -182,31 +163,32 @@ class TestRouting:
         b = (b_val,) * J
         levels = tuple(data.draw(st.integers(0, b_val)) for _ in range(J))
         sigma = data.draw(st.permutations(range(J)))
-        probs = routing_probs(InventoryState.from_on_hand(levels, b), b)
+        probs = routing_probs(levels, b)
         permuted_levels = tuple(levels[sigma[j]] for j in range(J))
-        permuted_probs = routing_probs(InventoryState.from_on_hand(permuted_levels, b), b)
+        permuted_probs = routing_probs(permuted_levels, b)
         assert permuted_probs == tuple(probs[sigma[j]] for j in range(J))
 
     def test_heterogeneous_equivariance_in_pairs(self):
         # Permuting (b, k) jointly permutes the probabilities.
         b = (3, 1, 2)
         levels = (1, 0, 2)
-        probs = routing_probs(InventoryState.from_on_hand(levels, b), b)
+        probs = routing_probs(levels, b)
         sigma = (2, 0, 1)
         b2 = tuple(b[s] for s in sigma)
         levels2 = tuple(levels[s] for s in sigma)
-        probs2 = routing_probs(InventoryState.from_on_hand(levels2, b2), b2)
+        probs2 = routing_probs(levels2, b2)
         assert probs2 == tuple(probs[s] for s in sigma)
 
     def test_sum_over_positive_deficit_states(self):
         # Over every state with at least one deficit, the rate-effective
         # probabilities alone must sum to one.
         b = (2, 3, 1)
-        for s in enumerate_inventory_states(b):
-            if s.outstanding == 0:
+        for k in enumerate_inventory_states(b).tolist():
+            on_hand, outstanding = k[:-1], k[-1]
+            if outstanding == 0:
                 continue
-            probs = routing_probs(s, b)
+            probs = routing_probs(on_hand, b)
             effective = sum(
-                p for p, kj, bj in zip(probs, s.on_hand, b) if kj < bj
+                p for p, kj, bj in zip(probs, on_hand, b) if kj < bj
             )
             assert abs(effective - 1.0) < 1e-15

@@ -15,7 +15,6 @@ from qinet import (
     solve_theta_recursive,
     total_variation,
 )
-from qinet.model import InventoryState
 from qinet.recursive import _balance_terms, _combine, _sweep, _sweeps
 
 
@@ -32,7 +31,7 @@ def brute_force_gbe(config, grid, state):
     k1, k2 = state
 
     def p(x, y):
-        return routing_probs(InventoryState.from_on_hand((x, y), config.b), config.b)
+        return routing_probs((x, y), config.b)
 
     p1, p2 = p(k1, k2)
     lhs = grid[k1][k2] * (

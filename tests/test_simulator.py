@@ -28,9 +28,9 @@ def base_run():
 
 def joint_items(result):
     """Sorted ``((queue vector, inventory k tuple), mass)`` items of a result."""
-    states = enumerate_inventory_states(result.b)
+    states = enumerate_inventory_states(result.b).tolist()
     return sorted(
-        ((tuple(q), states[s].k), p)
+        ((tuple(q), tuple(states[s])), p)
         for q, s, p in zip(result.queues.tolist(), result.states.tolist(), result.mass.tolist())
     )
 
@@ -216,6 +216,12 @@ def test_parameter_validation():
         simulate(BASE, total_events=100, seed=1, burn_in=1.0)
     with pytest.raises(PreconditionError):
         simulate(BASE, total_events=100, seed=1, n_obs=-1)
+
+
+def test_negative_seed_rejected():
+    # numpy's generator refuses a negative seed with a bare ValueError.
+    with pytest.raises(PreconditionError, match="seed must be >= 0, got -5"):
+        simulate(BASE, total_events=100, seed=-5)
 
 
 def test_transfer_channel_runs():
