@@ -5,8 +5,8 @@ geometric-tailed marginals and the inventory measure.  This module builds
 the queue side, extracts inventory marginals, and verifies the structural
 identities the inventory measure must satisfy: permutation symmetry for
 homogeneous locations, and flow-balance identities across state-space cuts
-(one family for homogeneous networks, four families plus a geometric decay
-relation for two heterogeneous locations).
+(one family for homogeneous networks; for two locations, one identity
+per cut read in four level ranges, plus a geometric decay relation).
 
 Every check reads the measure as its ``(b1+1, ..., bJ+1)`` grid: a
 marginal is an axis sum, the flow across a cut is a sum over slices of
@@ -258,6 +258,26 @@ def check_cut_homogeneous(theta: ThetaMeasure, config: NetworkConfig) -> float:
     return worst
 
 
+def _cut_residuals(grid: np.ndarray, lam: float, nu: float, config: NetworkConfig) -> np.ndarray:
+    """Flow-balance residuals across ``{k_1 >= l}``, ``l = 1..b_1``, of a two-location grid.
+
+    Consumption and the transfer channel's net flow leave the cut;
+    replenishment enters it from level ``l - 1``, at full rate while
+    location 1 strictly leads the deficits and at half rate on the tie.
+    Pass ``grid.T`` for the cuts on location 2.
+    """
+    b1, b2 = grid.shape[0] - 1, grid.shape[1] - 1
+    p = grid.sum(axis=1)
+    out = []
+    for level in range(1, b1 + 1):
+        tie = level - 1 - b1 + b2  # location 2's level with an equal deficit
+        at_tie = grid[level - 1, tie] if tie >= 0 else 0.0
+        above = grid[level - 1, max(tie + 1, 0) :].sum()
+        transfer = _transfer_outflow(grid, level, config)
+        out.append(p[level] * lam + transfer - (at_tie * 0.5 * nu + above * nu))
+    return np.abs(out)
+
+
 @dataclass(frozen=True)
 class HeterogeneousCutReport:
     """Residuals of the two-location cut identities, by family."""
@@ -267,66 +287,33 @@ class HeterogeneousCutReport:
 
 
 def check_cut_heterogeneous(theta: ThetaMeasure, config: NetworkConfig) -> HeterogeneousCutReport:
-    """Residuals of the four two-location cut identities plus geometric decay.
+    """Residuals of the two-location cut identities plus geometric decay.
 
-    Families (levels written for the ``b1 >= b2`` labeling; empty ranges
-    and impossible events contribute nothing):
+    Location 1 below is the one with the larger base stock, ``b1 >= b2``,
+    whatever the order in ``config``.  Empty ranges read zero.
 
-    * ``low``: for l1 <= b1-b2, P(Y1=l1) lam1 = P(Y1=l1-1) nu.
-    * ``mid``: for b1-b2 < l1 < b1, the replenishment flow into location 1
-      splits into a full-rate part (location 1 strictly deficit leader)
-      and a half-rate tie term.
-    * ``full``: l1 = b1, same split at the top level.
-    * ``second``: the analogous identity for location 2 levels 1..b2.
+    * ``low``, ``mid``, ``full``: the cut ``{Y1 >= l1}`` for
+      ``l1 <= b1-b2`` (where it reads P(Y1=l1) lam1 = P(Y1=l1-1) nu),
+      ``b1-b2 < l1 < b1``, and ``l1 = b1``.
+    * ``second``: the cut ``{Y2 >= l2}`` for ``l2 = 1..b2``.
     * ``geometric``: P(Y1=l1) = P(Y1=0) (nu/lam1)^l1 on the ``low`` range.
-
-    With a transfer channel, ``mid``, ``full`` and ``second`` also count
-    the channel's net flow across their cut.
     """
     if config.J != 2:
         raise PreconditionError("heterogeneous cut identities are for J = 2")
-    b1, b2 = config.b
-    lam1, lam2 = config.lam
-    nu = config.nu
-    grid = theta.grid
-    p1 = grid.sum(axis=1)  # P(Y1 = l)
-    p2 = grid.sum(axis=0)  # P(Y2 = l)
-
-    def joint(y1, y2):
-        # Levels outside the box carry no mass (a negative index would wrap).
-        return grid[y1, y2] if 0 <= y1 <= b1 and 0 <= y2 <= b2 else 0.0
-
-    fams: dict[str, float] = {}
-
-    low = 0.0
-    for l1 in range(1, b1 - b2 + 1):
-        low = max(low, abs(p1[l1] * lam1 - p1[l1 - 1] * nu))
-    fams["low"] = low
-
-    mid = 0.0
-    for l1 in range(max(1, b1 - b2 + 1), b1):
-        tie_level = l1 - 1 - b1 + b2
-        above = grid[l1 - 1, max(tie_level + 1, 0) :].sum()
-        rhs = joint(l1 - 1, tie_level) * 0.5 * nu + above * nu
-        mid = max(mid, abs(p1[l1] * lam1 + _transfer_outflow(grid, l1, config) - rhs))
-    fams["mid"] = mid
-
-    rhs = joint(b1 - 1, b2 - 1) * 0.5 * nu + joint(b1 - 1, b2) * nu
-    fams["full"] = abs(p1[b1] * lam1 + _transfer_outflow(grid, b1, config) - rhs)
-
-    second = 0.0
-    for l2 in range(1, b2 + 1):
-        tie_level = b1 - b2 + l2 - 1
-        above = grid[max(tie_level + 1, 0) :, l2 - 1].sum()
-        rhs = joint(tie_level, l2 - 1) * 0.5 * nu + above * nu
-        second = max(second, abs(p2[l2] * lam2 + _transfer_outflow(grid.T, l2, config) - rhs))
-    fams["second"] = second
-
+    grid, (b1, b2), (lam1, lam2), nu = theta.grid, config.b, config.lam, config.nu
+    if b1 < b2:
+        grid, (b1, b2), (lam1, lam2) = grid.T, (b2, b1), (lam2, lam1)
+    first, p1 = _cut_residuals(grid, lam1, nu, config), grid.sum(axis=1)
     geometric = 0.0
-    for l1 in range(1, b1 - b2 + 1):
+    for l1 in range(1, b1 - b2 + 1):  # Python pow: numpy's power rounds differently
         geometric = max(geometric, abs(p1[l1] - p1[0] * (nu / lam1) ** l1))
-    fams["geometric"] = geometric
-
+    fams = {
+        "low": np.max(first[: b1 - b2], initial=0.0),
+        "mid": np.max(first[b1 - b2 : b1 - 1], initial=0.0),
+        "full": first[b1 - 1],
+        "second": np.max(_cut_residuals(grid.T, lam2, nu, config)),
+        "geometric": geometric,
+    }
     return HeterogeneousCutReport(families=fams, max_residual=max(fams.values()))
 
 

@@ -5,8 +5,10 @@ Config files are JSON with exactly the keys ``J``, ``lambda``, ``mu``,
 ``head`` (list) and ``tail`` (scalar).  Unknown keys anywhere are
 rejected.
 
-Exit codes: 0 success / all checks passed, 1 validation error,
-2 property failure, 3 numerical failure.
+Exit codes: 0 success / all checks passed, 1 validation error (a usage
+error, an option out of range or an unwritable output path included),
+2 property failure, 3 numerical failure.  Options and output paths are
+checked before any solve or simulation starts.
 """
 from __future__ import annotations
 
@@ -14,19 +16,14 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import analysis
 from .closed_form import theta_unit_base_stock
-from .errors import (
-    ConfigError,
-    ErgodicityError,
-    PreconditionError,
-    QinetError,
-    SolverError,
-)
+from .errors import ConfigError, ErgodicityError, PreconditionError, QinetError, SolverError
 from .exact import ThetaMeasure, solve_theta_exact
 from .generator import balance_residual, build_reduced_generator
 from .model import NetworkConfig, ServiceRateProfile, enumerate_inventory_states, method_inapplicable
@@ -131,44 +128,31 @@ def _solve_report(config: NetworkConfig, method: str, note: str) -> tuple[dict, 
     for diag in ergo.per_location:
         if diag.ergodic:
             qm = analysis.queue_marginal(config, diag.location)
-            xi_params.append(
-                {
-                    "location": diag.location,
-                    "C": qm.C,
-                    "rho_tail": qm.rho_tail,
-                    "xi0": qm.xi(0),
-                    "mean_queue_length": qm.mean_queue_length,
-                }
-            )
+            xi_params.append({"location": diag.location, "C": qm.C, "rho_tail": qm.rho_tail,
+                              "xi0": qm.xi(0), "mean_queue_length": qm.mean_queue_length})
         else:
             xi_params.append({"location": diag.location, "unstable": True})
-    marginals = [
-        list(analysis.inventory_marginal(theta, j)) for j in range(1, config.J + 1)
-    ]
+    marginals = [list(analysis.inventory_marginal(theta, j)) for j in range(1, config.J + 1)]
     return {
         "method": method,
         "note": note,
         "ergodic": ergo.ergodic,
         "ergodicity": [
-            {
-                "location": d.location,
-                "lambda": d.lam,
-                "tail_rate": d.tail_rate,
-                "rho_tail": d.rho_tail,
-                "ergodic": d.ergodic,
-            }
+            {"location": d.location, "lambda": d.lam, "tail_rate": d.tail_rate,
+             "rho_tail": d.rho_tail, "ergodic": d.ergodic}
             for d in ergo.per_location
         ],
-        "theta": {
-            "states": enumerate_inventory_states(theta.b).tolist(),
-            "weights": theta.weights.tolist(),
-            "normalized": True,
-            "provenance": theta.provenance,
-        },
+        "theta": _theta_block(theta),
         "residual": residual,
         "inventory_marginals": marginals,
         "xi": xi_params,
     }, theta
+
+
+def _theta_block(theta: ThetaMeasure) -> dict:
+    """The ``theta`` block of a ``--json`` report, as :func:`read_theta_json` re-reads it."""
+    return {"states": enumerate_inventory_states(theta.b).tolist(), "weights": theta.weights.tolist(),
+            "normalized": True, "provenance": theta.provenance}
 
 
 def read_theta_json(path: str) -> ThetaMeasure:
@@ -215,12 +199,21 @@ def _print_theta(theta: ThetaMeasure) -> None:
         print(f"{coords}  {k[-1]:>5d}  {w:.12g}")
 
 
-def _create(path: str, **kwargs):
-    """``open(path, "w")``; a path that cannot be written is a :class:`ConfigError`."""
+def _create(path: str, mode: str = "w", **kwargs):
+    """``open(path, mode)``; a path that cannot be written is a :class:`ConfigError`."""
     try:
-        return open(path, "w", **kwargs)
+        return open(path, mode, **kwargs)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _check_writable(*paths) -> None:
+    """Refuse an unwritable output path before any work, leaving every path as it was."""
+    for path in filter(None, paths):
+        existed = os.path.lexists(path)
+        _create(path, "a").close()
+        if not existed:
+            os.remove(path)
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -248,6 +241,7 @@ def _write_solve_csv(path: str, report: dict) -> None:
 
 def cmd_solve(args) -> int:
     config = load_config(args.config)
+    _check_writable(args.json, args.csv)
     method, note = _pick_method(config, args.method)
     report, theta = _solve_report(config, method, note)
 
@@ -348,6 +342,7 @@ def _verify_checks(config: NetworkConfig, events: int, seed: int) -> tuple[list[
 
 def cmd_verify(args) -> int:
     config = load_config(args.config)
+    _check_writable(args.json)
     checks, notices = _verify_checks(config, args.events, args.seed)
     for notice in notices:
         print(f"notice: {notice}")
@@ -368,8 +363,7 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
-    if args.replications < 1:
-        raise PreconditionError("--replications must be >= 1")
+    _check_writable(args.json)
     ergo = analysis.ergodicity_check(config)
     if not ergo.ergodic:
         print("simulation refused: configuration is not ergodic", file=sys.stderr)
@@ -415,12 +409,7 @@ def cmd_simulate(args) -> int:
             {
                 "replications": rows,
                 "merged": {"theta_tv": merged_theta_tv, "decoupling_tv": merged_dec},
-                "theta": {
-                    "states": enumerate_inventory_states(merged_theta.b).tolist(),
-                    "weights": merged_theta.weights.tolist(),
-                    "normalized": True,
-                    "provenance": "empirical",
-                },
+                "theta": _theta_block(merged_theta),
             },
         )
     return EXIT_OK
@@ -463,8 +452,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed the usage and the error; --help exits 0
+        return EXIT_VALIDATION if exc.code else EXIT_OK
+    try:
+        # Option ranges, checked before any command does work.
+        for name, low in (("seed", 0), ("events", 1), ("n_obs", 0), ("replications", 1)):
+            if getattr(args, name, low) < low:
+                raise PreconditionError(f"{name} must be >= {low}, got {getattr(args, name)}")
         return args.func(args)
     except (ConfigError, PreconditionError, ErgodicityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -166,8 +166,9 @@ def method_inapplicable(config: NetworkConfig, method: str) -> str | None:
     """Why ``method`` cannot solve ``config``, or ``None`` when it can.
 
     ``"exact"`` solves every configuration; ``"closed"`` needs every
-    ``b_j = 1``; ``"recursive"`` needs two locations with
-    ``b1 >= b2 > 1`` and no transfer channel (``beta`` absent or zero).
+    ``b_j = 1``; ``"recursive"`` needs two locations, both base stocks
+    above one (in either order), and no transfer channel (``beta`` absent
+    or zero).
     """
     if method == "closed":
         if any(bj != 1 for bj in config.b):
@@ -177,11 +178,8 @@ def method_inapplicable(config: NetworkConfig, method: str) -> str | None:
             return "recursive elimination handles exactly two locations; use exact"
         if config.has_transfer:
             return "recursive elimination does not cover the transfer channel; use exact"
-        b1, b2 = config.b
-        if b1 == b2 == 1:
+        if config.b == (1, 1):
             return "all base stocks equal one; use the closed form"
-        if b1 < b2:
-            return "recursive elimination expects b1 >= b2; relabel the locations or use exact"
-        if b2 == 1:
-            return "recursive elimination requires b2 > 1; use exact"
+        if min(config.b) == 1:
+            return "recursive elimination requires both base stocks above one; use exact"
     return None

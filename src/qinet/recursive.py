@@ -1,6 +1,6 @@
 """Recursive balance-equation elimination for two locations.
 
-For J = 2 with base-stock levels ``b1 >= b2 > 1`` the inventory measure
+For J = 2 with both base-stock levels above one the inventory measure
 can be computed without any matrix solve: seed one corner weight, sweep
 the grid row by row expressing each new entry through one balance
 equation, and close each sweep by solving a designated balance equation
@@ -20,6 +20,8 @@ The balance equations are read off the transition arrays of
 half-rate ties on the deficit diagonal are never hard-coded here.
 """
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -128,13 +130,23 @@ def _sweep(table: np.ndarray, known: np.ndarray, terms: dict, seed, steps, close
 
 
 def solve_theta_recursive(config: NetworkConfig) -> ThetaMeasure:
-    """Inventory measure for two locations with ``b1 >= b2 > 1``.
+    """Inventory measure for two locations with both base stocks above one.
 
-    Seeds the corner ``(b1, 0)`` and runs the :func:`_sweeps` schedule.
+    Seeds the corner ``(b1, 0)`` and runs the :func:`_sweeps` schedule,
+    which is written for ``b1 >= b2``.  For ``b1 < b2`` the swapped network
+    is solved and its grid transposed back; a :class:`SolverError` raised
+    there names cells of the swapped network, and says so.
     """
     reason = method_inapplicable(config, "recursive")
     if reason:
         raise PreconditionError(reason)
+    if config.b[0] < config.b[1]:
+        swapped = replace(config, lam=config.lam[::-1], mu=config.mu[::-1], b=config.b[::-1])
+        try:
+            grid = solve_theta_recursive(swapped).grid.T
+        except SolverError as exc:
+            raise type(exc)(f"{exc} (locations swapped to b1 >= b2)") from exc
+        return ThetaMeasure(grid=np.ascontiguousarray(grid), provenance="recursive")
     b1, b2 = config.b
     terms = _balance_terms(config)
     table = np.zeros((b1 + 1, b2 + 1, 2))

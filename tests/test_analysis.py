@@ -213,6 +213,32 @@ class TestHeterogeneousCut:
         with pytest.raises(PreconditionError):
             check_cut_heterogeneous(exact_theta(cfg), cfg)
 
+    @pytest.mark.parametrize("b", [(3, 2), (6, 1), (12, 6)], ids=lambda b: f"{b[0]}x{b[1]}")
+    def test_location_order_does_not_matter(self, b, rng):
+        # The families are read with the larger base stock first, so the
+        # swapped network with the transposed measure gives the same bits.
+        lam = draw_rates(rng, 2)
+        cfg = make_config(lam, b, 1.1)
+        swapped = make_config(lam[::-1], b[::-1], 1.1)
+        theta = exact_theta(cfg)
+        bent = theta.grid * np.exp(1e-3 * rng.standard_normal(theta.grid.shape))
+        for grid in (theta.grid, bent / bent.sum()):
+            mine = check_cut_heterogeneous(ThetaMeasure(grid=grid, provenance="exact"), cfg)
+            theirs = check_cut_heterogeneous(ThetaMeasure(grid=grid.T, provenance="exact"), swapped)
+            assert {k: float(v).hex() for k, v in theirs.families.items()} == {
+                k: float(v).hex() for k, v in mine.families.items()
+            }
+
+    def test_smaller_base_stock_first_checks_low_levels(self):
+        # b=(6,12): the low and geometric ranges belong to location 2 and
+        # must react to a bent measure instead of reading an empty range.
+        cfg = make_config((1.1, 0.9), (6, 12), 1.0)
+        grid = exact_theta(cfg).grid.copy()
+        grid[0, 1] += 1e-4
+        grid[0, 0] -= 1e-4
+        report = check_cut_heterogeneous(ThetaMeasure(grid=grid, provenance="exact"), cfg)
+        assert report.families["low"] > 1e-6 and report.families["geometric"] > 1e-6
+
     def test_perturbation_breaks_families(self):
         cfg = make_config((1.3, 0.8), (3, 2), 1.0)
         theta = exact_theta(cfg)
@@ -271,6 +297,21 @@ class TestTransferCut:
             check_cut_heterogeneous(theta, zero).families
             == check_cut_heterogeneous(theta, none).families
         )
+
+
+@pytest.mark.parametrize("beta", [None, 0.6, 2.0])
+@pytest.mark.parametrize("b", [4, 6])
+def test_two_location_identities_agree(b, beta):
+    # At J=2 the homogeneous identity is the heterogeneous mid and full
+    # families at once; both formulas must give the same bits.
+    cfg = make_config((1.0, 1.0), (b, b), 1.2, beta=beta)
+    theta = exact_theta(cfg)
+    noise = np.random.default_rng(b).standard_normal(theta.grid.shape)
+    bent = theta.grid * np.exp(1e-3 * noise)
+    for grid in (theta.grid, bent / bent.sum()):
+        measure = ThetaMeasure(grid=grid, provenance="exact")
+        fams = check_cut_heterogeneous(measure, cfg).families
+        assert check_cut_homogeneous(measure, cfg) == max(fams["mid"], fams["full"])
 
 
 class TestSymmetry:

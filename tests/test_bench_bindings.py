@@ -5,11 +5,13 @@ them (``BOUNDARIES``), so a renamed or dropped binding breaks only the
 traced benchmark run.  These tests read that file without changing it and
 check each binding, plus the generator attributes the harness reads.  They
 also run the harness's output check (``perfbench/workloads.py``) on fresh
-``qinet solve --json`` reports.
+``qinet solve --json`` reports, and trace the quick ops of three workloads
+to check that every per-layer metric ``BENCHMARK.json`` lists is a number.
 """
 import importlib
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -96,3 +98,25 @@ def test_harness_accepts_solve_json(tmp_path, lam, b):
     out = tmp_path / "out.json"
     assert qinet.cli.main(["solve", str(config), "--json", str(out)]) == 0
     assert workloads.check_solve_json(str(config), str(out)) == []
+
+
+@pytest.mark.parametrize("name", ["solve-grid", "verify-suite", "simulate-replicas"])
+def test_traced_layer_metrics_are_numbers(tmp_path, name):
+    # A layer a workload never calls reads None (no ok_ratio without calls),
+    # which turns the traced result line into "value": null.
+    bench = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    ops = workloads.make_ops(name, 1, str(tmp_path), quick=True)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with open(os.devnull, "w") as sink:
+            for index, op in enumerate(ops):
+                tracer.op = index
+                workloads.run_op(op, sink)
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.spans, 1, len(ops))
+    for m in bench["per_layer"]:
+        if m["name"] != "trace.overhead_s":  # run.py adds it from pass timings
+            value = metrics[m["name"]]
+            assert isinstance(value, (int, float)) and not isinstance(value, bool), (m["name"], value)

@@ -23,6 +23,11 @@ def write_config(tmp_path, name="net.json", **overrides):
     return str(path)
 
 
+def no_work(*args, **kwargs):
+    """Stands in for a solve or a simulation that must not start."""
+    pytest.fail("work started before the command line was checked")
+
+
 class TestLoadConfig:
     def test_valid(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -317,6 +322,87 @@ class TestVerify:
         path = write_config(tmp_path)
         assert main(["verify", path, "--events", "1000", "--seed", "-5"]) == 1
         assert capsys.readouterr().err == "error: seed must be >= 0, got -5\n"
+
+
+    def test_location_order_runs_same_checks(self, tmp_path):
+        # The library sorts the two locations itself, so listing the larger
+        # base stock second loses no check and leaves no family empty.
+        names, values = [], []
+        for b, lam in (([12, 6], [1.0, 0.7]), ([6, 12], [0.7, 1.0])):
+            path = write_config(tmp_path, **{"lambda": lam}, b=b, nu=2.5)
+            out = tmp_path / "verify.json"
+            main(["verify", path, "--events", "20000", "--json", str(out)])
+            checks = json.loads(out.read_text())["checks"]
+            names.append([c["name"] for c in checks])
+            values.append({c["name"]: c["value"] for c in checks})
+        assert names[0] == names[1]
+        assert {"recursive_vs_exact_tv", "recursive_balance_residual"} <= set(names[1])
+        assert values[1]["cut_low"] > 0.0 and values[1]["cut_geometric"] > 0.0
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [(["--seed", "-5", "--events", "0"], "seed must be >= 0, got -5"),
+         (["--events", "0"], "events must be >= 1, got 0")],
+    )
+    def test_options_checked_on_non_ergodic_config(self, tmp_path, capsys, monkeypatch, options, message):
+        import qinet.cli as cli
+
+        monkeypatch.setattr(cli, "solve_theta_exact", no_work)
+        path = write_config(tmp_path, **{"lambda": [5.0, 1.0]})
+        assert main(["verify", path, *options]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "{cfg}", "--method", "bogus"], ["verify", "{cfg}", "--seed", "abc"], ["solve"], [],
+         ["simulate", "{cfg}", "--events", "many"]],
+        ids=["bad-method", "bad-seed", "missing-config", "no-command", "bad-events"],
+    )
+    def test_usage_error_exits_1(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path)
+        assert main([arg.format(cfg=cfg) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: qinet") and "error:" in captured.err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["verify", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: qinet verify")
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("command", ["solve", "verify", "simulate"])
+    def test_checked_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        import qinet.cli as cli
+
+        for name in ("simulate", "solve_theta_exact", "_solve_with"):
+            monkeypatch.setattr(cli, name, no_work)
+        target = tmp_path / "missing" / "x.json"
+        assert main([command, write_config(tmp_path), "--json", str(target)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+
+    @pytest.mark.parametrize("existing", [None, "old contents"])
+    def test_failed_run_leaves_path_as_found(self, tmp_path, monkeypatch, existing):
+        import qinet.cli as cli
+
+        def boom(config, method):
+            raise SolverError("synthetic failure")
+
+        monkeypatch.setattr(cli, "_solve_with", boom)
+        out = tmp_path / "out.json"
+        if existing is not None:
+            out.write_text(existing)
+        assert main(["solve", write_config(tmp_path), "--json", str(out), "--csv", str(out) + ".csv"]) == 3
+        assert (out.read_text() if out.exists() else None) == existing
+        assert not (tmp_path / "out.json.csv").exists()
+
+    def test_existing_file_is_replaced(self, tmp_path):
+        out = tmp_path / "out.json"
+        out.write_text("x" * 100_000)
+        assert main(["solve", write_config(tmp_path), "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["method"] == "closed"
 
 
 class TestSimulate:
