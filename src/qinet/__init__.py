@@ -14,7 +14,6 @@ from .analysis import (
     ErgodicityReport,
     HeterogeneousCutReport,
     LocationDiagnostic,
-    PiWindow,
     QueueMarginal,
     check_cut_heterogeneous,
     check_cut_homogeneous,
@@ -22,7 +21,6 @@ from .analysis import (
     ergodicity_check,
     inventory_marginal,
     queue_marginal,
-    solve_pi_truncated,
     total_variation,
 )
 from .closed_form import theta_unit_base_stock, unit_base_stock_weights
@@ -57,7 +55,6 @@ __all__ = [
     "HeterogeneousCutReport",
     "LocationDiagnostic",
     "NetworkConfig",
-    "PiWindow",
     "PreconditionError",
     "QinetError",
     "QueueMarginal",
@@ -81,7 +78,6 @@ __all__ = [
     "queue_marginal",
     "method_inapplicable",
     "simulate",
-    "solve_pi_truncated",
     "solve_theta_exact",
     "solve_theta_recursive",
     "theta_unit_base_stock",

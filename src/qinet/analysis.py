@@ -1,12 +1,12 @@
-"""Product-form assembly, ergodicity, marginals and structural identities.
+"""Ergodicity, marginals and structural identities of a computed measure.
 
 The joint stationary distribution factorizes into a product of per-queue
-geometric-tailed marginals and the inventory measure.  This module builds
-the queue side, extracts inventory marginals, and verifies the structural
-identities the inventory measure must satisfy: permutation symmetry for
-homogeneous locations, and flow-balance identities across state-space cuts
-(one family for homogeneous networks; for two locations, one identity
-per cut read in four level ranges, plus a geometric decay relation).
+geometric-tailed marginals and the inventory measure.  This module gives
+the queue side in closed form, reads marginals of a given measure, and
+checks the structural identities it must satisfy: permutation symmetry
+for homogeneous locations, and flow balance across state-space cuts (one
+family for homogeneous networks; for two locations, one identity per cut
+read in four level ranges, plus a geometric decay relation).
 
 Every check reads the measure as its ``(b1+1, ..., bJ+1)`` grid: a
 marginal is an axis sum, the flow across a cut is a sum over slices of
@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ErgodicityError, PreconditionError
-from .exact import ThetaMeasure, solve_theta_exact
-from .generator import build_reduced_generator
+from .exact import ThetaMeasure
 from .model import NetworkConfig
 
 __all__ = [
@@ -31,8 +30,6 @@ __all__ = [
     "ergodicity_check",
     "QueueMarginal",
     "queue_marginal",
-    "PiWindow",
-    "solve_pi_truncated",
     "inventory_marginal",
     "check_cut_homogeneous",
     "HeterogeneousCutReport",
@@ -85,8 +82,7 @@ class QueueMarginal:
 
     ``xi(n)`` is proportional to ``prod_{l=1}^{n} lam/mu(l)``; the
     normalization constant ``C`` is the head sum plus the closed-form
-    geometric tail.  ``prob_nonempty`` and ``mean_queue_length`` summarize
-    the load.
+    geometric tail.  ``mean_queue_length`` summarizes the load.
     """
 
     location: int          # 1-based
@@ -101,21 +97,6 @@ class QueueMarginal:
         if n <= m:
             return self.head_weights[n] / self.C
         return self.head_weights[m] * self.rho_tail ** (n - m) / self.C
-
-    def cdf(self, n: int) -> float:
-        """P(queue length <= n), evaluated in closed form."""
-        if n < 0:
-            return 0.0
-        m = len(self.head_weights) - 1
-        if n <= m:
-            return sum(self.head_weights[: n + 1]) / self.C
-        rho = self.rho_tail
-        tail = self.head_weights[m] * rho * (1.0 - rho ** (n - m)) / (1.0 - rho)
-        return (sum(self.head_weights) + tail) / self.C
-
-    @property
-    def prob_nonempty(self) -> float:
-        return 1.0 - self.xi(0)
 
     @property
     def mean_queue_length(self) -> float:
@@ -142,64 +123,6 @@ def queue_marginal(config: NetworkConfig, j: int) -> QueueMarginal:
         weights.append(weights[-1] * lam / prof.head[n - 1])
     C = sum(weights) + weights[-1] * rho / (1.0 - rho)
     return QueueMarginal(location=j, C=C, rho_tail=rho, head_weights=tuple(weights))
-
-
-@dataclass(frozen=True)
-class PiWindow:
-    """Product-form joint distribution on a finite queue window.
-
-    ``pi[n_1, ..., n_J, k_1, ..., k_J]`` is the stationary probability of
-    queue vector ``n`` and on-hand vector ``k``, so ``pi`` has shape
-    ``(n_1+1, ..., n_J+1, b_1+1, ..., b_J+1)``; ``window_mass`` is the total
-    probability the window captures (computed analytically from the
-    geometric queue tails, so it is exact, not a sum of the array).
-    """
-
-    caps: tuple[int, ...]
-    pi: np.ndarray
-    window_mass: float
-    theta: ThetaMeasure
-
-
-def solve_pi_truncated(config: NetworkConfig, n_max) -> PiWindow:
-    """Joint stationary probabilities for all ``n <= n_max`` componentwise.
-
-    ``n_max`` may be a single cap applied to every location or one cap per
-    location.  Requires an ergodic configuration.
-    """
-    report = ergodicity_check(config)
-    if not report.ergodic:
-        bad = [d.location for d in report.per_location if not d.ergodic]
-        raise ErgodicityError(f"configuration is not ergodic (locations {bad})")
-
-    if np.isscalar(n_max):
-        caps = (int(n_max),) * config.J
-    else:
-        caps = tuple(int(x) for x in n_max)
-        if len(caps) != config.J:
-            raise PreconditionError("one queue cap per location required")
-    if any(c < 0 for c in caps):
-        raise PreconditionError("queue caps must be non-negative")
-
-    theta = solve_theta_exact(build_reduced_generator(config))
-    marginals = [queue_marginal(config, j) for j in range(1, config.J + 1)]
-
-    xi_vecs = [np.array([m.xi(n) for n in range(cap + 1)]) for m, cap in zip(marginals, caps)]
-    queue_part = xi_vecs[0]
-    for vec in xi_vecs[1:]:
-        queue_part = np.multiply.outer(queue_part, vec)
-    pi = np.multiply.outer(queue_part, theta.grid)
-
-    window_mass = 1.0
-    for m, cap in zip(marginals, caps):
-        window_mass *= m.cdf(cap)
-
-    return PiWindow(
-        caps=caps,
-        pi=pi,
-        window_mass=float(window_mass),
-        theta=theta,
-    )
 
 
 def inventory_marginal(theta: ThetaMeasure, j: int) -> np.ndarray:
@@ -317,22 +240,10 @@ def check_cut_heterogeneous(theta: ThetaMeasure, config: NetworkConfig) -> Heter
     return HeterogeneousCutReport(families=fams, max_residual=max(fams.values()))
 
 
-def check_symmetry(
-    theta: ThetaMeasure, config: NetworkConfig, allow_heterogeneous: bool = False
-) -> float:
-    """Largest weight change under any permutation of the locations.
-
-    Homogeneous networks must be exchangeable; pass
-    ``allow_heterogeneous=True`` to measure the asymmetry of other
-    configurations with equal base stocks (useful as a negative control).
-    """
-    if not config.is_homogeneous() and not allow_heterogeneous:
+def check_symmetry(theta: ThetaMeasure, config: NetworkConfig) -> float:
+    """Largest weight change under any permutation of the locations of a homogeneous network."""
+    if not config.is_homogeneous():
         raise PreconditionError("symmetry check needs a homogeneous configuration")
-    if len(set(config.b)) != 1:
-        raise PreconditionError(
-            "symmetry check needs equal base stocks: permuting locations with "
-            "different levels does not map the state space onto itself"
-        )
     grid = theta.grid
     worst = 0.0
     for sigma in itertools.permutations(range(config.J)):

@@ -301,7 +301,7 @@ def _verify_checks(config: NetworkConfig, events: int, seed: int) -> tuple[list[
             {"name": name, "value": float(value), "tolerance": tol, "passed": bool(value <= tol)}
         )
 
-    theta_exact = solve_theta_exact(build_reduced_generator(config))
+    theta_exact = _solve_with(config, "exact")
     add("exact_balance_residual", balance_residual(config, theta_exact.weights), TOL_EXACT_RESIDUAL)
 
     if method_inapplicable(config, "closed") is None:
@@ -376,7 +376,7 @@ def cmd_simulate(args) -> int:
             )
         return EXIT_VALIDATION
 
-    theta_exact = solve_theta_exact(build_reduced_generator(config))
+    theta_exact = _solve_with(config, "exact")
     xis = _queue_xi(config, args.n_obs)
     runs = []
     rows = []
@@ -458,7 +458,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
         # Option ranges, checked before any command does work.
-        for name, low in (("seed", 0), ("events", 1), ("n_obs", 0), ("replications", 1)):
+        for name, low in (("seed", 0), ("events", 1), ("n_obs", 1), ("replications", 1)):
             if getattr(args, name, low) < low:
                 raise PreconditionError(f"{name} must be >= {low}, got {getattr(args, name)}")
         return args.func(args)

@@ -25,8 +25,9 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import ConfigError, ReducibilityError
-from .model import InventoryState, NetworkConfig, _on_hand_rows, enumerate_inventory_states
+from .errors import ConfigError, PreconditionError, ReducibilityError
+from .model import (InventoryState, NetworkConfig, _on_hand_rows, enumerate_inventory_states,
+                    method_inapplicable)
 
 __all__ = ["ReducedGenerator", "balance_residual", "build_reduced_generator"]
 
@@ -149,9 +150,12 @@ def _assert_strongly_connected(n: int, rows, cols, rates) -> None:
 def build_reduced_generator(config: NetworkConfig) -> ReducedGenerator:
     """Build the reduced generator for ``config``.
 
-    Irreducibility cannot fail for a valid config, but
-    :class:`ReducedGenerator` checks it rather than assuming it.
+    A box too large for a dense solve raises :class:`PreconditionError`
+    before anything is allocated.  Irreducibility cannot fail for a valid
+    config, but :class:`ReducedGenerator` checks it rather than assuming it.
     """
+    if (reason := method_inapplicable(config, "exact")) is not None:
+        raise PreconditionError(reason)
     n = math.prod(bj + 1 for bj in config.b)
     rows, cols, rates, _ = _transition_arrays(config)
     Q = np.zeros((n, n))

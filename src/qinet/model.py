@@ -28,6 +28,10 @@ __all__ = [
     "method_inapplicable",
 ]
 
+# Memory a dense exact solve may take.  It holds three n x n float64 arrays
+# (the generator, its transposed copy and LU's working copy): 24 n^2 bytes.
+DENSE_BYTES_CAP = 4 << 30
+
 
 def _finite(x, what: str) -> float:
     """``x`` as a float; a bool, a non-number or a non-finite value is a :class:`ConfigError`."""
@@ -165,12 +169,17 @@ def enumerate_inventory_states(b) -> np.ndarray:
 def method_inapplicable(config: NetworkConfig, method: str) -> str | None:
     """Why ``method`` cannot solve ``config``, or ``None`` when it can.
 
-    ``"exact"`` solves every configuration; ``"closed"`` needs every
-    ``b_j = 1``; ``"recursive"`` needs two locations, both base stocks
-    above one (in either order), and no transfer channel (``beta`` absent
-    or zero).
+    ``"exact"`` needs a box whose dense solve fits ``DENSE_BYTES_CAP``;
+    ``"closed"`` needs every ``b_j = 1``; ``"recursive"`` needs two
+    locations, both base stocks above one (in either order), and no
+    transfer channel (``beta`` absent or zero).
     """
-    if method == "closed":
+    if method == "exact":
+        n = math.prod(bj + 1 for bj in config.b)
+        if 24 * n * n > DENSE_BYTES_CAP:
+            return (f"a dense exact solve of {n} states needs {24 * n * n} bytes; "
+                    f"the cap is {DENSE_BYTES_CAP} bytes")
+    elif method == "closed":
         if any(bj != 1 for bj in config.b):
             return "closed form requires every base-stock level to equal one; use exact"
     elif method == "recursive":

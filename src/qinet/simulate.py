@@ -34,6 +34,8 @@ from .model import NetworkConfig, enumerate_inventory_states  # noqa: F401
 __all__ = ["SimulationResult", "simulate", "decoupling_test", "merge_results"]
 
 _BLOCK = 1 << 15
+# Fraction of each run's events discarded before occupancies are recorded.
+BURN_IN = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,12 +120,11 @@ def simulate(
     total_events: int,
     seed: int,
     n_obs: int = 8,
-    burn_in: float = 0.1,
     require_stock_for_service: bool = True,
 ) -> SimulationResult:
     """Simulate ``total_events`` jumps and return time-weighted occupancies.
 
-    The first ``burn_in`` fraction of events is discarded.  Starts from
+    The first ``BURN_IN`` fraction of events is discarded.  Starts from
     empty queues with full inventories.  Refuses non-ergodic
     configurations and a negative ``seed``.
     """
@@ -131,8 +132,6 @@ def simulate(
         raise PreconditionError("total_events must be >= 1")
     if n_obs < 0:
         raise PreconditionError("n_obs must be >= 0")
-    if not 0.0 <= burn_in < 1.0:
-        raise PreconditionError("burn_in must lie in [0, 1)")
     if seed < 0:
         raise PreconditionError(f"seed must be >= 0, got {seed}")
     report = analysis.ergodicity_check(config)
@@ -151,7 +150,7 @@ def simulate(
     kidx = n_states - 1  # all inventories full in canonical (lexicographic) order
     row = tables.setdefault(sig, _rate_table(moves(sig)))
 
-    burn = int(round(burn_in * total_events))
+    burn = int(round(BURN_IN * total_events))
     occ: dict[int, float] = {}
     clip = n_obs + 1
     t_acc = 0.0

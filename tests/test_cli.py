@@ -139,6 +139,14 @@ class TestSolve:
         assert main(["solve", path]) == 0
         assert "method: exact" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "simulate"])
+    def test_box_too_large_for_dense_solve(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, J=3, **{"lambda": [1.0] * 3}, mu=[{"head": [], "tail": 2.0}] * 3,
+                            b=[100, 100, 100])
+        assert main([command, path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a dense exact solve of 1030301 states needs") and err.count("\n") == 1
+
     def test_recursive_rejected_for_three_locations(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
@@ -435,6 +443,12 @@ class TestSimulate:
         path = write_config(tmp_path)
         assert main(["simulate", path, "--events", "1000", "--n-obs", "-1"]) == 1
         assert "n_obs" in capsys.readouterr().err
+
+    def test_zero_n_obs_rejected(self, tmp_path, capsys):
+        # One bucket clips every queue to 0: the TVs would compare nothing.
+        path = write_config(tmp_path)
+        assert main(["simulate", path, "--events", "1000", "--n-obs", "0"]) == 1
+        assert capsys.readouterr().err == "error: n_obs must be >= 1, got 0\n"
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -1,19 +1,14 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from conftest import draw_rates, make_config
 from qinet import (
-    ErgodicityError,
-    PreconditionError,
     ReducedGenerator,
     ReducibilityError,
     SolverError,
     ThetaMeasure,
     build_reduced_generator,
     enumerate_inventory_states,
-    solve_pi_truncated,
     solve_theta_exact,
 )
 
@@ -182,46 +177,3 @@ def test_grid_flattens_to_canonical_order():
     assert theta.grid.shape == (3, 2, 4) and theta.b == cfg.b
     for k, weight in zip(enumerate_inventory_states(cfg.b).tolist(), theta.weights):
         assert theta.grid[tuple(k[:-1])] == weight
-
-
-class TestPiTruncated:
-    def test_matches_geometric_product(self):
-        # mu const 2, lam 1: xi(n) = (1/2)^(n+1); theta from the unit example.
-        cfg = make_config((1, 1), (1, 1), 1.0, mu_rate=2.0)
-        window = solve_pi_truncated(cfg, 4)
-        for (n1, n2) in itertools.product(range(5), repeat=2):
-            expected = 0.5 ** (n1 + 1) * 0.5 ** (n2 + 1) * window.theta.grid
-            assert window.pi[n1, n2] == pytest.approx(expected, rel=1e-12)
-
-    def test_factorization_is_k_free(self):
-        cfg = make_config((0.9, 1.3), (2, 1), 1.1)
-        window = solve_pi_truncated(cfg, 3)
-        ratio = window.pi / window.theta.grid  # broadcasts over the k axes
-        spread = ratio.max(axis=(-2, -1)) - ratio.min(axis=(-2, -1))
-        assert spread.max() <= 1e-14 * ratio.max()
-
-    def test_window_mass_monotone_to_one(self):
-        cfg = make_config((1, 1), (1, 1), 1.0, mu_rate=2.0)
-        masses = [solve_pi_truncated(cfg, cap).window_mass for cap in (0, 1, 2, 5, 30)]
-        assert all(b > a for a, b in zip(masses, masses[1:]))
-        assert masses[-1] == pytest.approx(1.0, abs=1e-8)
-        # window sums agree with the analytic mass
-        window = solve_pi_truncated(cfg, 5)
-        assert window.pi.sum() == pytest.approx(window.window_mass, rel=1e-12)
-
-    def test_per_location_caps(self):
-        cfg = make_config((1, 1), (1, 1), 1.0, mu_rate=2.0)
-        window = solve_pi_truncated(cfg, (2, 4))
-        assert window.pi.shape == (3, 5, 2, 2)
-
-    def test_non_ergodic_rejected(self):
-        cfg = make_config((3, 1), (1, 1), 1.0, mu_rate=2.0)
-        with pytest.raises(ErgodicityError):
-            solve_pi_truncated(cfg, 3)
-
-    def test_bad_caps(self):
-        cfg = make_config((1, 1), (1, 1), 1.0, mu_rate=2.0)
-        with pytest.raises(PreconditionError):
-            solve_pi_truncated(cfg, (1, 2, 3))
-        with pytest.raises(PreconditionError):
-            solve_pi_truncated(cfg, -1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,13 @@ from conftest import draw_rates, make_config, routing_probs
 from qinet import (
     ConfigError,
     NetworkConfig,
+    PreconditionError,
     ReducedGenerator,
     ReducibilityError,
     ServiceRateProfile,
     build_reduced_generator,
     enumerate_inventory_states,
+    method_inapplicable,
 )
 from qinet.generator import _assert_strongly_connected, _transition_arrays
 from qinet.simulate import _transition_tables
@@ -247,3 +251,26 @@ def test_generator_guards(kind, error, message):
     # construction; each guard fires with its own class and text.
     with pytest.raises(error, match=message):
         ReducedGenerator(b=(1, 1), rates=_damaged(kind))
+
+
+def test_dense_size_cap(monkeypatch):
+    # (100,100,100) has 1,030,301 states: its three dense float64 arrays
+    # would take 25 TB.  It is refused before the transition arrays are
+    # written or anything sizeable is allocated.
+    def unreachable(config):
+        raise AssertionError("transition arrays built for a refused box")
+
+    monkeypatch.setattr("qinet.generator._transition_arrays", unreachable)
+    huge = make_config((1.0,) * 3, (100,) * 3, 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError,
+                           match="1030301 states needs 25476483614424 bytes; the cap is 4294967296 bytes"):
+            build_reduced_generator(huge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert method_inapplicable(huge, "exact") is not None
+    # The benchmark's largest box, 6,561 states, stays admitted.
+    assert method_inapplicable(make_config((1.0, 1.0), (80, 80), 1.0), "exact") is None

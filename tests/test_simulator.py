@@ -213,8 +213,6 @@ def test_parameter_validation():
     with pytest.raises(PreconditionError):
         simulate(BASE, total_events=0, seed=1)
     with pytest.raises(PreconditionError):
-        simulate(BASE, total_events=100, seed=1, burn_in=1.0)
-    with pytest.raises(PreconditionError):
         simulate(BASE, total_events=100, seed=1, n_obs=-1)
 
 
