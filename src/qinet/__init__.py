@@ -35,7 +35,8 @@ from .errors import (
     SolverError,
 )
 from .exact import ThetaMeasure, solve_theta_exact
-from .generator import ReducedGenerator, balance_residual, build_reduced_generator
+from .generator import (ReducedGenerator, balance_residual, build_reduced_generator,
+                        componentwise_residual)
 from .model import (
     NetworkConfig,
     ServiceRateProfile,
@@ -70,6 +71,7 @@ __all__ = [
     "check_cut_heterogeneous",
     "check_cut_homogeneous",
     "check_symmetry",
+    "componentwise_residual",
     "decoupling_test",
     "enumerate_inventory_states",
     "ergodicity_check",

@@ -25,7 +25,7 @@ from . import analysis
 from .closed_form import theta_unit_base_stock
 from .errors import ConfigError, ErgodicityError, PreconditionError, QinetError, SolverError
 from .exact import ThetaMeasure, solve_theta_exact
-from .generator import balance_residual, build_reduced_generator
+from .generator import balance_residual, build_reduced_generator, componentwise_residual
 from .model import NetworkConfig, ServiceRateProfile, enumerate_inventory_states, method_inapplicable
 from .recursive import solve_theta_recursive
 from .simulate import SimulationResult, decoupling_test, merge_results, simulate
@@ -37,6 +37,7 @@ EXIT_NUMERICAL = 3
 
 # Tolerances for `verify` (simulation bounds assume the default event count).
 TOL_EXACT_RESIDUAL = 1e-12
+TOL_EXACT_COMPONENTWISE = 1e-12
 TOL_CLOSED_TV = 1e-12
 TOL_RECURSIVE_TV = 1e-10
 TOL_RECURSIVE_RESIDUAL = 1e-10
@@ -107,9 +108,7 @@ def _pick_method(config: NetworkConfig, method: str) -> tuple[str, str]:
         return method, ""
     if method_inapplicable(config, "closed") is None:
         return "closed", "auto: all base stocks are one"
-    if method_inapplicable(config, "recursive") is None:
-        return "recursive", "auto: two locations with base stocks above one"
-    return "exact", "auto: fallback to the linear-algebra solve"
+    return "exact", "auto: level-by-level elimination"
 
 
 def _solve_with(config: NetworkConfig, method: str) -> ThetaMeasure:
@@ -122,7 +121,6 @@ def _solve_with(config: NetworkConfig, method: str) -> ThetaMeasure:
 
 def _solve_report(config: NetworkConfig, method: str, note: str) -> tuple[dict, ThetaMeasure]:
     theta = _solve_with(config, method)
-    residual = balance_residual(config, theta.weights)
     ergo = analysis.ergodicity_check(config)
     xi_params = []
     for diag in ergo.per_location:
@@ -143,7 +141,8 @@ def _solve_report(config: NetworkConfig, method: str, note: str) -> tuple[dict, 
             for d in ergo.per_location
         ],
         "theta": _theta_block(theta),
-        "residual": residual,
+        "residual": balance_residual(config, theta.weights),
+        "componentwise_residual": componentwise_residual(config, theta.weights),
         "inventory_marginals": marginals,
         "xi": xi_params,
     }, theta
@@ -237,6 +236,7 @@ def _write_solve_csv(path: str, report: dict) -> None:
         writer.writerow([])
         writer.writerow(["check", "value"])
         writer.writerow(["balance_residual", f"{report['residual']:.17g}"])
+        writer.writerow(["componentwise_residual", f"{report['componentwise_residual']:.17g}"])
 
 
 def cmd_solve(args) -> int:
@@ -255,6 +255,7 @@ def cmd_solve(args) -> int:
             f"{'ok' if d['ergodic'] else 'unstable'}"
         )
     print(f"balance residual (relative): {report['residual']:.3e}")
+    print(f"componentwise residual: {report['componentwise_residual']:.3e}")
     print()
     _print_theta(theta)
     print()
@@ -293,23 +294,43 @@ def _queue_tvs(result: SimulationResult, xis: list[np.ndarray]) -> list[float]:
 
 
 def _verify_checks(config: NetworkConfig, events: int, seed: int) -> tuple[list[dict], list[str]]:
+    """The checks of ``qinet verify`` and its notices.
+
+    A cross-check route that fails numerically fails its checks, with value
+    ``None``, and a notice gives its error; a failure of the exact reference
+    solve itself propagates.
+    """
     checks: list[dict] = []
     notices: list[str] = []
 
-    def add(name: str, value: float, tol: float) -> None:
-        checks.append(
-            {"name": name, "value": float(value), "tolerance": tol, "passed": bool(value <= tol)}
-        )
+    def add(name: str, value: float | None, tol: float) -> None:
+        passed = value is not None and bool(value <= tol)
+        checks.append({"name": name, "value": None if value is None else float(value),
+                       "tolerance": tol, "passed": passed})
 
     theta_exact = _solve_with(config, "exact")
     add("exact_balance_residual", balance_residual(config, theta_exact.weights), TOL_EXACT_RESIDUAL)
+    add("exact_componentwise_residual", componentwise_residual(config, theta_exact.weights),
+        TOL_EXACT_COMPONENTWISE)
 
-    if method_inapplicable(config, "closed") is None:
-        theta_closed = theta_unit_base_stock(config)
+    def cross_check(route: str, tolerances: dict):
+        """The ``route`` measure, or None after failing each of its checks."""
+        if method_inapplicable(config, route) is not None:
+            return None
+        try:
+            return _solve_with(config, route)
+        except SolverError as exc:
+            notices.append(f"{route} route failed: {exc}")
+            for name, tol in tolerances.items():
+                add(name, None, tol)
+            return None
+
+    if (theta_closed := cross_check("closed", {"closed_form_vs_exact_tv": TOL_CLOSED_TV})) is not None:
         add("closed_form_vs_exact_tv", analysis.total_variation(theta_closed, theta_exact), TOL_CLOSED_TV)
 
-    if method_inapplicable(config, "recursive") is None:
-        theta_rec = solve_theta_recursive(config)
+    recursive_checks = {"recursive_vs_exact_tv": TOL_RECURSIVE_TV,
+                        "recursive_balance_residual": TOL_RECURSIVE_RESIDUAL}
+    if (theta_rec := cross_check("recursive", recursive_checks)) is not None:
         add("recursive_vs_exact_tv", analysis.total_variation(theta_rec, theta_exact), TOL_RECURSIVE_TV)
         add("recursive_balance_residual", balance_residual(config, theta_rec.weights), TOL_RECURSIVE_RESIDUAL)
 
@@ -349,7 +370,8 @@ def cmd_verify(args) -> int:
     width = max(len(c["name"]) for c in checks)
     for c in checks:
         status = "pass" if c["passed"] else "FAIL"
-        print(f"{c['name']:<{width}}  {c['value']:.6e}  (tol {c['tolerance']:g})  {status}")
+        value = "n/a" if c["value"] is None else f"{c['value']:.6e}"
+        print(f"{c['name']:<{width}}  {value:>12}  (tol {c['tolerance']:g})  {status}")
     failed = [c for c in checks if not c["passed"]]
     doc = {"checks": checks, "notices": notices, "passed": not failed}
     if args.json:

@@ -28,8 +28,10 @@ __all__ = [
     "method_inapplicable",
 ]
 
-# Memory a dense exact solve may take.  It holds three n x n float64 arrays
-# (the generator, its transposed copy and LU's working copy): 24 n^2 bytes.
+# Memory the dense blocks of an exact solve may take: per level L of
+# m_L states, the same-level block and its LU factors (2 m_L^2 float64) and
+# the blocks to and from level L + 1 (2 m_L m_{L+1}), 16 (sum m_L^2 +
+# sum m_L m_{L+1}) bytes in all.  A dense n x n rate matrix has the same cap.
 DENSE_BYTES_CAP = 4 << 30
 
 
@@ -166,18 +168,36 @@ def enumerate_inventory_states(b) -> np.ndarray:
     return np.column_stack([on_hand, sum(b) - on_hand.sum(axis=1)])
 
 
+def level_block_bytes(b) -> int:
+    """Bytes of the dense level blocks of an exact solve on the box ``b`` (see ``DENSE_BYTES_CAP``).
+
+    The level sizes ``m_L`` are the coefficients of ``prod_j (1 + x + ... +
+    x^{b_j})``; no state is enumerated.  Every ``m_L >= 1``, so the blocks
+    take at least ``16 n`` bytes for ``n`` states; a box above the cap by
+    that floor is not convolved.
+    """
+    n = math.prod(bj + 1 for bj in b)
+    if 16 * n > DENSE_BYTES_CAP:
+        return 16 * n
+    m = np.ones(1, dtype=np.int64)
+    for bj in b:
+        m = np.convolve(m, np.ones(bj + 1, dtype=np.int64))
+    return 16 * int(m @ m + m[:-1] @ m[1:])
+
+
 def method_inapplicable(config: NetworkConfig, method: str) -> str | None:
     """Why ``method`` cannot solve ``config``, or ``None`` when it can.
 
-    ``"exact"`` needs a box whose dense solve fits ``DENSE_BYTES_CAP``;
+    ``"exact"`` needs a box whose level blocks fit ``DENSE_BYTES_CAP``;
     ``"closed"`` needs every ``b_j = 1``; ``"recursive"`` needs two
     locations, both base stocks above one (in either order), and no
     transfer channel (``beta`` absent or zero).
     """
     if method == "exact":
         n = math.prod(bj + 1 for bj in config.b)
-        if 24 * n * n > DENSE_BYTES_CAP:
-            return (f"a dense exact solve of {n} states needs {24 * n * n} bytes; "
+        need = level_block_bytes(config.b)
+        if need > DENSE_BYTES_CAP:
+            return (f"a dense exact solve of {n} states needs {need} bytes for its level blocks; "
                     f"the cap is {DENSE_BYTES_CAP} bytes")
     elif method == "closed":
         if any(bj != 1 for bj in config.b):

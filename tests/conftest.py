@@ -49,3 +49,24 @@ def draw_rates(rng, n, lo=0.5, hi=2.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(987654321)
+
+
+def mp_stationary(gen, dps=60):
+    """Stationary weights of ``gen`` from an mpmath LU solve at ``dps`` digits, as floats.
+
+    The oracle for entrywise relative error: the anchored balance system
+    (last equation replaced by the normalization) in high precision.
+    """
+    import mpmath
+
+    n = gen.size
+    with mpmath.workdps(dps):
+        M = mpmath.zeros(n, n)  # M = Q^T
+        for s, d, r in zip(gen.src.tolist(), gen.dst.tolist(), gen.rate.tolist()):
+            M[d, s] += r
+            M[s, s] -= r
+        for j in range(n):
+            M[n - 1, j] = 1
+        rhs = mpmath.zeros(n, 1)
+        rhs[n - 1] = 1
+        return np.array([float(x) for x in mpmath.lu_solve(M, rhs)])

@@ -102,10 +102,12 @@ class TestSolve:
         weights = [line.split()[-1] for line in out.splitlines() if line.startswith(" 0") or line.startswith(" 1")]
         assert [float(w) for w in weights] == pytest.approx([0.4, 0.2, 0.2, 0.2])
 
-    def test_auto_picks_recursive(self, tmp_path, capsys):
+    def test_auto_picks_exact(self, tmp_path, capsys):
+        # Two locations with base stocks above one: the recursion is a
+        # cross-check only, auto takes the level elimination.
         path = write_config(tmp_path, b=[3, 2])
         assert main(["solve", path]) == 0
-        assert "method: recursive" in capsys.readouterr().out
+        assert "method: exact (auto: level-by-level elimination)" in capsys.readouterr().out
 
     def test_beta_zero_matches_no_beta(self, tmp_path):
         # A zero transfer rate is no transfer channel: same route, same bytes.
@@ -116,7 +118,7 @@ class TestSolve:
             assert main(["solve", path, "--json", str(out)]) == 0
             assert main(["solve", path, "--method", "recursive"]) == 0
             docs[name] = json.loads(out.read_text())
-        assert docs["zero"]["method"] == docs["plain"]["method"] == "recursive"
+        assert docs["zero"]["method"] == docs["plain"]["method"] == "exact"
         assert docs["zero"]["note"] == docs["plain"]["note"]
         assert docs["zero"]["theta"]["weights"] == docs["plain"]["theta"]["weights"]
 
@@ -133,6 +135,24 @@ class TestSolve:
         for key in ("method", "note"):
             assert docs["zero"][key] == docs["plain"][key]
         assert docs["zero"]["theta"]["weights"] == docs["plain"]["theta"]["weights"]
+
+    @pytest.mark.parametrize("method, b", [("closed", [1, 1]), ("recursive", [3, 2]), ("exact", [3, 2])])
+    def test_componentwise_residual_reported(self, tmp_path, capsys, method, b):
+        path = write_config(tmp_path, b=b, **{"lambda": [1.3, 0.8]})
+        out = tmp_path / "report.json"
+        assert main(["solve", path, "--method", method, "--json", str(out)]) == 0
+        value = json.loads(out.read_text())["componentwise_residual"]
+        assert 0.0 <= value <= 1e-10 and f"componentwise residual: {value:.3e}" in capsys.readouterr().out
+
+    def test_north_star_box(self, tmp_path, capsys):
+        # 14,641 states: the level blocks take 36 MiB where one dense
+        # matrix took 1.7 GB.
+        path = write_config(tmp_path, **{"lambda": [1.3, 0.8]}, b=[120, 120], nu=1.2,
+                            mu=[{"head": [], "tail": 6.0}] * 2)
+        assert main(["solve", path]) == 0
+        assert "method: exact" in capsys.readouterr().out
+        assert main(["simulate", path, "--events", "20000"]) == 0
+        assert "merged (1 run(s))" in capsys.readouterr().out
 
     def test_auto_falls_back_to_exact(self, tmp_path, capsys):
         path = write_config(tmp_path, b=[2, 1])
@@ -325,6 +345,51 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert doc["passed"] is True
         assert any(c["name"] == "closed_form_vs_exact_tv" for c in doc["checks"])
+
+    def test_exact_componentwise_check(self, tmp_path):
+        path = write_config(tmp_path, **{"lambda": [1.3, 0.8]}, b=[10, 6], nu=0.3,
+                            mu=[{"head": [], "tail": 1.0}] * 2)  # not ergodic: no simulation
+        out = tmp_path / "verify.json"
+        assert main(["verify", path, "--json", str(out)]) == 0
+        check = {c["name"]: c for c in json.loads(out.read_text())["checks"]}["exact_componentwise_residual"]
+        assert check["tolerance"] == 1e-12 and check["passed"] and check["value"] <= 1e-12
+
+    def test_failed_cross_check_route(self, tmp_path, capsys):
+        # The float recursion cannot close its sweep at (20,20) with
+        # nu = mean(lam); that fails its two checks, with exit 2, and the
+        # exact reference and every other check still run.
+        path = write_config(tmp_path, **{"lambda": [1.3, 0.8]}, b=[20, 20], nu=1.05,
+                            mu=[{"head": [], "tail": 1.0}] * 2)  # not ergodic: no simulation
+        out = tmp_path / "verify.json"
+        assert main(["verify", path, "--json", str(out)]) == 2
+        printed = capsys.readouterr().out
+        assert "notice: recursive route failed: closing balance equation at (10, 0) cannot " in printed
+        assert "recursive_vs_exact_tv                  n/a  (tol 1e-10)  FAIL" in printed
+
+        def no_constants(name):
+            raise AssertionError(f"non-strict JSON constant {name}")
+
+        doc = json.loads(out.read_text(), parse_constant=no_constants)
+        failed = {c["name"]: c["value"] for c in doc["checks"] if not c["passed"]}
+        assert failed == {"recursive_vs_exact_tv": None, "recursive_balance_residual": None}
+        assert doc["passed"] is False
+        assert any(n.startswith("recursive route failed: ") for n in doc["notices"])
+
+    def test_reference_failure_exits_3(self, tmp_path, monkeypatch):
+        # Only a cross-check route's failure is a failed check; without the
+        # exact reference there is nothing to check against.
+        import qinet.cli as cli
+
+        def boom(gen):
+            raise SolverError("synthetic failure")
+
+        monkeypatch.setattr(cli, "solve_theta_exact", boom)
+        assert main(["verify", write_config(tmp_path, b=[3, 2])]) == 3
+
+    def test_north_star_box(self, tmp_path):
+        path = write_config(tmp_path, **{"lambda": [1.3, 0.8]}, b=[120, 120], nu=1.2,
+                            mu=[{"head": [], "tail": 6.0}] * 2)
+        assert main(["verify", path, "--events", "20000"]) in (0, 2)
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -1,7 +1,12 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import draw_rates, make_config
+from conftest import draw_rates, make_config, mp_stationary
 from qinet import (
     ReducedGenerator,
     ReducibilityError,
@@ -97,60 +102,108 @@ def test_cut_balance_on_random_partitions(rng):
 
 
 def test_reducible_generator_rejected():
-    # Two disconnected 2-state blocks form a conservative generator, but no
-    # ReducedGenerator is built from them, so no solver ever sees one.
-    Q = np.array(
-        [
-            [-1.0, 1.0, 0.0, 0.0],
-            [1.0, -1.0, 0.0, 0.0],
-            [0.0, 0.0, -2.0, 2.0],
-            [0.0, 0.0, 2.0, -2.0],
-        ]
-    )
+    # Two closed 2-state classes, (0,0) <-> (0,1) and (1,0) <-> (1,1): a
+    # valid rate list, but no ReducedGenerator is built from it, so no
+    # solver ever sees one.
     with pytest.raises(ReducibilityError, match="2 strongly connected components"):
-        ReducedGenerator(b=(1, 1), rates=Q)
+        ReducedGenerator(b=(1, 1), src=np.array([0, 1, 2, 3]), dst=np.array([1, 0, 3, 2]),
+                         rate=np.array([1.0, 1.0, 2.0, 2.0]))
 
 
-def test_floor_failure_names_cell():
-    # Strongly graded rates push the smallest weight under the absolute floor.
+def test_graded_box_matches_oracle():
+    # Strongly graded rates: the smallest weight is 6e-15.  Dense LU lost
+    # six digits here (relative error 8.6e-7); level elimination keeps
+    # every weight to rounding against a 60-digit solve.
     gen = build_reduced_generator(make_config((1.0, 1.0), (10, 6), 0.3))
-    with pytest.raises(SolverError, match=r"weight \S+ at on-hand \(0, 6\) at or below positivity floor 1e-14"):
+    theta = solve_theta_exact(gen).weights
+    oracle = mp_stationary(gen)
+    assert oracle.min() < 1e-14
+    assert np.max(np.abs(theta - oracle) / oracle) <= 1e-13
+
+
+def _assert_entrywise(b, lam, ratio, beta=None):
+    gen = build_reduced_generator(make_config(lam, b, ratio * float(np.mean(lam)), beta=beta))
+    oracle = mp_stationary(gen)
+    assert np.max(np.abs(solve_theta_exact(gen).weights - oracle) / oracle) <= 1e-13
+
+
+@pytest.mark.parametrize("b, lam", [((3, 3), (10.0, 0.1)), ((5, 1), (0.1, 10.0))])
+def test_graded_levels_against_mpmath(b, lam):
+    # nu = 100 mean(lam) with arrival rates 100 apart: here a diagonal
+    # computed by subtraction (down_sum + diag - rowsum) instead of as a sum
+    # of non-negative terms misses the bound (measured 4.8e-13 and 9.3e-13).
+    _assert_entrywise(b, lam, 100.0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_entrywise_against_mpmath(data):
+    # J in 2..4, at most 36 states, arrival rates log-uniform in [0.1, 10],
+    # nu / mean(lam) log-uniform in [1e-2, 1e2], and the transfer channel
+    # for two equal locations.
+    b = data.draw(st.lists(st.integers(1, 5), min_size=2, max_size=4)
+                  .filter(lambda b: math.prod(x + 1 for x in b) <= 36), label="b")
+    log_rate = st.floats(math.log(0.1), math.log(10.0))
+    lam = tuple(math.exp(data.draw(log_rate, label="log_lam")) for _ in b)
+    ratio = math.exp(data.draw(st.floats(math.log(1e-2), math.log(1e2)), label="log_ratio"))
+    beta = None
+    if len(b) == 2 and data.draw(st.booleans(), label="transfer"):
+        b, lam = (b[0], b[0]), (lam[0], lam[0])
+        beta = lam[0] * math.exp(data.draw(st.floats(math.log(1e-2), math.log(1e2)), label="log_beta"))
+    _assert_entrywise(b, lam, ratio, beta)
+
+
+def test_underflow_names_cell_value_and_range():
+    # The smallest box found to underflow: at nu = lam / 100, (0, 1) waits
+    # for 134 replenishments and weighs 1e-308.5 of the empty state, below
+    # the smallest normal double.  The solve carries each level's scale, so
+    # it knows the range, and refuses instead of clamping.  One unit less
+    # still solves.
+    solve_theta_exact(build_reduced_generator(make_config((1.0, 1.0), (133, 1), 0.01)))
+    gen = build_reduced_generator(make_config((1.0, 1.0), (134, 1), 0.01))
+    with pytest.raises(SolverError) as info:
         solve_theta_exact(gen)
+    assert re.fullmatch(
+        r"stationary solve failed: weight 3\.250e-309 at on-hand \(0, 1\) balances to \S+ relative "
+        r"\(tolerance 1e-12\); log10\(max/min\) = 308\.5", str(info.value))
 
 
 def test_blas_thread_count_restored(monkeypatch):
+    # numpy and scipy each bundle an OpenBLAS with its own thread count; the
+    # level loop pins both to one thread, and restores them on success and
+    # on failure.
     from qinet import exact
 
     threads = exact._openblas_threads()
-    if threads is None:
-        pytest.skip("numpy's bundled OpenBLAS is not loadable here")
-    get, set_ = threads
-    original = get()
+    if len(threads) != 2:
+        pytest.skip("the bundled OpenBLAS libraries are not loadable here")
+    original = [get() for get, _ in threads]
     seen = []
-    real_solve = np.linalg.solve
+    real_dgesv = exact.dgesv
 
-    def spy(M, rhs):
-        seen.append(get())
-        return real_solve(M, rhs)
+    def spy(*args, **kwargs):
+        seen.append(tuple(get() for get, _ in threads))
+        return real_dgesv(*args, **kwargs)
 
-    def singular(M, rhs):
-        seen.append(get())
-        raise np.linalg.LinAlgError("synthetic")
+    def singular(*args, **kwargs):
+        lu, piv, x, _ = spy(*args, **kwargs)
+        return lu, piv, x, 1
 
     gen = build_reduced_generator(make_config((1.2, 0.7), (3, 2), 1.4))
     try:
-        set_(2)
-        before = get()
-        monkeypatch.setattr(np.linalg, "solve", spy)
+        for _, set_ in threads:
+            set_(2)
+        monkeypatch.setattr(exact, "dgesv", spy)
         solve_theta_exact(gen)
-        assert get() == before
-        monkeypatch.setattr(np.linalg, "solve", singular)
-        with pytest.raises(SolverError):
+        assert [get() for get, _ in threads] == [2, 2]
+        monkeypatch.setattr(exact, "dgesv", singular)
+        with pytest.raises(SolverError, match="censored block of level 5 is singular"):
             solve_theta_exact(gen)
-        assert get() == before
-        assert seen == [1, 1]
+        assert [get() for get, _ in threads] == [2, 2]
+        assert seen and set(seen) == {(1, 1)}
     finally:
-        set_(original)
+        for (_, set_), count in zip(threads, original):
+            set_(count)
 
 
 def test_theta_measure_validation():

@@ -14,8 +14,10 @@ from qinet import (
     build_reduced_generator,
     enumerate_inventory_states,
     method_inapplicable,
+    solve_theta_exact,
 )
 from qinet.generator import _assert_strongly_connected, _transition_arrays
+from qinet.model import level_block_bytes
 from qinet.simulate import _transition_tables
 
 
@@ -218,45 +220,69 @@ def test_reducibility_detection():
 
 
 def _damaged(kind):
-    """The b=(1,1) generator with one guard's condition broken."""
-    Q = build_reduced_generator(make_config((1.0, 1.0), (1, 1), 1.0)).rates.copy()
-    if kind == "shape":
-        return Q[:3, :3]
-    if kind == "non_finite":
-        Q[0, 3] = np.nan
+    """The b=(1,1) transition arrays with one guard's condition broken."""
+    src, dst, rate, _ = _transition_arrays(make_config((1.0, 1.0), (1, 1), 1.0))
+    rate = rate.copy()
+    if kind == "index":
+        dst = np.where(dst == 3, 4, dst)
+    elif kind == "non_finite":
+        rate[0] = np.nan
     elif kind == "negative_off_diagonal":
-        Q[1, 3] -= 2.0
-        Q[1, 2] += 2.0
-    elif kind == "row_sum":
-        Q[2, 2] -= 1e-6
-    else:  # two disconnected 2-state blocks: conservative but reducible
-        Q = np.kron(np.eye(2), [[-1.0, 1.0], [1.0, -1.0]])
-    return Q
+        rate[1] = -2.0
+    elif kind == "level_step":
+        src, dst, rate = np.append(src, 0), np.append(dst, 3), np.append(rate, 1.0)
+    else:  # (0,0) <-> (0,1) and (1,0) <-> (1,1): two closed classes
+        src, dst, rate = np.array([0, 1, 2, 3]), np.array([1, 0, 3, 2]), np.ones(4)
+    return src, dst, rate
 
 
 @pytest.mark.parametrize(
     "kind, error, message",
     [
-        ("shape", ConfigError, "rate matrix shape must match the state count"),
+        ("index", ConfigError, r"transition indices must lie in 0\.\.3"),
         ("non_finite", ConfigError, "rates must be finite"),
         ("negative_off_diagonal", ConfigError, "off-diagonal rates must be non-negative"),
-        ("row_sum", ConfigError, "generator rows must sum to zero"),
+        ("level_step", ConfigError, "change the total on-hand stock by at most one"),
         ("reducible", ReducibilityError,
          "transition graph splits into 2 strongly connected components"),
     ],
-    ids=["shape", "non_finite", "negative_off_diagonal", "row_sum", "reducible"],
+    ids=["index", "non_finite", "negative_off_diagonal", "level_step", "reducible"],
 )
 def test_generator_guards(kind, error, message):
-    # Every ReducedGenerator is a conservative irreducible generator by
-    # construction; each guard fires with its own class and text.
+    # Every ReducedGenerator is an irreducible generator whose moves change
+    # the level by at most one; each guard fires with its own class and text.
+    src, dst, rate = _damaged(kind)
     with pytest.raises(error, match=message):
-        ReducedGenerator(b=(1, 1), rates=_damaged(kind))
+        ReducedGenerator(b=(1, 1), src=src, dst=dst, rate=rate)
+
+
+def test_level_blocks_hold_every_rate(rng):
+    # The level blocks, put back in canonical order, are the dense matrix
+    # off its diagonal, and each down_sum is its block's row sum.
+    cfg = make_config((1.1, 1.1), (3, 3), 0.8, beta=0.6)
+    gen = build_reduced_generator(cfg)
+    n = gen.size
+    starts = np.cumsum([0] + [len(level[3]) for level in gen.levels])
+    Q = np.zeros((n, n))
+    for L, (same, up, down, down_sum) in enumerate(gen.levels):
+        rows = gen.order[starts[L]:starts[L + 1]]
+        Q[np.ix_(rows, rows)] += same
+        if L + 1 < len(gen.levels):
+            Q[np.ix_(rows, gen.order[starts[L + 1]:starts[L + 2]])] += up
+        if L > 0:
+            Q[np.ix_(rows, gen.order[starts[L - 1]:starts[L]])] += down
+        assert np.array_equal(down_sum, down.sum(axis=1))
+    off = gen.rates.copy()
+    np.fill_diagonal(off, 0.0)
+    assert np.array_equal(Q, off)
+    levels = enumerate_inventory_states(cfg.b)[:, :-1].sum(axis=1)
+    assert np.array_equal(levels[gen.order], np.repeat(np.arange(len(gen.levels)), np.diff(starts)))
 
 
 def test_dense_size_cap(monkeypatch):
-    # (100,100,100) has 1,030,301 states: its three dense float64 arrays
-    # would take 25 TB.  It is refused before the transition arrays are
-    # written or anything sizeable is allocated.
+    # (100,100,100) has 1,030,301 states: the dense blocks of its 301
+    # levels would take 172 GiB.  It is refused before the transition
+    # arrays are written or anything sizeable is allocated.
     def unreachable(config):
         raise AssertionError("transition arrays built for a refused box")
 
@@ -265,12 +291,40 @@ def test_dense_size_cap(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(PreconditionError,
-                           match="1030301 states needs 25476483614424 bytes; the cap is 4294967296 bytes"):
+                           match="1030301 states needs 184977768656 bytes for its level blocks; "
+                                 "the cap is 4294967296 bytes"):
             build_reduced_generator(huge)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
     assert method_inapplicable(huge, "exact") is not None
-    # The benchmark's largest box, 6,561 states, stays admitted.
-    assert method_inapplicable(make_config((1.0, 1.0), (80, 80), 1.0), "exact") is None
+    # The north-star boxes stay admitted: 36, 555 and 481 MiB.
+    for b, mib in (((120, 120), 36), ((300, 300), 555), ((30, 30, 30), 481)):
+        assert round(level_block_bytes(b) / 2**20) == mib
+        assert method_inapplicable(make_config((1.0,) * len(b), b, 1.0), "exact") is None
+
+
+def test_north_star_box_allocates_no_dense_matrix():
+    # (120,120) has 14,641 states; one dense float64 matrix of them is
+    # 1.7 GB.  Building and solving stay under a tenth of that.
+    cfg = make_config((1.3, 0.8), (120, 120), 1.2)
+    dense = 8 * 14641**2
+    tracemalloc.start()
+    try:
+        theta = solve_theta_exact(build_reduced_generator(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert theta.weights.size == 14641
+    assert peak < dense / 10
+
+
+def test_dense_rates_refused_above_the_cap(monkeypatch):
+    # rates is built on first read, and refused where the n x n matrix
+    # would pass the cap; the level blocks need no such matrix.
+    gen = build_reduced_generator(make_config((1.0, 1.0), (3, 3), 1.0))
+    monkeypatch.setattr("qinet.generator.DENSE_BYTES_CAP", 8 * 16 * 16 - 1)
+    with pytest.raises(PreconditionError, match="a dense rate matrix of 16 states needs 2048 bytes"):
+        gen.rates
+    assert solve_theta_exact(gen).weights.size == 16
