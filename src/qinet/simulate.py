@@ -5,21 +5,29 @@ exponential with the total outflow rate, the jump is drawn categorically
 from the outgoing rates, and statistics are time-weighted occupancies.
 
 Randomness comes from ``numpy.random.default_rng`` (PCG64) seeded by the
-caller, with uniforms and exponentials pre-drawn in fixed-size blocks, so
-a run is fully reproducible from its seed.
+caller, so a run is fully reproducible from its seed.  Uniforms and then
+exponentials are drawn in blocks of ``_BLOCK`` and reach the event loop
+as Python floats, ``_SLICE`` of each at a time: indexing a numpy array
+and computing on its scalars costs several times as much per event.
 
 The outgoing-rate tables come from the transition arrays of
 :mod:`qinet.generator`: an arrival at location i is admitted exactly where
 a consumption edge for i leaves the inventory state, and a service at i is
 that same edge at rate ``mu_i(n_i)``.  Rates only depend on the queue
 vector through, per location, "empty / one of the head levels / in the
-constant tail", so the tables are cached per (queue signature, inventory
-state) and the inner loop is table lookups.
+constant tail", so one table per queue signature, built with array
+operations on the signature's first visit, serves every inventory state.
+An event reads its state's row, adds the holding time to its cell's
+occupancy, and picks the move by bisecting the row's running rate sums.
+The cell's code (clipped queue vector and inventory index in one
+integer) and the signature's code are running integers: a move changes
+them only when it changes a location's clipped length or signature.
 """
 from __future__ import annotations
 
-import itertools
 import math
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +42,9 @@ from .model import NetworkConfig, enumerate_inventory_states  # noqa: F401
 __all__ = ["SimulationResult", "simulate", "decoupling_test", "merge_results"]
 
 _BLOCK = 1 << 15
+# Draws converted to Python floats at a time; a block is 8 slices.
+# Converting whole blocks costs more memory for no more speed.
+_SLICE = 1 << 12
 # Fraction of each run's events discarded before occupancies are recorded.
 BURN_IN = 0.1
 
@@ -66,53 +77,85 @@ class SimulationResult:
 
 
 def _transition_tables(config: NetworkConfig, require_stock_for_service: bool):
-    """Lazy per-(signature, inventory index) outgoing moves.
+    """Lazy per-queue-signature tables of every inventory state's outgoing moves.
 
-    ``moves(sig)[k]`` is ``(rates, deltas)`` for inventory index ``k``
-    under queue signature ``sig``, with each delta
-    ``(location, dn, new_k_index)``; ``location == -1`` means the queues
-    do not move.  Arrivals come first, then services, then the
+    ``moves(sig)`` is ``(rows, rates, cum, deltas)`` under queue signature
+    ``sig``.  The moves of inventory index ``k`` are ``rates[lo:hi]`` and
+    ``deltas[lo:hi]``, where ``rows[k] == (total, lo, hi)``; ``cum[lo:hi]``
+    are their rates summed in sequence, so ``cum[hi - 1] == total``.  Each
+    delta is ``(location, dn, new_k_index)``; ``location == -1`` means the
+    queues do not move.  Arrivals come first, then services, then the
     inventory-only moves, each in family order.  Setting
     ``require_stock_for_service=False`` builds a deliberately coupled
     counter-model in which servers keep working with depleted stock
     (draining the queue without consuming inventory); it exists purely as
     a negative control for the decoupling test.
+
+    Each state's moves sit in one row of fixed-width arrays: ``J`` arrival
+    slots, ``J`` service slots and the state's inventory edges, left
+    aligned.  Every present move has a positive rate and an absent one
+    rate 0, which leaves the running sums of the present ones unchanged
+    bit for bit.  The delta tuples are built once and shared by every
+    signature.
     """
     J = config.J
     caps = [len(p.head) + 1 for p in config.mu]  # signature cap per location
-    src, dst, rate, family = (a.tolist() for a in _transition_arrays(config))
-    edges = [[] for _ in range(math.prod(bj + 1 for bj in config.b))]  # per source: (family, dst, rate)
-    for s, d, r, f in zip(src, dst, rate, family):
-        edges[s].append((f, d, r))
+    src, dst, rate, family = _transition_arrays(config)
+    n_states = math.prod(bj + 1 for bj in config.b)
+    here = np.repeat(np.arange(n_states)[:, None], J, axis=1)
+
+    # Consumption edge for location i: its target, or the state itself.
+    cons = family < J
+    stocked = np.zeros((n_states, J), dtype=bool)
+    stocked[src[cons], family[cons]] = True
+    consumed = here.copy()
+    consumed[src[cons], family[cons]] = dst[cons]
+    served = stocked if require_stock_for_service else np.ones_like(stocked)
+
+    # Inventory-only edges, left aligned in family order.
+    inv_src = src[~cons]
+    slot = np.arange(inv_src.size) - np.searchsorted(inv_src, inv_src)
+    width = int(slot.max()) + 1 if slot.size else 0
+    inv_rate = np.zeros((n_states, width))
+    inv_rate[inv_src, slot] = rate[~cons]
+    inv_dst = np.zeros((n_states, width), dtype=np.int64)
+    inv_dst[inv_src, slot] = dst[~cons]
+
+    arrivals = np.where(stocked, np.asarray(config.lam), 0.0)
+    loc = [*range(J), *range(J)] + [-1] * width
+    dn = [1] * J + [-1] * J + [0] * width
+    target = np.hstack([here, consumed, inv_dst])
+    all_deltas = np.fromiter(
+        ((l, d, k) for row in target.tolist() for l, d, k in zip(loc, dn, row)),
+        dtype=object, count=target.size,
+    ).reshape(target.shape)
 
     def moves(sig):
-        mu = [config.mu[i].rate(sig[i]) if sig[i] > 0 else None for i in range(J)]
-        rows = []
-        for k, out in enumerate(edges):
-            consumed = {f: d for f, d, _ in out if f < J}
-            rates = [r for f, _, r in out if f < J]
-            deltas = [(i, 1, k) for i in consumed]
-            for i in range(J):
-                if mu[i] is not None and (i in consumed or not require_stock_for_service):
-                    rates.append(mu[i])
-                    deltas.append((i, -1, consumed.get(i, k)))
-            for f, d, r in out:
-                if f >= J:
-                    rates.append(r)
-                    deltas.append((-1, 0, d))
-            rows.append((rates, deltas))
-        return rows
+        busy = np.array(sig) > 0
+        mu = [config.mu[i].rate(sig[i]) if busy[i] else 0.0 for i in range(J)]
+        rates = np.hstack([arrivals, np.where(served & busy, mu, 0.0), inv_rate])
+        present = rates > 0
+        cum = np.cumsum(rates, axis=1)[present]
+        hi = np.cumsum(present.sum(axis=1))
+        lo = np.concatenate([[0], hi[:-1]])
+        rows = list(zip(cum[hi - 1].tolist(), lo.tolist(), hi.tolist()))
+        return rows, rates[present].tolist(), cum.tolist(), all_deltas[present].tolist()
 
     return caps, moves
 
 
-def _rate_table(rows):
-    """Sampling rows ``(total_rate, cumulative_rates, deltas)`` of ``moves(sig)``."""
-    table = []
-    for rates, deltas in rows:
-        cum = list(itertools.accumulate(rates))
-        table.append((cum[-1], cum, deltas))
-    return table
+def _slices(total_events: int, burn: int):
+    """Event ranges ``(start, stop)`` of at most ``_SLICE`` events, split at ``burn``.
+
+    Slices never cross a block of ``_BLOCK`` draws.  What the loop has
+    recorded when a range starts at ``burn`` is dropped there.
+    """
+    for start in range(0, total_events, _SLICE):
+        stop = min(start + _SLICE, total_events)
+        if start < burn < stop:
+            yield start, burn
+            start = burn
+        yield start, stop
 
 
 def simulate(
@@ -141,51 +184,50 @@ def simulate(
 
     caps, moves = _transition_tables(config, require_stock_for_service)
     n_states = math.prod(bj + 1 for bj in config.b)
-    tables: dict[tuple[int, ...], list] = {}
     J = config.J
+    clip = n_obs + 1
+    # Occupancy code of a cell: sum_i min(n_i, n_obs) * place[i] + k.
+    place = [clip ** (J - 1 - i) * n_states for i in range(J)]
+    # Rate tables by signature code sum_i min(n_i, caps[i]) * sig_place[i].
+    sig_place = [math.prod(c + 1 for c in caps[i + 1 :]) for i in range(J)]
+    tables: dict[int, tuple] = {}
 
     rng = np.random.default_rng(seed)
     n = [0] * J
-    sig = (0,) * J
+    code = 0  # queue part of the occupancy code
+    sig = 0
     kidx = n_states - 1  # all inventories full in canonical (lexicographic) order
-    row = tables.setdefault(sig, _rate_table(moves(sig)))
+    rows, _, cum, deltas = tables[0] = moves((0,) * J)
 
     burn = int(round(BURN_IN * total_events))
-    occ: dict[int, float] = {}
-    clip = n_obs + 1
+    occ: defaultdict[int, float] = defaultdict(float)
     t_acc = 0.0
-    pos = _BLOCK
-    uniforms = exponentials = None
-
-    for ev in range(total_events):
-        if pos == _BLOCK:
+    for start, stop in _slices(total_events, burn):
+        if start % _BLOCK == 0:
             uniforms = rng.random(_BLOCK)
             exponentials = rng.standard_exponential(_BLOCK)
-            pos = 0
-        total, cum, deltas = row[kidx]
-        dt = exponentials[pos] / total
-        r = uniforms[pos] * total
-        pos += 1
-        j = 0
-        last = len(cum) - 1
-        while j < last and cum[j] < r:
-            j += 1
-        if ev >= burn:
-            code = 0
-            for x in n:
-                code = code * clip + (x if x < n_obs else n_obs)
-            code = code * n_states + kidx
-            occ[code] = occ.get(code, 0.0) + dt
+        if start == burn:
+            occ, t_acc = defaultdict(float), 0.0
+        first = start % _BLOCK
+        last = first + stop - start
+        for u, e in zip(uniforms[first:last].tolist(), exponentials[first:last].tolist()):
+            total, lo, hi = rows[kidx]
+            dt = e / total
+            occ[code + kidx] += dt
             t_acc += dt
-        loc, dn, kidx = deltas[j]
-        if loc >= 0:
-            n[loc] += dn
-            s = n[loc] if n[loc] < caps[loc] else caps[loc]
-            if s != sig[loc]:
-                sig = sig[:loc] + (s,) + sig[loc + 1 :]
-                row = tables.get(sig)
-                if row is None:
-                    row = tables.setdefault(sig, _rate_table(moves(sig)))
+            loc, dn, kidx = deltas[bisect_left(cum, u * total, lo, hi)]
+            if loc >= 0:
+                x = n[loc] + dn
+                n[loc] = x
+                top = x if dn > 0 else x + 1  # the larger of the old and new length
+                if top <= n_obs:
+                    code += place[loc] if dn > 0 else -place[loc]
+                if top <= caps[loc]:
+                    sig += sig_place[loc] if dn > 0 else -sig_place[loc]
+                    table = tables.get(sig)
+                    if table is None:
+                        table = tables[sig] = moves(tuple(min(m, c) for m, c in zip(n, caps)))
+                    rows, _, cum, deltas = table
 
     if t_acc <= 0:
         raise PreconditionError("no simulated time left after burn-in")
@@ -214,6 +256,21 @@ def simulate(
     )
 
 
+def _group_rows(rows):
+    """The distinct rows of a 2-d array in lexicographic order, and each row's index into them.
+
+    The same as ``np.unique(rows, axis=0, return_inverse=True)``, by one
+    ``lexsort`` and a comparison of neighbouring sorted rows.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ids = np.empty(len(rows), dtype=np.intp)
+    ids[order] = np.cumsum(first) - 1
+    return ordered[first], ids
+
+
 def decoupling_test(result: SimulationResult) -> float:
     """TV distance between the empirical joint and the product of its marginals.
 
@@ -223,7 +280,7 @@ def decoupling_test(result: SimulationResult) -> float:
     over visited queue vectors x visited states; an unvisited pair
     contributes its product mass.
     """
-    qid = np.unique(result.queues, axis=0, return_inverse=True)[1].reshape(-1)
+    qid = _group_rows(result.queues)[1]
     pn = np.bincount(qid, result.mass)
     pk = np.bincount(result.states, result.mass)
     product = pn[qid] * pk[result.states]
@@ -242,7 +299,7 @@ def merge_results(results) -> SimulationResult:
     total_time = sum(r.sim_time for r in results)
     cells = np.concatenate([np.column_stack([r.queues, r.states]) for r in results])
     weighted = np.concatenate([r.sim_time / total_time * r.mass for r in results])
-    cells, inverse = np.unique(cells, axis=0, return_inverse=True)
+    cells, inverse = _group_rows(cells)
     seeds = [s for r in results for s in (r.seed if isinstance(r.seed, tuple) else (r.seed,))]
     return SimulationResult(
         b=first.b,
@@ -253,5 +310,5 @@ def merge_results(results) -> SimulationResult:
         sim_time=total_time,
         queues=cells[:, :-1],
         states=cells[:, -1],
-        mass=np.bincount(inverse.reshape(-1), weighted),
+        mass=np.bincount(inverse, weighted),
     )

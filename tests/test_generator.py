@@ -30,9 +30,10 @@ def joint_moves(config, n, k):
     caps, moves = _transition_tables(config, require_stock_for_service=True)
     states = [tuple(s) for s in enumerate_inventory_states(config.b).tolist()]
     sig = tuple(min(x, cap) for x, cap in zip(n, caps))
-    rates, deltas = moves(sig)[states.index(tuple(k))]
+    rows, rates, _, deltas = moves(sig)
+    _, lo, hi = rows[states.index(tuple(k))]
     out = []
-    for rate, (loc, dn, target) in zip(rates, deltas):
+    for rate, (loc, dn, target) in zip(rates[lo:hi], deltas[lo:hi]):
         n_next = list(n)
         if loc >= 0:
             n_next[loc] += dn

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from conftest import make_config
 from qinet import (
     ErgodicityError,
+    NetworkConfig,
     PreconditionError,
+    ServiceRateProfile,
     SimulationResult,
     build_reduced_generator,
     decoupling_test,
@@ -19,6 +22,15 @@ from qinet import (
 )
 
 BASE = make_config((1, 1), (1, 1), 1.0, mu_rate=2.0)
+# The head-rate J=3 config of the simulate-replicas benchmark, at unit scale.
+J3_HEADS = NetworkConfig(
+    lam=(0.8, 1.0, 1.3),
+    mu=(ServiceRateProfile((2.0, 3.5), 5.2), ServiceRateProfile((3.0,), 5.2),
+        ServiceRateProfile.constant(5.2)),
+    b=(4, 3, 2),
+    nu=4.65,
+)
+J6 = make_config((1.0,) * 6, (2,) * 6, 9.0)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +66,44 @@ def test_seeded_stream_pinned(base_run):
     joint = repr(joint_items(base_run))
     digest = hashlib.sha256(joint.encode()).hexdigest()
     assert digest == "34f31877f08e859278474ae673695e8324b2daa4e3f5bc6b1d9ef490ebe43d40"
+
+
+def result_digest(result):
+    """SHA-256 of a run's simulated time, event count and cell arrays, bit for bit."""
+    h = hashlib.sha256(f"{result.sim_time.hex()} {result.events}".encode())
+    for a in (result.queues.astype(np.int64), result.states.astype(np.int64), result.mass):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# (config, total_events, seed, options, digest).  The burn-in ends inside a
+# slice of 4,096 draws at 4,097 and 70,001 events, and on a slice boundary
+# at 40,960; 70,001 events run into the third block of 32,768 draws.
+GOLDEN_STREAMS = {
+    "transfer": (make_config((1, 1), (4, 4), 1.5, mu_rate=2.0, beta=0.6), 70_001, 3, {},
+                 "66cd1959eecab6d14cbe6ce1acee6051e094171913db0f8cd52561420ec2b7b4"),
+    "j3-heads": (J3_HEADS, 70_001, 7, {},
+                 "57810e950594e9becd6723fadde18a3b83d87595e727369c9a274c1c0b6663b9"),
+    "j6": (J6, 40_960, 5, {},
+           "da15bcbc13365163f1b0c07ac767da18ee36afd1b5b306a89154fd093f69a529"),
+    "coupled": (BASE, 4_097, 9, {"require_stock_for_service": False},
+                "873b20ff2aed6ee6788059c913bc580ddaca506d6f5309f21c84874d2ed3f81a"),
+    "n_obs-0": (J3_HEADS, 4_097, 2, {"n_obs": 0},
+                "c70c7a769503db7809254bf4e5e8f44a55a12958b88e05af4c58681fd729fd41"),
+    "n_obs-huge": (J3_HEADS, 70_001, 4, {"n_obs": 10**12},
+                   "99660f938ac42546d26314fb19002ea30806ef2ebcbf8384838d99f1e35c43df"),
+    "one-event": (J3_HEADS, 1, 8, {},
+                  "b1c04ea932bf487db8c61eaefd754fc299adf7cf8f780068a9cd6a9fb5f599b1"),
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN_STREAMS)
+def test_golden_streams(case):
+    # Digests taken from an event loop that scanned each move's running
+    # rate sum and packed the occupancy code digit by digit on every event;
+    # a change to the draw order, the move order or the arithmetic shows.
+    config, total_events, seed, options, digest = GOLDEN_STREAMS[case]
+    assert result_digest(simulate(config, total_events, seed, **options)) == digest
 
 
 def test_cells_are_distinct(base_run):
@@ -203,6 +253,28 @@ def test_convergence_majority_vote():
     assert wins >= 6
 
 
+def test_memory_peak_bounded():
+    # The draws reach the event loop in short slices: converting whole
+    # blocks of 32,768 draws to Python floats would pass this bound.
+    simulate(J3_HEADS, 1_000, seed=1)
+    tracemalloc.start()
+    try:
+        simulate(J3_HEADS, 250_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20
+
+
+def test_long_service_heads():
+    # Signatures run to 1,501 per location, 1,501^6 > 2^63 in all: only
+    # the visited ones may get a table.  Head rates equal to the tail give
+    # the same moves, so the same stream as constant rates.
+    long_heads = NetworkConfig(lam=J6.lam, mu=(ServiceRateProfile((4.0,) * 1_500, 4.0),) * 6,
+                               b=J6.b, nu=J6.nu)
+    assert same_cells(simulate(long_heads, 2_000, seed=3), simulate(J6, 2_000, seed=3))
+
+
 def test_non_ergodic_refused():
     cfg = make_config((3, 1), (1, 1), 1.0, mu_rate=2.0)
     with pytest.raises(ErgodicityError):
@@ -247,6 +319,38 @@ def test_merge_results():
     other = simulate(make_config((1, 1), (2, 2), 1.0, mu_rate=2.0), 1000, seed=1)
     with pytest.raises(PreconditionError):
         merge_results([runs[0], other])
+
+
+def unique_decoupling(result):
+    """``decoupling_test`` with its queue vectors grouped by ``np.unique(axis=0)``."""
+    qid = np.unique(result.queues, axis=0, return_inverse=True)[1].reshape(-1)
+    pn = np.bincount(qid, result.mass)
+    pk = np.bincount(result.states, result.mass)
+    product = pn[qid] * pk[result.states]
+    unvisited = pn.sum() * pk.sum() - product.sum()
+    return 0.5 * float(np.abs(result.mass - product).sum() + unvisited)
+
+
+def unique_merge_cells(results):
+    """The merged ``(queues, states, mass)`` with cells grouped by ``np.unique(axis=0)``."""
+    total_time = sum(r.sim_time for r in results)
+    cells = np.concatenate([np.column_stack([r.queues, r.states]) for r in results])
+    weighted = np.concatenate([r.sim_time / total_time * r.mass for r in results])
+    cells, inverse = np.unique(cells, axis=0, return_inverse=True)
+    return cells[:, :-1], cells[:, -1], np.bincount(inverse.reshape(-1), weighted)
+
+
+@pytest.mark.parametrize("config, events, n_obs", [(J6, 100_000, 8), (J3_HEADS, 20_000, 10**12)],
+                         ids=["J6", "huge-n_obs"])
+def test_grouping_equals_unique_rows(config, events, n_obs):
+    runs = [simulate(config, events, seed=s, n_obs=n_obs) for s in (1, 2)]
+    for run in runs:
+        assert decoupling_test(run) == unique_decoupling(run)
+    merged = merge_results(runs)
+    queues, states, mass = unique_merge_cells(runs)
+    assert len(mass) < sum(len(r.mass) for r in runs)  # some cells are shared
+    for got, want in zip((merged.queues, merged.states, merged.mass), (queues, states, mass)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_merge_is_time_weighted_sum_per_cell():
