@@ -30,7 +30,6 @@ from .errors import (
     ErgodicityError,
     PreconditionError,
     QinetError,
-    ReducibilityError,
     SequencingError,
     SolverError,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "QinetError",
     "QueueMarginal",
     "ReducedGenerator",
-    "ReducibilityError",
     "SequencingError",
     "ServiceRateProfile",
     "SimulationResult",

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
@@ -24,7 +23,7 @@ import numpy as np
 from . import analysis
 from .closed_form import theta_unit_base_stock
 from .errors import ConfigError, ErgodicityError, PreconditionError, QinetError, SolverError
-from .exact import ThetaMeasure, solve_theta_exact
+from .exact import COMPONENTWISE_RTOL, ThetaMeasure, solve_theta_exact
 from .generator import balance_residual, build_reduced_generator, componentwise_residual
 from .model import NetworkConfig, ServiceRateProfile, enumerate_inventory_states, method_inapplicable
 from .recursive import solve_theta_recursive
@@ -37,7 +36,7 @@ EXIT_NUMERICAL = 3
 
 # Tolerances for `verify` (simulation bounds assume the default event count).
 TOL_EXACT_RESIDUAL = 1e-12
-TOL_EXACT_COMPONENTWISE = 1e-12
+TOL_EXACT_COMPONENTWISE = COMPONENTWISE_RTOL
 TOL_CLOSED_TV = 1e-12
 TOL_RECURSIVE_TV = 1e-10
 TOL_RECURSIVE_RESIDUAL = 1e-10
@@ -149,44 +148,9 @@ def _solve_report(config: NetworkConfig, method: str, note: str) -> tuple[dict, 
 
 
 def _theta_block(theta: ThetaMeasure) -> dict:
-    """The ``theta`` block of a ``--json`` report, as :func:`read_theta_json` re-reads it."""
+    """The ``theta`` block of a ``--json`` report: canonical states and their weights."""
     return {"states": enumerate_inventory_states(theta.b).tolist(), "weights": theta.weights.tolist(),
             "normalized": True, "provenance": theta.provenance}
-
-
-def read_theta_json(path: str) -> ThetaMeasure:
-    """Re-read a measure written by ``--json`` (exact round trip).
-
-    Weights are placed by position, so the state rows must be the
-    canonical enumeration of the inventory box.  The block must say
-    ``"normalized": true`` and its weights must form a measure.  Anything
-    else raises :class:`ConfigError`.
-    """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        block = doc["theta"] if "theta" in doc else doc
-        rows, weights = block["states"], np.array(block["weights"], dtype=float)
-        provenance = block["provenance"]
-    except (OSError, ValueError, TypeError, KeyError) as exc:  # JSONDecodeError is a ValueError
-        raise ConfigError(f"cannot read a theta block from {path}: {exc!r}") from exc
-    # The last canonical row is (b_1, ..., b_J, 0).  Check its shape and the
-    # row count before enumerating, so a bad file cannot ask for a huge box.
-    b = rows[-1][:-1] if isinstance(rows, list) and rows and isinstance(rows[-1], list) else []
-    if (
-        len(b) < 2
-        or any(type(bj) is not int or bj < 1 for bj in b)
-        or len(rows) != math.prod(bj + 1 for bj in b)
-        or weights.shape != (len(rows),)
-        or rows != enumerate_inventory_states(b).tolist()
-    ):
-        raise ConfigError("theta states are not the canonical enumeration of an inventory box")
-    if block.get("normalized") is not True:
-        raise ConfigError('theta block must say "normalized": true')
-    try:
-        return ThetaMeasure(grid=weights.reshape([bj + 1 for bj in b]), provenance=provenance)
-    except (SolverError, ValueError) as exc:  # ValueError: an unknown provenance
-        raise ConfigError(f"theta block is not a measure: {exc}") from exc
 
 
 def _print_theta(theta: ThetaMeasure) -> None:
@@ -386,27 +350,17 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     _check_writable(args.json)
-    ergo = analysis.ergodicity_check(config)
-    if not ergo.ergodic:
-        print("simulation refused: configuration is not ergodic", file=sys.stderr)
-        for d in ergo.per_location:
-            flag = "ok" if d.ergodic else "UNSTABLE"
-            print(
-                f"  location {d.location}: lambda={d.lam:g} vs tail rate "
-                f"{d.tail_rate:g} ({flag})",
-                file=sys.stderr,
-            )
-        return EXIT_VALIDATION
-
-    theta_exact = _solve_with(config, "exact")
+    # The generator refuses a box too large to solve before any run; simulate
+    # refuses a non-ergodic config before the reference is solved.
+    gen = build_reduced_generator(config)
+    runs = [simulate(config, total_events=args.events, seed=args.seed + r, n_obs=args.n_obs)
+            for r in range(args.replications)]
+    theta_exact = solve_theta_exact(gen)
     xis = _queue_xi(config, args.n_obs)
-    runs = []
     rows = []
-    for r in range(args.replications):
-        result = simulate(config, total_events=args.events, seed=args.seed + r, n_obs=args.n_obs)
-        runs.append(result)
+    for result in runs:
         row = {
-            "seed": args.seed + r,
+            "seed": result.seed,
             "events": result.total_events,
             "sim_time": result.sim_time,
             "theta_tv": analysis.total_variation(result.empirical_theta(), theta_exact),

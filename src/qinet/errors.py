@@ -26,10 +26,6 @@ class SolverError(QinetError, RuntimeError):
     """Numerical solve failed (singular normalization, residual too large, ...)."""
 
 
-class ReducibilityError(SolverError):
-    """Rate graph is not strongly connected / null space dimension is not one."""
-
-
 class DegenerateEliminationError(SolverError):
     """A closing balance equation cannot determine the phase unknown."""
 

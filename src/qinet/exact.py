@@ -179,8 +179,7 @@ def solve_theta_exact(gen: ReducedGenerator) -> ThetaMeasure:
         pi, log_scale = _censored_levels(gen)
     top = log_scale.max()
     theta = np.empty(gen.size)
-    theta[gen.order] = np.concatenate(
-        [x * math.exp(s - top) for x, s in zip(pi, log_scale)] if log_scale.any() else pi)
+    theta[gen.order] = np.concatenate([x * math.exp(s - top) for x, s in zip(pi, log_scale)])
     theta /= theta.sum()
 
     imbalance = relative_imbalance(*balance_flows(gen.src, gen.dst, gen.rate, theta), theta)

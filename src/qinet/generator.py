@@ -28,10 +28,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
-from .errors import ConfigError, PreconditionError, ReducibilityError
+from .errors import PreconditionError
 from .model import (DENSE_BYTES_CAP, InventoryState, NetworkConfig, _on_hand_rows,
                     enumerate_inventory_states, method_inapplicable)
 
@@ -41,14 +39,17 @@ __all__ = ["ReducedGenerator", "balance_residual", "build_reduced_generator",
 
 @dataclass(frozen=True, eq=False)
 class ReducedGenerator:
-    """The reduced generator over the inventory box of base stocks ``b``.
+    """The reduced generator of ``config``'s inventory chain, built from the config alone.
 
     ``src``, ``dst`` and ``rate`` list every off-diagonal transition (COO,
-    canonical state indices); the diagonal is implied.  Construction checks
-    the arrays: indices inside the box, finite non-negative rates, steps of
-    at most one level, and a strongly connected positive-rate graph
-    (:class:`ReducibilityError` otherwise), so every instance has a unique
-    stationary measure.  It then lays the rates out as level blocks:
+    canonical state indices) as :func:`_transition_arrays` writes them; the
+    diagonal is implied.  Every such chain is irreducible (replenishment
+    fills any state up to ``b``, consumption then reaches every state
+    below it), and every move changes the level by at most one; a property
+    test checks both, so construction does not.  A box whose level blocks
+    and level loop exceed ``DENSE_BYTES_CAP`` raises
+    :class:`PreconditionError` before anything is allocated.  The rates are
+    laid out as level blocks:
 
     * ``order[p]`` is the canonical index of the state at level-ordered
       position ``p`` (levels ascending, canonical order inside a level);
@@ -61,35 +62,23 @@ class ReducedGenerator:
     record per row of :func:`enumerate_inventory_states`, built on each read.
     """
 
-    b: tuple[int, ...]
-    src: np.ndarray
-    dst: np.ndarray
-    rate: np.ndarray
+    config: NetworkConfig
+    src: np.ndarray = field(init=False, repr=False)
+    dst: np.ndarray = field(init=False, repr=False)
+    rate: np.ndarray = field(init=False, repr=False)
     order: np.ndarray = field(init=False, repr=False)
     levels: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.size
-        src, dst = np.asarray(self.src, dtype=np.int64), np.asarray(self.dst, dtype=np.int64)
-        rate = np.asarray(self.rate, dtype=float)
-        if not src.shape == dst.shape == rate.shape or src.ndim != 1:
-            raise ConfigError("src, dst and rate must be 1-d arrays of one length")
-        if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
-            raise ConfigError(f"transition indices must lie in 0..{n - 1}")
-        if not np.isfinite(rate).all():
-            raise ConfigError("rates must be finite")
-        if rate.min(initial=0.0) < 0:
-            raise ConfigError("off-diagonal rates must be non-negative")
-        level = _on_hand_rows(self.b).sum(axis=1)
-        step = level[dst] - level[src]
-        if np.abs(step).max(initial=0) > 1:
-            raise ConfigError("a transition may change the total on-hand stock by at most one")
-        live = rate > 0
-        _assert_strongly_connected(n, src[live], dst[live], rate[live])
+        if (reason := method_inapplicable(self.config, "exact")) is not None:
+            raise PreconditionError(reason)
+        src, dst, rate, _ = _transition_arrays(self.config)
         for name, value in (("src", src), ("dst", dst), ("rate", rate)):
             object.__setattr__(self, name, value)
 
         # Block (kind, L) holds the rates from level L to level L + kind - 1.
+        n = self.size
+        level = _on_hand_rows(self.b).sum(axis=1)
         m = np.bincount(level)
         order = np.argsort(level, kind="stable")
         pos = np.empty(n, dtype=np.int64)
@@ -98,7 +87,7 @@ class ReducedGenerator:
         cols[0, 1:], cols[1], cols[2, :-1] = m[:-1], m, m[1:]
         sizes = m * cols
         offsets = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
-        kind, lsrc = step + 1, level[src]
+        kind, lsrc = level[dst] - level[src] + 1, level[src]
         flat = offsets[kind, lsrc] + pos[src] * cols[kind, lsrc] + pos[dst]
         buf = np.bincount(flat, weights=rate, minlength=int(sizes.sum()))
 
@@ -111,6 +100,10 @@ class ReducedGenerator:
             levels.append((block(1, L), block(2, L), down, down.sum(axis=1)))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "levels", tuple(levels))
+
+    @property
+    def b(self) -> tuple[int, ...]:
+        return self.config.b
 
     @property
     def size(self) -> int:
@@ -216,25 +209,6 @@ def componentwise_residual(config: NetworkConfig, weights) -> float:
     return float(relative_imbalance(*balance_flows(src, dst, rate, weights), weights).max())
 
 
-def _assert_strongly_connected(n: int, rows, cols, rates) -> None:
-    graph = coo_matrix((rates, (rows, cols)), shape=(n, n))
-    ncomp, _ = connected_components(graph, directed=True, connection="strong")
-    if ncomp != 1:
-        raise ReducibilityError(
-            f"transition graph splits into {ncomp} strongly connected components; "
-            "the policy/config pair does not define an irreducible chain on K"
-        )
-
-
 def build_reduced_generator(config: NetworkConfig) -> ReducedGenerator:
-    """Build the reduced generator for ``config``.
-
-    A box whose level blocks exceed ``DENSE_BYTES_CAP`` raises
-    :class:`PreconditionError` before anything is allocated.
-    Irreducibility cannot fail for a valid config, but
-    :class:`ReducedGenerator` checks it rather than assuming it.
-    """
-    if (reason := method_inapplicable(config, "exact")) is not None:
-        raise PreconditionError(reason)
-    src, dst, rate, _ = _transition_arrays(config)
-    return ReducedGenerator(b=config.b, src=src, dst=dst, rate=rate)
+    """The reduced generator of ``config``: :class:`ReducedGenerator` built from the config."""
+    return ReducedGenerator(config)

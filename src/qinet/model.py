@@ -28,11 +28,19 @@ __all__ = [
     "method_inapplicable",
 ]
 
-# Memory the dense blocks of an exact solve may take: per level L of
-# m_L states, the same-level block and its LU factors (2 m_L^2 float64) and
-# the blocks to and from level L + 1 (2 m_L m_{L+1}), 16 (sum m_L^2 +
-# sum m_L m_{L+1}) bytes in all.  A dense n x n rate matrix has the same cap.
+# Memory a solve may take.  The dense blocks of an exact solve take, per
+# level L of m_L states, the same-level block and its LU factors
+# (2 m_L^2 float64) and the blocks to and from level L + 1 (2 m_L m_{L+1}),
+# 16 (sum m_L^2 + sum m_L m_{L+1}) bytes in all.  A dense n x n rate matrix
+# and the recursion's table have the same cap.
 DENSE_BYTES_CAP = 4 << 30
+# Bytes the exact solve's level loop holds per level besides the blocks
+# (block views, R_L, pi_L).  tracemalloc peak at (20000,2), 20,003 levels:
+# 30.4 MB, of which 5.8 MB are blocks, 1,234 bytes per level.
+LEVEL_LOOP_BYTES = 1_250
+# Bytes per state of the recursion's balance terms and table, Python
+# objects all.  tracemalloc peak: 964 per state at (20000,2), 1,034 at (300,300).
+RECURSIVE_BYTES_PER_STATE = 1_100
 
 
 def _finite(x, what: str) -> float:
@@ -188,17 +196,19 @@ def level_block_bytes(b) -> int:
 def method_inapplicable(config: NetworkConfig, method: str) -> str | None:
     """Why ``method`` cannot solve ``config``, or ``None`` when it can.
 
-    ``"exact"`` needs a box whose level blocks fit ``DENSE_BYTES_CAP``;
-    ``"closed"`` needs every ``b_j = 1``; ``"recursive"`` needs two
-    locations, both base stocks above one (in either order), and no
-    transfer channel (``beta`` absent or zero).
+    ``"exact"`` needs a box whose level blocks and level loop fit
+    ``DENSE_BYTES_CAP``; ``"closed"`` needs every ``b_j = 1``;
+    ``"recursive"`` needs two locations, both base stocks above one (in
+    either order), no transfer channel (``beta`` absent or zero) and a box
+    whose table fits ``DENSE_BYTES_CAP``.
     """
+    n = math.prod(bj + 1 for bj in config.b)
     if method == "exact":
-        n = math.prod(bj + 1 for bj in config.b)
-        need = level_block_bytes(config.b)
-        if need > DENSE_BYTES_CAP:
+        need, levels = level_block_bytes(config.b), sum(config.b) + 1
+        if need + LEVEL_LOOP_BYTES * levels > DENSE_BYTES_CAP:
             return (f"a dense exact solve of {n} states needs {need} bytes for its level blocks; "
-                    f"the cap is {DENSE_BYTES_CAP} bytes")
+                    f"the cap is {DENSE_BYTES_CAP} bytes, less {LEVEL_LOOP_BYTES * levels} "
+                    f"for the objects of its {levels} levels")
     elif method == "closed":
         if any(bj != 1 for bj in config.b):
             return "closed form requires every base-stock level to equal one; use exact"
@@ -211,4 +221,7 @@ def method_inapplicable(config: NetworkConfig, method: str) -> str | None:
             return "all base stocks equal one; use the closed form"
         if min(config.b) == 1:
             return "recursive elimination requires both base stocks above one; use exact"
+        if RECURSIVE_BYTES_PER_STATE * n > DENSE_BYTES_CAP:
+            return (f"recursive elimination of {n} states needs {RECURSIVE_BYTES_PER_STATE * n} "
+                    f"bytes; the cap is {DENSE_BYTES_CAP} bytes")
     return None

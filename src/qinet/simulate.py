@@ -168,8 +168,8 @@ def simulate(
     """Simulate ``total_events`` jumps and return time-weighted occupancies.
 
     The first ``BURN_IN`` fraction of events is discarded.  Starts from
-    empty queues with full inventories.  Refuses non-ergodic
-    configurations and a negative ``seed``.
+    empty queues with full inventories.  Refuses a non-ergodic
+    configuration, naming each unstable location, and a negative ``seed``.
     """
     if total_events < 1:
         raise PreconditionError("total_events must be >= 1")
@@ -179,8 +179,9 @@ def simulate(
         raise PreconditionError(f"seed must be >= 0, got {seed}")
     report = analysis.ergodicity_check(config)
     if not report.ergodic:
-        bad = [d.location for d in report.per_location if not d.ergodic]
-        raise ErgodicityError(f"simulation refused: locations {bad} are unstable")
+        bad = "; ".join(f"location {d.location} UNSTABLE, lambda={d.lam:g} vs tail rate "
+                        f"{d.tail_rate:g}" for d in report.per_location if not d.ergodic)
+        raise ErgodicityError(f"simulation refused: configuration is not ergodic: {bad}")
 
     caps, moves = _transition_tables(config, require_stock_for_service)
     n_states = math.prod(bj + 1 for bj in config.b)

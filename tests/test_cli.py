@@ -1,11 +1,20 @@
+import contextlib
 import csv
+import io
 import json
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qinet import build_reduced_generator, enumerate_inventory_states, solve_theta_exact
-from qinet.cli import load_config, main, read_theta_json
+from qinet import (build_reduced_generator, enumerate_inventory_states, method_inapplicable,
+                   solve_theta_exact)
+from qinet.cli import load_config, main
 from qinet.errors import ConfigError, SolverError
 
 
@@ -178,6 +187,25 @@ class TestSolve:
         assert main(["solve", path, "--method", "recursive"]) == 1
         assert "exact" in capsys.readouterr().err
 
+    def test_recursive_refused_above_the_cap(self, tmp_path, capsys, monkeypatch):
+        # The recursion holds about 1 KB of Python objects per state: a
+        # huge box is refused in one line before its transition arrays are
+        # written, as auto refuses it.
+        def unreachable(config):
+            raise AssertionError("transition arrays built for a refused box")
+
+        monkeypatch.setattr("qinet.recursive._transition_arrays", unreachable)
+        path = write_config(tmp_path, b=[2**63, 2])
+        assert main(["solve", path, "--method", "recursive"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: recursive elimination of 27670116110564327427 states needs "
+                       "30437127721620760169700 bytes; the cap is 4294967296 bytes\n")
+        assert main(["solve", path]) == 1
+        assert capsys.readouterr().err.startswith("error: a dense exact solve of ")
+        for b, admitted in (([300, 300], True), ([3000, 3000], False)):
+            config = load_config(write_config(tmp_path, b=b))
+            assert (method_inapplicable(config, "recursive") is None) == admitted
+
     def test_closed_rejected_for_big_stocks(self, tmp_path, capsys):
         path = write_config(tmp_path, b=[2, 1])
         assert main(["solve", path, "--method", "closed"]) == 1
@@ -195,76 +223,10 @@ class TestSolve:
         expected = solve_theta_exact(build_reduced_generator(cfg))
         doc = json.loads(out.read_text())
         assert doc["theta"]["states"] == enumerate_inventory_states(cfg.b).tolist()
-        reread = read_theta_json(str(out))
-        assert np.array_equal(reread.grid, expected.grid)
-        assert reread.provenance == "exact"
+        reread = np.reshape(doc["theta"]["weights"], expected.grid.shape)
+        assert reread.tobytes() == expected.grid.tobytes()
+        assert doc["theta"]["provenance"] == "exact"
         assert doc["theta"]["normalized"] is True
-
-    @pytest.mark.parametrize("flag", [False, None, 1, "true"])
-    def test_json_not_normalized_rejected(self, tmp_path, flag):
-        path = write_config(tmp_path, b=[2, 2])
-        out = tmp_path / "report.json"
-        assert main(["solve", path, "--json", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        doc["theta"]["normalized"] = flag
-        out.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match="normalized"):
-            read_theta_json(str(out))
-
-    def test_json_weights_not_summing_to_one_rejected(self, tmp_path):
-        path = write_config(tmp_path, b=[2, 2])
-        out = tmp_path / "report.json"
-        assert main(["solve", path, "--json", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        doc["theta"]["weights"] = [2 * w for w in doc["theta"]["weights"]]
-        out.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match="sum to one"):
-            read_theta_json(str(out))
-
-    MALFORMED = {
-        "no_states": "KeyError.*states",
-        "unknown_provenance": "unknown provenance 'guesswork'",
-        "string_weights": "ValueError.*could not convert string to float",
-        "list_root": "TypeError.*list indices",
-        "invalid_json": "JSONDecodeError",
-    }
-
-    @pytest.mark.parametrize(
-        "damage",
-        ["shuffled", "short", [1000, 1000, 1000, 0], [2.0, 3, 0], ["2", 3, 0], 7, *MALFORMED,
-         [0, 11, 0]],
-    )
-    def test_json_non_canonical_states_rejected(self, tmp_path, damage):
-        # Weights are placed by position, so rows out of canonical order
-        # (even with their weights moved along) or missing rows must not load.
-        # The box is read off the last row; an oversized, non-integer or
-        # empty (b_1 = 0, with a matching row count) one must be refused
-        # before any enumeration of that box.  A malformed file is a
-        # ConfigError too, never a bare KeyError, ValueError or TypeError.
-        path = write_config(tmp_path, b=[2, 3])
-        out = tmp_path / "report.json"
-        assert main(["solve", path, "--json", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        pairs = list(zip(doc["theta"]["states"], doc["theta"]["weights"]))
-        if damage == "shuffled":
-            pairs = pairs[::2] + pairs[1::2]
-        elif damage == "short":
-            pairs = pairs[:-1]
-        elif not isinstance(damage, str):
-            pairs[-1] = (damage, pairs[-1][1])
-        doc["theta"]["states"] = [s for s, _ in pairs]
-        doc["theta"]["weights"] = [w for _, w in pairs]
-        if damage == "no_states":
-            del doc["theta"]["states"]
-        elif damage == "unknown_provenance":
-            doc["theta"]["provenance"] = "guesswork"
-        elif damage == "string_weights":
-            doc["theta"]["weights"] = "heavy"
-        text = json.dumps([doc] if damage == "list_root" else doc)
-        out.write_text(text[:-1] if damage == "invalid_json" else text)
-        match = self.MALFORMED.get(damage, "canonical") if isinstance(damage, str) else "canonical"
-        with pytest.raises(ConfigError, match=match):
-            read_theta_json(str(out))
 
     @pytest.mark.parametrize("flag", ["--json", "--csv"])
     def test_unwritable_output_path(self, tmp_path, capsys, flag):
@@ -499,6 +461,17 @@ class TestSimulate:
         assert "not ergodic" in err
         assert "UNSTABLE" in err
 
+    def test_non_ergodic_refused_in_one_line_before_solving(self, tmp_path, capsys, monkeypatch):
+        import qinet.cli as cli
+
+        monkeypatch.setattr(cli, "solve_theta_exact", no_work)
+        path = write_config(tmp_path, **{"lambda": [2.0, 3.0]})
+        assert main(["simulate", path]) == 1
+        assert capsys.readouterr().err == (
+            "error: simulation refused: configuration is not ergodic: "
+            "location 1 UNSTABLE, lambda=2 vs tail rate 2; location 2 UNSTABLE, lambda=3 vs tail rate 2\n"
+        )
+
     def test_zero_replications_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["simulate", path, "--events", "1000", "--replications", "0"]) == 1
@@ -545,3 +518,76 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_solve_with", boom)
     path = write_config(tmp_path)
     assert main(["solve", path]) == 3
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # The generator is built from the config alone; no command needs a
+    # sparse graph, so importing the CLI must not load scipy.sparse.
+    code = "import sys, qinet.cli; print('scipy.sparse' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == "False\n"
+
+
+# Near-schema config documents: each field mostly valid, else of a wrong
+# type, missing, or at an edge (0, negative, NaN, 1e308, bool); base stocks
+# tiny or far above every size cap, so each command answers in milliseconds.
+_ODD = st.sampled_from([0, -1, -0.5, float("nan"), float("inf"), 1e308, True, False, None, "2", [], {}])
+
+
+def _mostly(good, odd=_ODD):
+    """``good`` nine draws in ten, else ``odd``."""
+    return st.integers(0, 9).flatmap(lambda i: odd if i == 9 else good)
+
+
+_RATE = _mostly(st.sampled_from([0.5, 1.0, 1.3, 3.0]))
+_STOCK = _mostly(st.one_of(st.integers(1, 3), st.integers(1, 3), st.sampled_from([2**31, 2**40, 2**63])))
+_MU = _mostly(
+    st.fixed_dictionaries({"head": st.lists(_RATE, max_size=2), "tail": _RATE}),
+    st.one_of(_ODD, st.fixed_dictionaries({"head": st.lists(_RATE, max_size=1)}),
+              st.fixed_dictionaries({"head": st.just([]), "tail": _RATE, "c": _RATE})),
+)
+_COMMANDS = st.one_of(
+    st.sampled_from([["solve"], ["solve", "--method", "recursive"], ["solve", "--method", "closed"]]),
+    st.tuples(st.sampled_from([1, 300, 2000, 0, -1]), st.sampled_from([0, 7])).map(
+        lambda a: ["verify", "--events", str(a[0]), "--seed", str(a[1])]),
+    st.tuples(st.sampled_from([1, 300, 2000, 0]), st.sampled_from([1, 2]), st.sampled_from([1, 8, 0])).map(
+        lambda a: ["simulate", "--events", str(a[0]), "--replications", str(a[1]), "--n-obs", str(a[2])]),
+)
+
+
+@st.composite
+def _near_schema(draw):
+    J = draw(_mostly(st.sampled_from([2, 3]), st.sampled_from([1, 0, -1, True, 2.0, "2", None])))
+    n = J if type(J) is int and 0 <= J <= 3 else 2
+    size = _mostly(st.just(n), st.sampled_from([n + 1, max(n - 1, 0)]))
+    doc = {
+        "J": J,
+        "lambda": draw(_mostly(size.flatmap(lambda k: st.lists(_RATE, min_size=k, max_size=k)))),
+        "mu": draw(_mostly(size.flatmap(lambda k: st.lists(_MU, min_size=k, max_size=k)))),
+        "b": draw(_mostly(size.flatmap(lambda k: st.lists(_STOCK, min_size=k, max_size=k)))),
+        "nu": draw(_RATE),
+    }
+    if draw(st.integers(0, 3)) == 3:
+        doc["beta"] = draw(_RATE)
+    key = draw(_mostly(st.none(), st.sampled_from(["J", "lambda", "mu", "b", "nu", "gamma"])))
+    if key == "gamma":
+        doc[key] = 1.0
+    elif key is not None:
+        del doc[key]
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(doc=_near_schema(), command=_COMMANDS)
+def test_cli_fuzz_fails_with_one_error_line(tmp_path_factory, doc, command):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command[0], str(path), *command[1:]])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code in (1, 3):
+        last = err.getvalue().splitlines()[-1]
+        assert re.match(r"(error: |numerical failure: |qinet( \w+)?: error: )", last), last

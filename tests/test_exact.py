@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import draw_rates, make_config, mp_stationary
 from qinet import (
-    ReducedGenerator,
-    ReducibilityError,
     SolverError,
     ThetaMeasure,
     build_reduced_generator,
@@ -99,15 +97,6 @@ def test_cut_balance_on_random_partitions(rng):
         outward = flow[np.ix_(mask, ~mask)].sum()
         inward = flow[np.ix_(~mask, mask)].sum()
         assert outward == pytest.approx(inward, abs=1e-13)
-
-
-def test_reducible_generator_rejected():
-    # Two closed 2-state classes, (0,0) <-> (0,1) and (1,0) <-> (1,1): a
-    # valid rate list, but no ReducedGenerator is built from it, so no
-    # solver ever sees one.
-    with pytest.raises(ReducibilityError, match="2 strongly connected components"):
-        ReducedGenerator(b=(1, 1), src=np.array([0, 1, 2, 3]), dst=np.array([1, 0, 3, 2]),
-                         rate=np.array([1.0, 1.0, 2.0, 2.0]))
 
 
 def test_graded_box_matches_oracle():

@@ -1,22 +1,24 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from conftest import draw_rates, make_config, routing_probs
 from qinet import (
-    ConfigError,
     NetworkConfig,
     PreconditionError,
-    ReducedGenerator,
-    ReducibilityError,
     ServiceRateProfile,
     build_reduced_generator,
     enumerate_inventory_states,
     method_inapplicable,
     solve_theta_exact,
 )
-from qinet.generator import _assert_strongly_connected, _transition_arrays
+from qinet.generator import _transition_arrays
 from qinet.model import level_block_bytes
 from qinet.simulate import _transition_tables
 
@@ -210,51 +212,30 @@ def test_kernel_routing_matches_scalar_reference(b, rng):
     assert got == expected
 
 
-def test_reducibility_detection():
-    with pytest.raises(ReducibilityError):
-        _assert_strongly_connected(
-            4,
-            np.array([0, 1, 2, 3]),
-            np.array([1, 0, 3, 2]),
-            np.array([1.0, 1.0, 1.0, 1.0]),
-        )
-
-
-def _damaged(kind):
-    """The b=(1,1) transition arrays with one guard's condition broken."""
-    src, dst, rate, _ = _transition_arrays(make_config((1.0, 1.0), (1, 1), 1.0))
-    rate = rate.copy()
-    if kind == "index":
-        dst = np.where(dst == 3, 4, dst)
-    elif kind == "non_finite":
-        rate[0] = np.nan
-    elif kind == "negative_off_diagonal":
-        rate[1] = -2.0
-    elif kind == "level_step":
-        src, dst, rate = np.append(src, 0), np.append(dst, 3), np.append(rate, 1.0)
-    else:  # (0,0) <-> (0,1) and (1,0) <-> (1,1): two closed classes
-        src, dst, rate = np.array([0, 1, 2, 3]), np.array([1, 0, 3, 2]), np.ones(4)
-    return src, dst, rate
-
-
-@pytest.mark.parametrize(
-    "kind, error, message",
-    [
-        ("index", ConfigError, r"transition indices must lie in 0\.\.3"),
-        ("non_finite", ConfigError, "rates must be finite"),
-        ("negative_off_diagonal", ConfigError, "off-diagonal rates must be non-negative"),
-        ("level_step", ConfigError, "change the total on-hand stock by at most one"),
-        ("reducible", ReducibilityError,
-         "transition graph splits into 2 strongly connected components"),
-    ],
-    ids=["index", "non_finite", "negative_off_diagonal", "level_step", "reducible"],
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    b=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+    log_rates=st.lists(st.floats(-6, 6), min_size=5, max_size=5),
+    transfer=st.booleans(),
 )
-def test_generator_guards(kind, error, message):
-    # Every ReducedGenerator is an irreducible generator whose moves change
-    # the level by at most one; each guard fires with its own class and text.
-    src, dst, rate = _damaged(kind)
-    with pytest.raises(error, match=message):
-        ReducedGenerator(b=(1, 1), src=src, dst=dst, rate=rate)
+def test_transition_arrays_define_an_irreducible_level_chain(b, log_rates, transfer):
+    # What ReducedGenerator takes for granted of every config: moves inside
+    # the box at positive finite rates, each changing the level by at most
+    # one, over one strongly connected component.  The transfer channel
+    # needs two homogeneous locations.
+    lam = [10.0 ** x for x in log_rates[:len(b)]]
+    beta = None
+    if transfer:
+        b, lam, beta = [b[0]] * 2, [lam[0]] * 2, 10.0 ** log_rates[-2]
+    cfg = make_config(lam, b, 10.0 ** log_rates[-1], beta=beta)
+    src, dst, rate, _ = _transition_arrays(cfg)
+    n = math.prod(bj + 1 for bj in b)
+    assert 0 <= min(src.min(), dst.min()) and max(src.max(), dst.max()) < n
+    assert np.isfinite(rate).all() and (rate > 0).all()
+    level = enumerate_inventory_states(b)[:, :-1].sum(axis=1)
+    assert np.abs(level[dst] - level[src]).max() <= 1
+    graph = coo_matrix((rate, (src, dst)), shape=(n, n))
+    assert connected_components(graph, directed=True, connection="strong")[0] == 1
 
 
 def test_level_blocks_hold_every_rate(rng):
