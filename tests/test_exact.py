@@ -99,6 +99,19 @@ def test_cut_balance_on_random_partitions(rng):
         assert outward == pytest.approx(inward, abs=1e-13)
 
 
+def test_reducible_generator_rejected(monkeypatch):
+    # Two closed 2-state classes, (0,0) <-> (0,1) and (1,0) <-> (1,1).  No
+    # config routes like this, but a generator that did would be refused by
+    # the solver rather than answered with one of its many measures.
+    from qinet import generator
+
+    monkeypatch.setattr(generator, "_transition_arrays", lambda config: (
+        np.array([0, 1, 2, 3]), np.array([1, 0, 3, 2]), np.array([1.0, 1.0, 2.0, 2.0]), None))
+    gen = build_reduced_generator(make_config((1.0, 1.0), (1, 1), 1.0))
+    with pytest.raises(SolverError, match="censored block of level 1 is singular"):
+        solve_theta_exact(gen)
+
+
 def test_graded_box_matches_oracle():
     # Strongly graded rates: the smallest weight is 6e-15.  Dense LU lost
     # six digits here (relative error 8.6e-7); level elimination keeps

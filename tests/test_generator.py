@@ -212,6 +212,31 @@ def test_kernel_routing_matches_scalar_reference(b, rng):
     assert got == expected
 
 
+def _strong_components(n, src, dst, rate):
+    graph = coo_matrix((rate, (src, dst)), shape=(n, n))
+    return connected_components(graph, directed=True, connection="strong")[0]
+
+
+def _broken_invariant(b, src, dst, rate):
+    """The first invariant of a reduced generator's transition arrays that
+    ``src``, ``dst`` and ``rate`` break, or None: moves inside the box at
+    positive finite rates, each changing the level by at most one, over one
+    strongly connected component."""
+    n = math.prod(bj + 1 for bj in b)
+    if not (0 <= min(src.min(), dst.min()) and max(src.max(), dst.max()) < n):
+        return "index"
+    if not np.isfinite(rate).all():
+        return "non_finite"
+    if not (rate > 0).all():
+        return "negative_off_diagonal"
+    level = enumerate_inventory_states(b)[:, :-1].sum(axis=1)
+    if np.abs(level[dst] - level[src]).max() > 1:
+        return "level_step"
+    if _strong_components(n, src, dst, rate) != 1:
+        return "reducible"
+    return None
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     b=st.lists(st.integers(1, 4), min_size=2, max_size=4),
@@ -219,23 +244,51 @@ def test_kernel_routing_matches_scalar_reference(b, rng):
     transfer=st.booleans(),
 )
 def test_transition_arrays_define_an_irreducible_level_chain(b, log_rates, transfer):
-    # What ReducedGenerator takes for granted of every config: moves inside
-    # the box at positive finite rates, each changing the level by at most
-    # one, over one strongly connected component.  The transfer channel
-    # needs two homogeneous locations.
+    # What ReducedGenerator takes for granted of every config holds.  The
+    # transfer channel needs two homogeneous locations.
     lam = [10.0 ** x for x in log_rates[:len(b)]]
     beta = None
     if transfer:
         b, lam, beta = [b[0]] * 2, [lam[0]] * 2, 10.0 ** log_rates[-2]
     cfg = make_config(lam, b, 10.0 ** log_rates[-1], beta=beta)
     src, dst, rate, _ = _transition_arrays(cfg)
-    n = math.prod(bj + 1 for bj in b)
-    assert 0 <= min(src.min(), dst.min()) and max(src.max(), dst.max()) < n
-    assert np.isfinite(rate).all() and (rate > 0).all()
-    level = enumerate_inventory_states(b)[:, :-1].sum(axis=1)
-    assert np.abs(level[dst] - level[src]).max() <= 1
-    graph = coo_matrix((rate, (src, dst)), shape=(n, n))
-    assert connected_components(graph, directed=True, connection="strong")[0] == 1
+    assert _broken_invariant(b, src, dst, rate) is None
+
+
+def test_reducibility_detection():
+    # Two closed classes, (0,0) <-> (0,1) and (1,0) <-> (1,1), against the
+    # b=(1,1) arrays, which form one class.
+    two_classes = np.array([0, 1, 2, 3]), np.array([1, 0, 3, 2]), np.ones(4)
+    assert _strong_components(4, *two_classes) == 2
+    src, dst, rate, _ = _transition_arrays(make_config((1.0, 1.0), (1, 1), 1.0))
+    assert _strong_components(4, src, dst, rate) == 1
+
+
+def _damaged(kind):
+    """The b=(1,1) transition arrays with one invariant broken."""
+    src, dst, rate, _ = _transition_arrays(make_config((1.0, 1.0), (1, 1), 1.0))
+    rate = rate.copy()
+    if kind == "index":
+        dst = np.where(dst == 3, 4, dst)
+    elif kind == "non_finite":
+        rate[0] = np.nan
+    elif kind == "negative_off_diagonal":
+        rate[1] = -2.0
+    elif kind == "level_step":
+        src, dst, rate = np.append(src, 0), np.append(dst, 3), np.append(rate, 1.0)
+    else:  # (0,0) <-> (0,1) and (1,0) <-> (1,1): two closed classes
+        src, dst, rate = np.array([0, 1, 2, 3]), np.array([1, 0, 3, 2]), np.ones(4)
+    return src, dst, rate
+
+
+@pytest.mark.parametrize(
+    "kind", ["index", "non_finite", "negative_off_diagonal", "level_step", "reducible"])
+def test_generator_guards(kind):
+    # The property test above sees each kind of damage to real arrays, and
+    # names it rather than an earlier invariant.
+    src, dst, rate, _ = _transition_arrays(make_config((1.0, 1.0), (1, 1), 1.0))
+    assert _broken_invariant((1, 1), src, dst, rate) is None
+    assert _broken_invariant((1, 1), *_damaged(kind)) == kind
 
 
 def test_level_blocks_hold_every_rate(rng):
