@@ -24,7 +24,7 @@ from . import analysis
 from .closed_form import theta_unit_base_stock
 from .errors import ConfigError, ErgodicityError, PreconditionError, QinetError, SolverError
 from .exact import COMPONENTWISE_RTOL, ThetaMeasure, solve_theta_exact
-from .generator import balance_residual, build_reduced_generator, componentwise_residual
+from .generator import balance_residual, balance_residuals, build_reduced_generator
 from .model import NetworkConfig, ServiceRateProfile, enumerate_inventory_states, method_inapplicable
 from .recursive import solve_theta_recursive
 from .simulate import SimulationResult, decoupling_test, merge_results, simulate
@@ -130,6 +130,7 @@ def _solve_report(config: NetworkConfig, method: str, note: str) -> tuple[dict, 
         else:
             xi_params.append({"location": diag.location, "unstable": True})
     marginals = [list(analysis.inventory_marginal(theta, j)) for j in range(1, config.J + 1)]
+    residual, componentwise = balance_residuals(config, theta.weights)
     return {
         "method": method,
         "note": note,
@@ -140,8 +141,8 @@ def _solve_report(config: NetworkConfig, method: str, note: str) -> tuple[dict, 
             for d in ergo.per_location
         ],
         "theta": _theta_block(theta),
-        "residual": balance_residual(config, theta.weights),
-        "componentwise_residual": componentwise_residual(config, theta.weights),
+        "residual": residual,
+        "componentwise_residual": componentwise,
         "inventory_marginals": marginals,
         "xi": xi_params,
     }, theta
@@ -154,12 +155,12 @@ def _theta_block(theta: ThetaMeasure) -> dict:
 
 
 def _print_theta(theta: ThetaMeasure) -> None:
+    """The measure table: one row per canonical state, written by one ``%`` format per row."""
     J = len(theta.b)
-    header = "  ".join(f"k{j}" for j in range(1, J + 1)) + "  k_sup  weight"
-    print(header)
-    for k, w in zip(enumerate_inventory_states(theta.b).tolist(), theta.weights):
-        coords = "  ".join(f"{x:>2d}" for x in k[:-1])
-        print(f"{coords}  {k[-1]:>5d}  {w:.12g}")
+    print("  ".join(f"k{j}" for j in range(1, J + 1)) + "  k_sup  weight")
+    row = "  ".join(["%2d"] * J) + "  %5d  %.12g"
+    columns = enumerate_inventory_states(theta.b).T.tolist() + [theta.weights.tolist()]
+    print("\n".join(map(row.__mod__, zip(*columns))))
 
 
 def _create(path: str, mode: str = "w", **kwargs):
@@ -180,9 +181,9 @@ def _check_writable(*paths) -> None:
 
 
 def _write_json(path: str, doc: dict) -> None:
+    """``doc`` as one line of compact JSON; ``json.dumps`` runs the C encoder, ``indent`` would not."""
     with _create(path) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def _write_solve_csv(path: str, report: dict) -> None:
@@ -273,9 +274,9 @@ def _verify_checks(config: NetworkConfig, events: int, seed: int) -> tuple[list[
                        "tolerance": tol, "passed": passed})
 
     theta_exact = _solve_with(config, "exact")
-    add("exact_balance_residual", balance_residual(config, theta_exact.weights), TOL_EXACT_RESIDUAL)
-    add("exact_componentwise_residual", componentwise_residual(config, theta_exact.weights),
-        TOL_EXACT_COMPONENTWISE)
+    residual, componentwise = balance_residuals(config, theta_exact.weights)
+    add("exact_balance_residual", residual, TOL_EXACT_RESIDUAL)
+    add("exact_componentwise_residual", componentwise, TOL_EXACT_COMPONENTWISE)
 
     def cross_check(route: str, tolerances: dict):
         """The ``route`` measure, or None after failing each of its checks."""

@@ -33,7 +33,7 @@ from .errors import PreconditionError
 from .model import (DENSE_BYTES_CAP, InventoryState, NetworkConfig, _on_hand_rows,
                     enumerate_inventory_states, method_inapplicable)
 
-__all__ = ["ReducedGenerator", "balance_residual", "build_reduced_generator",
+__all__ = ["ReducedGenerator", "balance_residual", "balance_residuals", "build_reduced_generator",
            "componentwise_residual"]
 
 
@@ -185,15 +185,26 @@ def relative_imbalance(outflow, net, weights) -> np.ndarray:
     return np.where(np.isnan(imbalance), np.inf, imbalance)
 
 
+def balance_residuals(config: NetworkConfig, weights) -> tuple[float, float]:
+    """:func:`balance_residual` and :func:`componentwise_residual` of ``weights``, in that order.
+
+    One pass over the transition arrays serves both; ``Q`` is applied
+    straight from them, and no dense matrix is formed.
+    """
+    src, dst, rate, _ = _transition_arrays(config)
+    weights = np.asarray(weights, dtype=float)
+    outflow, net = balance_flows(src, dst, rate, weights)
+    return (float(np.abs(net).max() / max(outflow.max(), 1.0)),
+            float(relative_imbalance(outflow, net, weights).max()))
+
+
 def balance_residual(config: NetworkConfig, weights) -> float:
     """Largest ``|weights @ Q|`` entry relative to the largest total outflow rate of ``Q``.
 
     ``Q`` is the reduced generator, applied straight from the transition
     arrays; no dense matrix is formed.
     """
-    src, dst, rate, _ = _transition_arrays(config)
-    outflow, net = balance_flows(src, dst, rate, weights)
-    return float(np.abs(net).max() / max(outflow.max(), 1.0))
+    return balance_residuals(config, weights)[0]
 
 
 def componentwise_residual(config: NetworkConfig, weights) -> float:
@@ -204,9 +215,7 @@ def componentwise_residual(config: NetworkConfig, weights) -> float:
     :func:`balance_residual`, and unlike it, it sees an error in the small
     weights.  A zero weight reads ``inf``.
     """
-    src, dst, rate, _ = _transition_arrays(config)
-    weights = np.asarray(weights, dtype=float)
-    return float(relative_imbalance(*balance_flows(src, dst, rate, weights), weights).max())
+    return balance_residuals(config, weights)[1]
 
 
 def build_reduced_generator(config: NetworkConfig) -> ReducedGenerator:

@@ -31,8 +31,9 @@ __all__ = [
 # Memory a solve may take.  The dense blocks of an exact solve take, per
 # level L of m_L states, the same-level block and its LU factors
 # (2 m_L^2 float64) and the blocks to and from level L + 1 (2 m_L m_{L+1}),
-# 16 (sum m_L^2 + sum m_L m_{L+1}) bytes in all.  A dense n x n rate matrix
-# and the recursion's table have the same cap.
+# 16 (sum m_L^2 + sum m_L m_{L+1}) bytes in all.  A dense n x n rate matrix,
+# the recursion's table, the closed form's arrays and a simulation's first
+# rate table have the same cap.
 DENSE_BYTES_CAP = 4 << 30
 # Bytes the exact solve's level loop holds per level besides the blocks
 # (block views, R_L, pi_L).  tracemalloc peak at (20000,2), 20,003 levels:
@@ -41,6 +42,13 @@ LEVEL_LOOP_BYTES = 1_250
 # Bytes per state of the recursion's balance terms and table, Python
 # objects all.  tracemalloc peak: 964 per state at (20000,2), 1,034 at (300,300).
 RECURSIVE_BYTES_PER_STATE = 1_100
+# Bytes per state and location of the closed form's arrays (np.indices alone
+# takes 8).  tracemalloc peak: 14.1 at J=8, 10.9 at J=12, 9.7 at J=20.
+CLOSED_BYTES_PER_STATE_LOCATION = 16
+# Bytes per state and location of a simulation's first rate table, its move
+# tuples mostly.  tracemalloc peak of a one-event run: 795 at (300,300), 755
+# at (20000,2), 690 at (30,30,30), 552 at (2,)*8.
+SIMULATE_BYTES_PER_STATE_LOCATION = 850
 
 
 def _finite(x, what: str) -> float:
@@ -197,10 +205,11 @@ def method_inapplicable(config: NetworkConfig, method: str) -> str | None:
     """Why ``method`` cannot solve ``config``, or ``None`` when it can.
 
     ``"exact"`` needs a box whose level blocks and level loop fit
-    ``DENSE_BYTES_CAP``; ``"closed"`` needs every ``b_j = 1``;
-    ``"recursive"`` needs two locations, both base stocks above one (in
-    either order), no transfer channel (``beta`` absent or zero) and a box
-    whose table fits ``DENSE_BYTES_CAP``.
+    ``DENSE_BYTES_CAP``; ``"closed"`` needs every ``b_j = 1`` and arrays
+    that fit it; ``"recursive"`` needs two locations, both base stocks
+    above one (in either order), no transfer channel (``beta`` absent or
+    zero) and a box whose table fits it.  ``"simulate"`` (not a solve
+    method) needs a first rate table that fits it.
     """
     n = math.prod(bj + 1 for bj in config.b)
     if method == "exact":
@@ -212,6 +221,8 @@ def method_inapplicable(config: NetworkConfig, method: str) -> str | None:
     elif method == "closed":
         if any(bj != 1 for bj in config.b):
             return "closed form requires every base-stock level to equal one; use exact"
+        if (need := CLOSED_BYTES_PER_STATE_LOCATION * n * config.J) > DENSE_BYTES_CAP:
+            return f"the closed form of {n} states needs {need} bytes; the cap is {DENSE_BYTES_CAP} bytes"
     elif method == "recursive":
         if config.J != 2:
             return "recursive elimination handles exactly two locations; use exact"
@@ -224,4 +235,8 @@ def method_inapplicable(config: NetworkConfig, method: str) -> str | None:
         if RECURSIVE_BYTES_PER_STATE * n > DENSE_BYTES_CAP:
             return (f"recursive elimination of {n} states needs {RECURSIVE_BYTES_PER_STATE * n} "
                     f"bytes; the cap is {DENSE_BYTES_CAP} bytes")
+    elif method == "simulate":
+        if (need := SIMULATE_BYTES_PER_STATE_LOCATION * n * config.J) > DENSE_BYTES_CAP:
+            return (f"a simulation of {n} inventory states needs {need} bytes for its first rate "
+                    f"table; the cap is {DENSE_BYTES_CAP} bytes")
     return None

@@ -37,7 +37,7 @@ from .errors import ErgodicityError, PreconditionError
 from .exact import ThetaMeasure
 from .generator import _transition_arrays
 # enumerate_inventory_states is unused here; perfbench/spans.py traces this binding.
-from .model import NetworkConfig, enumerate_inventory_states  # noqa: F401
+from .model import NetworkConfig, enumerate_inventory_states, method_inapplicable  # noqa: F401
 
 __all__ = ["SimulationResult", "simulate", "decoupling_test", "merge_results"]
 
@@ -168,8 +168,10 @@ def simulate(
     """Simulate ``total_events`` jumps and return time-weighted occupancies.
 
     The first ``BURN_IN`` fraction of events is discarded.  Starts from
-    empty queues with full inventories.  Refuses a non-ergodic
-    configuration, naming each unstable location, and a negative ``seed``.
+    empty queues with full inventories.  Refuses a negative ``seed``, a box
+    whose first rate table would pass ``DENSE_BYTES_CAP`` (before anything
+    is allocated) and a non-ergodic configuration, naming each unstable
+    location.
     """
     if total_events < 1:
         raise PreconditionError("total_events must be >= 1")
@@ -177,6 +179,8 @@ def simulate(
         raise PreconditionError("n_obs must be >= 0")
     if seed < 0:
         raise PreconditionError(f"seed must be >= 0, got {seed}")
+    if (reason := method_inapplicable(config, "simulate")) is not None:
+        raise PreconditionError(reason)
     report = analysis.ergodicity_check(config)
     if not report.ergodic:
         bad = "; ".join(f"location {d.location} UNSTABLE, lambda={d.lam:g} vs tail rate "

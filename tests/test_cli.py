@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -155,11 +156,18 @@ class TestSolve:
 
     def test_north_star_box(self, tmp_path, capsys):
         # 14,641 states: the level blocks take 36 MiB where one dense
-        # matrix took 1.7 GB.
+        # matrix took 1.7 GB.  The table and the --json report carry the
+        # solver's weights unchanged.
         path = write_config(tmp_path, **{"lambda": [1.3, 0.8]}, b=[120, 120], nu=1.2,
                             mu=[{"head": [], "tail": 6.0}] * 2)
-        assert main(["solve", path]) == 0
-        assert "method: exact" in capsys.readouterr().out
+        report = tmp_path / "report.json"
+        assert main(["solve", path, "--json", str(report)]) == 0
+        out = capsys.readouterr().out
+        assert "method: exact" in out
+        expected = solve_theta_exact(build_reduced_generator(load_config(path))).weights
+        assert np.array(json.loads(report.read_text())["theta"]["weights"]).tobytes() == expected.tobytes()
+        table = out.split("k1  k2  k_sup  weight\n")[1].split("\n\n")[0]
+        assert len(table.splitlines()) == 14641
         assert main(["simulate", path, "--events", "20000"]) == 0
         assert "merged (1 run(s))" in capsys.readouterr().out
 
@@ -206,6 +214,19 @@ class TestSolve:
             config = load_config(write_config(tmp_path, b=b))
             assert (method_inapplicable(config, "recursive") is None) == admitted
 
+    @pytest.mark.parametrize("method, message", [
+        ("auto", "a dense exact solve of 1099511627776 states needs "),
+        ("closed", "the closed form of 1099511627776 states needs 703687441776640 bytes; "),
+    ], ids=["auto", "closed"])
+    def test_unit_box_above_every_cap(self, tmp_path, capsys, method, message):
+        # J=40 unit base stocks: the closed form refuses its 2^40 states,
+        # so auto falls to exact, which refuses them too.
+        path = write_config(tmp_path, J=40, **{"lambda": [1.0] * 40}, b=[1] * 40,
+                            mu=[{"head": [], "tail": 2.0}] * 40)
+        assert main(["solve", path, "--method", method]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
     def test_closed_rejected_for_big_stocks(self, tmp_path, capsys):
         path = write_config(tmp_path, b=[2, 1])
         assert main(["solve", path, "--method", "closed"]) == 1
@@ -227,6 +248,28 @@ class TestSolve:
         assert reread.tobytes() == expected.grid.tobytes()
         assert doc["theta"]["provenance"] == "exact"
         assert doc["theta"]["normalized"] is True
+
+    # sha256 of `qinet solve` stdout, recorded before the table and the
+    # --json report were rewritten for speed; the residual lines make them
+    # specific to this build's floating-point arithmetic.
+    @pytest.mark.parametrize("method, overrides, digest", [
+        ("exact", {"b": [3, 2], "lambda": [1.3, 0.8]},
+         "01f6391a2c819c8689caea7c5823793ca973acf5d283d3abab2892bacfe28b0a"),
+        ("closed", {"J": 3, "b": [1, 1, 1], "lambda": [1.0, 1.5, 0.7], "mu": [{"head": [], "tail": 3.0}] * 3,
+                    "nu": 1.2},
+         "348d89ddd89f4681b0cf80e657cfb3880bd50815648180205a14eb116db39559"),
+        ("recursive", {"b": [5, 4], "lambda": [1.3, 0.8]},
+         "f0d792e015b1ced83afbfdba637112c5051ef4dfd3945d929fc3f489501a47a4"),
+        ("exact", {"J": 3, "b": [4, 1, 2], "lambda": [0.05, 1.0, 20.0], "mu": [{"head": [], "tail": 40.0}] * 3,
+                   "nu": 100.0},
+         "29f83256d0d83fab50e7fef691bd270067dfdca9ed99ca8c5af820032e87695a"),
+    ], ids=["exact_3_2", "closed_1_1_1", "recursive_5_4", "graded_4_1_2"])
+    def test_stdout_pinned(self, tmp_path, capsys, method, overrides, digest):
+        assert main(["solve", write_config(tmp_path, **overrides), "--method", method]) == 0
+        out = capsys.readouterr().out
+        if overrides["b"] == [4, 1, 2]:
+            assert "  1.79923280847e-15\n" in out  # weights in exponent form
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("flag", ["--json", "--csv"])
     def test_unwritable_output_path(self, tmp_path, capsys, flag):
@@ -509,6 +552,39 @@ class TestSimulate:
         assert abs(sum(doc["theta"]["weights"]) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("argv", [["solve", "--method", "exact"], ["verify", "--events", "20000"],
+                                  ["simulate", "--events", "20000", "--replications", "2"]],
+                         ids=["solve", "verify", "simulate"])
+def test_json_report_is_one_line(tmp_path, monkeypatch, argv):
+    # --json is compact: one line, ending in a newline, that parses to the
+    # document the command built; floats keep their shortest repr.
+    import qinet.cli as cli
+
+    built = []
+    write = cli._write_json
+    monkeypatch.setattr(cli, "_write_json", lambda path, doc: (built.append(doc), write(path, doc)))
+    path = write_config(tmp_path, b=[3, 2], **{"lambda": [1.3, 0.8]})
+    out = tmp_path / "report.json"
+    assert main([argv[0], path, *argv[1:], "--json", str(out)]) in (0, 2)
+    text = out.read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert json.loads(text) == built[0]
+    if argv[0] == "solve":
+        expected = solve_theta_exact(build_reduced_generator(load_config(path))).weights
+        assert np.array(json.loads(text)["theta"]["weights"]).tobytes() == expected.tobytes()
+
+
+def test_exact_report_writes_the_transition_arrays_twice(tmp_path, monkeypatch):
+    # One build for the generator, one for both residuals of the report.
+    import qinet.generator as generator
+
+    calls = []
+    arrays = generator._transition_arrays
+    monkeypatch.setattr(generator, "_transition_arrays", lambda config: (calls.append(1), arrays(config))[1])
+    assert main(["solve", write_config(tmp_path, b=[3, 2]), "--method", "exact"]) == 0
+    assert len(calls) == 2
+
+
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     import qinet.cli as cli
 
@@ -532,6 +608,8 @@ def test_import_leaves_scipy_sparse_unloaded():
 # Near-schema config documents: each field mostly valid, else of a wrong
 # type, missing, or at an edge (0, negative, NaN, 1e308, bool); base stocks
 # tiny or far above every size cap, so each command answers in milliseconds.
+# Wide networks (J from 4 to 40) have unit base stocks, so a wide box is
+# either small or far above every cap, and rate lists valid entry by entry.
 _ODD = st.sampled_from([0, -1, -0.5, float("nan"), float("inf"), 1e308, True, False, None, "2", [], {}])
 
 
@@ -540,8 +618,10 @@ def _mostly(good, odd=_ODD):
     return st.integers(0, 9).flatmap(lambda i: odd if i == 9 else good)
 
 
-_RATE = _mostly(st.sampled_from([0.5, 1.0, 1.3, 3.0]))
+_GOOD_RATE = st.sampled_from([0.5, 1.0, 1.3, 3.0])
+_RATE = _mostly(_GOOD_RATE)
 _STOCK = _mostly(st.one_of(st.integers(1, 3), st.integers(1, 3), st.sampled_from([2**31, 2**40, 2**63])))
+_GOOD_MU = st.fixed_dictionaries({"head": st.lists(_GOOD_RATE, max_size=2), "tail": _GOOD_RATE})
 _MU = _mostly(
     st.fixed_dictionaries({"head": st.lists(_RATE, max_size=2), "tail": _RATE}),
     st.one_of(_ODD, st.fixed_dictionaries({"head": st.lists(_RATE, max_size=1)}),
@@ -556,16 +636,20 @@ _COMMANDS = st.one_of(
 )
 
 
+_WIDE_J = st.sampled_from([4, 5, 28, 33, 40])
+
+
 @st.composite
 def _near_schema(draw):
-    J = draw(_mostly(st.sampled_from([2, 3]), st.sampled_from([1, 0, -1, True, 2.0, "2", None])))
-    n = J if type(J) is int and 0 <= J <= 3 else 2
+    J = draw(_mostly(st.sampled_from([2, 3]) | _WIDE_J, st.sampled_from([1, 0, -1, True, 2.0, "2", None])))
+    n = J if type(J) is int and J >= 0 else 2
     size = _mostly(st.just(n), st.sampled_from([n + 1, max(n - 1, 0)]))
+    rate, mu, stock = (_RATE, _MU, _STOCK) if n <= 3 else (_GOOD_RATE, _GOOD_MU, st.just(1))
     doc = {
         "J": J,
-        "lambda": draw(_mostly(size.flatmap(lambda k: st.lists(_RATE, min_size=k, max_size=k)))),
-        "mu": draw(_mostly(size.flatmap(lambda k: st.lists(_MU, min_size=k, max_size=k)))),
-        "b": draw(_mostly(size.flatmap(lambda k: st.lists(_STOCK, min_size=k, max_size=k)))),
+        "lambda": draw(_mostly(size.flatmap(lambda k: st.lists(rate, min_size=k, max_size=k)))),
+        "mu": draw(_mostly(size.flatmap(lambda k: st.lists(mu, min_size=k, max_size=k)))),
+        "b": draw(_mostly(size.flatmap(lambda k: st.lists(stock, min_size=k, max_size=k)))),
         "nu": draw(_RATE),
     }
     if draw(st.integers(0, 3)) == 3:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from qinet import (
     PreconditionError,
     build_reduced_generator,
     enumerate_inventory_states,
+    method_inapplicable,
     solve_theta_exact,
     theta_unit_base_stock,
     total_variation,
@@ -96,3 +98,26 @@ def test_weights_pinned():
     assert digest.hexdigest() == (
         "a0ebc6a570f076c393e1aa6c8cc729918d82663e130ab934d26aadd1c0365c1c"
     )
+
+
+def test_closed_form_size_cap(monkeypatch):
+    # J=40 unit base stocks: 2^40 states, whose np.indices grid alone would
+    # take 320 TiB.  The closed form refuses the box before allocating it.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("closed-form arrays built for a refused box")
+
+    monkeypatch.setattr(np, "indices", unreachable)
+    huge = make_config((1.0,) * 40, (1,) * 40, 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="the closed form of 1099511627776 states needs "
+                                                    "703687441776640 bytes; the cap is 4294967296 bytes"):
+            theta_unit_base_stock(huge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # 16 bytes per state and location: J=23 (8.4 M states) is admitted, J=24 is not.
+    for J, admitted in ((23, True), (24, False)):
+        reason = method_inapplicable(make_config((1.0,) * J, (1,) * J, 1.0), "closed")
+        assert (reason is None) == admitted

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from qinet import (
     decoupling_test,
     enumerate_inventory_states,
     merge_results,
+    method_inapplicable,
     queue_marginal,
     simulate,
     solve_theta_exact,
@@ -279,6 +281,29 @@ def test_non_ergodic_refused():
     cfg = make_config((3, 1), (1, 1), 1.0, mu_rate=2.0)
     with pytest.raises(ErgodicityError):
         simulate(cfg, total_events=1000, seed=1)
+
+
+def test_simulation_size_cap(monkeypatch):
+    # (3000,3000) has 9,006,001 inventory states: its first rate table
+    # would take about 15 GB.  It is refused before any table is built or
+    # anything sizeable is allocated.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("rate tables built for a refused box")
+
+    monkeypatch.setattr(sys.modules["qinet.simulate"], "_transition_tables", unreachable)
+    huge = make_config((1.0, 1.1), (3000, 3000), 2.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="a simulation of 9006001 inventory states needs "
+                                                    "15310201700 bytes for its first rate table; "
+                                                    "the cap is 4294967296 bytes"):
+            simulate(huge, total_events=10, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # 850 bytes per state and location: (300,300) is admitted.
+    assert method_inapplicable(make_config((1.0, 1.1), (300, 300), 2.5), "simulate") is None
 
 
 def test_parameter_validation():
