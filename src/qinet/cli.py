@@ -208,6 +208,10 @@ def cmd_solve(args) -> int:
     config = load_config(args.config)
     _check_writable(args.json, args.csv)
     method, note = _pick_method(config, args.method)
+    # The method's own refusal first, then the report's, before any solve.
+    for need in (method, "report"):
+        if (reason := method_inapplicable(config, need)) is not None:
+            raise PreconditionError(reason)
     report, theta = _solve_report(config, method, note)
 
     print(f"method: {method}" + (f" ({note})" if note else ""))

@@ -4,6 +4,10 @@
 It censors the reduced generator level by level (total on-hand stock),
 which involves no subtraction of like-signed terms, and accepts its answer
 only when every state's own balance equation holds.
+
+The one LAPACK routine it calls, ``dgesv``, is scipy's f2py binding, loaded
+from scipy's extension module file so that no ``scipy`` module is imported
+(see :func:`_load_flapack`).
 """
 from __future__ import annotations
 
@@ -11,13 +15,13 @@ import contextlib
 import ctypes
 import functools
 import glob
+import importlib.machinery
+import importlib.util
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
-from scipy.linalg.lapack import dgesv
 
 from .errors import SolverError
 from .generator import ReducedGenerator, balance_flows, relative_imbalance
@@ -76,6 +80,30 @@ class ThetaMeasure:
         return self.grid.reshape(-1)
 
 
+def _package_dir(name: str) -> str:
+    """The directory of the installed package ``name``, found without importing it."""
+    return importlib.util.find_spec(name).submodule_search_locations[0]
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK module ``scipy/linalg/_flapack``, loaded from its file.
+
+    ``from scipy.linalg.lapack import dgesv`` would bind the same routine,
+    but it runs ``scipy.linalg``'s ``__init__``: 85 scipy modules and about
+    0.25 s of every process's start.  There is no fallback: if scipy moves
+    the module, importing qinet fails here.
+    """
+    linalg = os.path.join(_package_dir("scipy"), "linalg")
+    if (spec := importlib.machinery.PathFinder.find_spec("_flapack", [linalg])) is None:
+        raise ImportError(f"scipy's LAPACK module _flapack is not in {linalg}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+dgesv = _load_flapack().dgesv
+
+
 def _thread_controls(pattern: str, suffix: str):
     """The thread-count getter and setter of the OpenBLAS matching ``pattern``, or None."""
     try:
@@ -94,13 +122,14 @@ def _openblas_threads() -> tuple:
     """Thread controls of numpy's and of scipy's bundled OpenBLAS, each one that loads.
 
     numpy multiplies the blocks and scipy's LAPACK factors them; each wheel
-    links its own library, with its own thread count.
+    links its own library, with its own thread count, in the ``numpy.libs``
+    or ``scipy.libs`` directory next to the package.  Both packages are
+    located with :func:`_package_dir`, so no scipy module is imported.
     """
     found = []
-    for package, name, suffix in ((np, "libscipy_openblas64_*.so", "64_"),
-                                  (scipy, "libscipy_openblas-*.so", "")):
-        libs = os.path.join(os.path.dirname(package.__file__), os.pardir,
-                            f"{package.__name__}.libs", name)
+    for package, name, suffix in (("numpy", "libscipy_openblas64_*.so", "64_"),
+                                  ("scipy", "libscipy_openblas-*.so", "")):
+        libs = os.path.join(_package_dir(package), os.pardir, f"{package}.libs", name)
         if (threads := _thread_controls(libs, suffix)) is not None:
             found.append(threads)
     return tuple(found)

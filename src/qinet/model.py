@@ -49,6 +49,12 @@ CLOSED_BYTES_PER_STATE_LOCATION = 16
 # tuples mostly.  tracemalloc peak of a one-event run: 795 at (300,300), 755
 # at (20000,2), 690 at (30,30,30), 552 at (2,)*8.
 SIMULATE_BYTES_PER_STATE_LOCATION = 850
+# Bytes per state and location of ``qinet solve``'s report once the measure
+# is solved: the residual pair's transition arrays, the printed table, the
+# ``--json`` state lists and string.  tracemalloc peak with ``--json``: 304
+# at (2000,2), 181 at (300,300), 156 at (6,)*4, 126 at (30,30,30), 103 at
+# (2,)*8, 102 at (1,)*17.
+REPORT_BYTES_PER_STATE_LOCATION = 320
 
 
 def _finite(x, what: str) -> float:
@@ -208,8 +214,9 @@ def method_inapplicable(config: NetworkConfig, method: str) -> str | None:
     ``DENSE_BYTES_CAP``; ``"closed"`` needs every ``b_j = 1`` and arrays
     that fit it; ``"recursive"`` needs two locations, both base stocks
     above one (in either order), no transfer channel (``beta`` absent or
-    zero) and a box whose table fits it.  ``"simulate"`` (not a solve
-    method) needs a first rate table that fits it.
+    zero) and a box whose table fits it.  ``"simulate"`` and ``"report"``
+    (not solve methods) need a simulation's first rate table and a
+    ``qinet solve`` report that fit it.
     """
     n = math.prod(bj + 1 for bj in config.b)
     if method == "exact":
@@ -239,4 +246,8 @@ def method_inapplicable(config: NetworkConfig, method: str) -> str | None:
         if (need := SIMULATE_BYTES_PER_STATE_LOCATION * n * config.J) > DENSE_BYTES_CAP:
             return (f"a simulation of {n} inventory states needs {need} bytes for its first rate "
                     f"table; the cap is {DENSE_BYTES_CAP} bytes")
+    elif method == "report":
+        if (need := REPORT_BYTES_PER_STATE_LOCATION * n * config.J) > DENSE_BYTES_CAP:
+            return (f"the solve report of {n} states needs {need} bytes; "
+                    f"the cap is {DENSE_BYTES_CAP} bytes")
     return None

@@ -227,6 +227,33 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("method", ["auto", "closed"])
+    def test_report_refused_above_the_cap(self, tmp_path, capsys, monkeypatch, method):
+        # (1,)*22: the closed form's arrays fit the cap, but the report of its
+        # 4,194,304 states would take about 7 GB.  It is refused in one line
+        # before any solver runs; (1,)*12 still solves.
+        def unreachable(*args):
+            raise AssertionError("solver reached for a refused report")
+
+        with monkeypatch.context() as stubs:
+            for name in ("theta_unit_base_stock", "solve_theta_recursive", "solve_theta_exact",
+                         "build_reduced_generator"):
+                stubs.setattr(f"qinet.cli.{name}", unreachable)
+            path = write_config(tmp_path, J=22, **{"lambda": [1.0] * 22}, b=[1] * 22,
+                                mu=[{"head": [], "tail": 2.0}] * 22, nu=22.0)
+            assert method_inapplicable(load_config(path), "closed") is None
+            assert main(["solve", path, "--method", method]) == 1
+            assert capsys.readouterr().err == ("error: the solve report of 4194304 states needs "
+                                               "29527900160 bytes; the cap is 4294967296 bytes\n")
+        path = write_config(tmp_path, J=12, **{"lambda": [1.0] * 12}, b=[1] * 12,
+                            mu=[{"head": [], "tail": 2.0}] * 12, nu=12.0)
+        assert main(["solve", path, "--method", method]) == 0
+        assert "error" not in capsys.readouterr().err
+        for J, admitted in ((19, True), (20, False)):
+            config = load_config(write_config(tmp_path, J=J, **{"lambda": [1.0] * J}, b=[1] * J,
+                                              mu=[{"head": [], "tail": 2.0}] * J, nu=float(J)))
+            assert (method_inapplicable(config, "report") is None) == admitted
+
     def test_closed_rejected_for_big_stocks(self, tmp_path, capsys):
         path = write_config(tmp_path, b=[2, 1])
         assert main(["solve", path, "--method", "closed"]) == 1
@@ -603,6 +630,15 @@ def test_import_leaves_scipy_sparse_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert done.stdout == "False\n"
+
+
+def test_import_loads_no_scipy_module():
+    # The level solver binds scipy's LAPACK dgesv from its extension file;
+    # importing the CLI must leave no module of the scipy package loaded.
+    code = "import sys, qinet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == "[]\n"
 
 
 # Near-schema config documents: each field mostly valid, else of a wrong

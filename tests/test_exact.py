@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -174,11 +177,19 @@ def test_blas_thread_count_restored(monkeypatch):
     # numpy and scipy each bundle an OpenBLAS with its own thread count; the
     # level loop pins both to one thread, and restores them on success and
     # on failure.
+    # Only a build without the wheels' bundled libraries may skip: where
+    # both library directories exist, both controls must load, or the pin
+    # on one library would be lost without a failure.
+    import scipy
+
     from qinet import exact
 
+    libs = [os.path.join(os.path.dirname(package.__file__), os.pardir, f"{package.__name__}.libs")
+            for package in (np, scipy)]
+    if not all(os.path.isdir(d) for d in libs):
+        pytest.skip("numpy or scipy was not installed from a wheel bundling OpenBLAS")
     threads = exact._openblas_threads()
-    if len(threads) != 2:
-        pytest.skip("the bundled OpenBLAS libraries are not loadable here")
+    assert len(threads) == 2
     original = [get() for get, _ in threads]
     seen = []
     real_dgesv = exact.dgesv
@@ -206,6 +217,46 @@ def test_blas_thread_count_restored(monkeypatch):
     finally:
         for (_, set_), count in zip(threads, original):
             set_(count)
+
+
+# Compares exact.dgesv with scipy.linalg.lapack.dgesv bit for bit on blocks
+# of size 1, 3 and 81 and on a singular block; the two imports come in the
+# order given by {first} and {second}.
+_SAME_KERNEL = """
+import numpy as np
+{first}
+{second}
+from qinet import exact
+from scipy.linalg.lapack import dgesv
+
+assert exact.dgesv is not dgesv
+rng = np.random.default_rng(5)
+blocks = [rng.random((m, m)) + np.eye(m) for m in (1, 3, 81)] + [np.array([[1.0, 2.0], [2.0, 4.0]])]
+infos = []
+for a in blocks:
+    rhs = rng.random((a.shape[0], 4))
+    for kwargs in ({{}}, {{"overwrite_a": True}}):
+        ours = exact.dgesv(a.T.copy(order="F"), rhs, **kwargs)
+        theirs = dgesv(a.T.copy(order="F"), rhs, **kwargs)
+        for x, y in zip(ours[:3], theirs[:3]):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert ours[3] == theirs[3]
+    infos.append(int(ours[3]))
+print(infos)
+"""
+
+
+@pytest.mark.parametrize("scipy_linalg_first", [True, False], ids=["scipy_first", "qinet_first"])
+def test_dgesv_same_bits_as_scipy_linalg(scipy_linalg_first):
+    # exact.dgesv is loaded from scipy's _flapack file without importing
+    # scipy.linalg; it must be the same kernel whichever import runs first.
+    imports = ["import scipy.linalg", "import qinet.exact"]
+    first, second = imports if scipy_linalg_first else imports[::-1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", _SAME_KERNEL.format(first=first, second=second)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0, 0, 2]\n"
 
 
 def test_theta_measure_validation():
