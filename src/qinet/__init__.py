@@ -34,8 +34,7 @@ from .errors import (
     SolverError,
 )
 from .exact import ThetaMeasure, solve_theta_exact
-from .generator import (ReducedGenerator, balance_residual, build_reduced_generator,
-                        componentwise_residual)
+from .generator import ReducedGenerator, build_reduced_generator
 from .model import (
     NetworkConfig,
     ServiceRateProfile,
@@ -64,12 +63,10 @@ __all__ = [
     "SimulationResult",
     "SolverError",
     "ThetaMeasure",
-    "balance_residual",
     "build_reduced_generator",
     "check_cut_heterogeneous",
     "check_cut_homogeneous",
     "check_symmetry",
-    "componentwise_residual",
     "decoupling_test",
     "enumerate_inventory_states",
     "ergodicity_check",

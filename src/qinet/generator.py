@@ -16,10 +16,11 @@ one, or leaves it alone (a transfer), so the generator is
 block-tridiagonal by level.  :class:`ReducedGenerator` holds it that way:
 one dense block per level and neighbouring level, and no ``n x n`` array.
 
-``_transition_arrays`` writes these families down once, as COO arrays.
-The level blocks, the simulator's rate tables (which add the queues), the
-recursive solver's balance terms and the residuals are all derived from
-it.
+``_move_table`` writes these moves down once, as one row of fixed columns
+per state, rate 0 where a move is absent.  The simulator's rate tables
+(which add the queues) read its columns; ``_transition_arrays``, its
+non-zero entries as COO arrays, feeds the level blocks, the recursive
+solver's balance terms and the residuals.
 """
 from __future__ import annotations
 
@@ -33,8 +34,7 @@ from .errors import PreconditionError
 from .model import (DENSE_BYTES_CAP, InventoryState, NetworkConfig, _on_hand_rows,
                     enumerate_inventory_states, method_inapplicable)
 
-__all__ = ["ReducedGenerator", "balance_residual", "balance_residuals", "build_reduced_generator",
-           "componentwise_residual"]
+__all__ = ["ReducedGenerator", "balance_residuals", "build_reduced_generator"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,13 +124,14 @@ class ReducedGenerator:
         return Q
 
 
-def _transition_arrays(config: NetworkConfig):
-    """COO arrays ``(src, dst, rate, family)`` of every off-diagonal transition.
+def _move_table(config: NetworkConfig):
+    """Every state's rate on a fixed move list: ``(rates, steps)``.
 
-    States are canonical indices.  ``family`` is ``i`` for consumption at
-    location ``i`` (0-based), ``J + i`` for replenishment routed to ``i``
-    and ``2J`` for the transfer channel.  Edges are ordered by source
-    state, then by family; every rate is positive.
+    ``rates`` is ``(n, M)`` over canonical states.  Its columns are
+    consumption at each location, replenishment routed to each location
+    and, when the transfer channel is on, a transfer from location 1 to 2
+    and from 2 to 1.  A move absent from a state has rate 0.  Move ``m``
+    takes canonical index ``k`` to ``k + steps[m]``.
     """
     b = np.asarray(config.b)
     J = config.J
@@ -140,33 +141,32 @@ def _transition_arrays(config: NetworkConfig):
         strides[j] = strides[j + 1] * (b[j + 1] + 1)
 
     deficits = b[None, :] - levels
-    top = deficits.max(axis=1)
-    winners = deficits == top[:, None]
+    winners = deficits == deficits.max(axis=1)[:, None]
     probs = winners / winners.sum(axis=1, keepdims=True)
-
-    src, dst, rate, family = [], [], [], []
-
-    def add(mask, step, rates, fam):
-        rows = np.flatnonzero(mask)
-        src.append(rows)
-        dst.append(rows + step)
-        rate.append(np.broadcast_to(rates, rows.shape))
-        family.append(np.full(rows.size, fam))
-
-    for i in range(J):
-        add(levels[:, i] > 0, -strides[i], config.lam[i], i)
-    for i in range(J):
-        active = (deficits[:, i] > 0) & (probs[:, i] > 0)
-        add(active, strides[i], config.nu * probs[active, i], J + i)
+    columns = [np.where(levels > 0, np.asarray(config.lam), 0.0),
+               np.where(deficits > 0, config.nu * probs, 0.0)]
+    steps = [-strides, strides]
     if config.has_transfer:
         # Two homogeneous locations only (enforced by NetworkConfig): the
         # channel drains the richer location while the gap is >= 2.
-        for i, j in ((0, 1), (1, 0)):
-            gap = levels[:, i] - levels[:, j] >= 2
-            add(gap, strides[j] - strides[i], config.transfer_beta, 2 * J)
+        gap = levels[:, 0] - levels[:, 1]
+        columns.append(np.where(np.stack([gap >= 2, gap <= -2], axis=1), config.transfer_beta, 0.0))
+        steps.append(np.array([1, -1]) * (strides[1] - strides[0]))
+    return np.hstack(columns), np.concatenate(steps)
 
-    order = np.argsort(np.concatenate(src), kind="stable")
-    return tuple(np.concatenate(a)[order] for a in (src, dst, rate, family))
+
+def _transition_arrays(config: NetworkConfig):
+    """COO arrays ``(src, dst, rate, family)`` of every off-diagonal transition.
+
+    The non-zero entries of :func:`_move_table`, row by row.  States are
+    canonical indices.  ``family`` is ``i`` for consumption at location
+    ``i`` (0-based), ``J + i`` for replenishment routed to ``i`` and ``2J``
+    for the transfer channel.  Edges are ordered by source state, then by
+    family; every rate is positive.
+    """
+    rates, steps = _move_table(config)
+    src, move = np.nonzero(rates)
+    return src, src + steps[move], rates[src, move], np.minimum(move, 2 * config.J)
 
 
 def balance_flows(src, dst, rate, weights) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +186,16 @@ def relative_imbalance(outflow, net, weights) -> np.ndarray:
 
 
 def balance_residuals(config: NetworkConfig, weights) -> tuple[float, float]:
-    """:func:`balance_residual` and :func:`componentwise_residual` of ``weights``, in that order.
+    """The balance and componentwise residuals of ``weights`` under the reduced generator ``Q``.
+
+    * The balance residual is the largest ``|weights @ Q|`` entry relative
+      to the largest total outflow rate of ``Q`` (floored at 1).
+    * The componentwise residual is the largest relative imbalance
+      ``|(wQ)_i| / (w_i q_i)`` of one state's own balance equation, where
+      ``q_i`` is state ``i``'s total outflow rate.  Since ``w_i q_i`` never
+      exceeds the largest outflow rate, it is never below the balance
+      residual, and unlike it, it sees an error in the small weights.  A
+      zero weight reads ``inf``.
 
     One pass over the transition arrays serves both; ``Q`` is applied
     straight from them, and no dense matrix is formed.
@@ -196,26 +205,6 @@ def balance_residuals(config: NetworkConfig, weights) -> tuple[float, float]:
     outflow, net = balance_flows(src, dst, rate, weights)
     return (float(np.abs(net).max() / max(outflow.max(), 1.0)),
             float(relative_imbalance(outflow, net, weights).max()))
-
-
-def balance_residual(config: NetworkConfig, weights) -> float:
-    """Largest ``|weights @ Q|`` entry relative to the largest total outflow rate of ``Q``.
-
-    ``Q`` is the reduced generator, applied straight from the transition
-    arrays; no dense matrix is formed.
-    """
-    return balance_residuals(config, weights)[0]
-
-
-def componentwise_residual(config: NetworkConfig, weights) -> float:
-    """Largest relative imbalance ``|(wQ)_i| / (w_i q_i)`` of one state's own balance equation.
-
-    ``q_i`` is state ``i``'s total outflow rate.  Since ``w_i q_i`` never
-    exceeds the largest outflow rate, this is never below
-    :func:`balance_residual`, and unlike it, it sees an error in the small
-    weights.  A zero weight reads ``inf``.
-    """
-    return balance_residuals(config, weights)[1]
 
 
 def build_reduced_generator(config: NetworkConfig) -> ReducedGenerator:

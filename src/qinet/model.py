@@ -46,9 +46,11 @@ RECURSIVE_BYTES_PER_STATE = 1_100
 # takes 8).  tracemalloc peak: 14.1 at J=8, 10.9 at J=12, 9.7 at J=20.
 CLOSED_BYTES_PER_STATE_LOCATION = 16
 # Bytes per state and location of a simulation's first rate table, its move
-# tuples mostly.  tracemalloc peak of a one-event run: 795 at (300,300), 755
-# at (20000,2), 690 at (30,30,30), 552 at (2,)*8.
-SIMULATE_BYTES_PER_STATE_LOCATION = 850
+# tuples mostly.  tracemalloc peak of a one-event run in a fresh process, with
+# the transfer channel (beta=0.6): 1,063 at (100,100), 1,022 at (200,200),
+# 1,015 at (300,300); without it: 865 at homogeneous (100,100), 815 at
+# (300,300), 777 at (20000,2), 720 at (30,30,30), 589 at (2,)*8.
+SIMULATE_BYTES_PER_STATE_LOCATION = 1_100
 # Bytes per state and location of ``qinet solve``'s report once the measure
 # is solved: the residual pair's transition arrays, the printed table, the
 # ``--json`` state lists and string.  tracemalloc peak with ``--json``: 304

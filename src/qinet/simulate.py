@@ -10,10 +10,10 @@ exponentials are drawn in blocks of ``_BLOCK`` and reach the event loop
 as Python floats, ``_SLICE`` of each at a time: indexing a numpy array
 and computing on its scalars costs several times as much per event.
 
-The outgoing-rate tables come from the transition arrays of
+The outgoing-rate tables come from the move table of
 :mod:`qinet.generator`: an arrival at location i is admitted exactly where
-a consumption edge for i leaves the inventory state, and a service at i is
-that same edge at rate ``mu_i(n_i)``.  Rates only depend on the queue
+consumption at i leaves the inventory state, and a service at i is that
+same move at rate ``mu_i(n_i)``.  Rates only depend on the queue
 vector through, per location, "empty / one of the head levels / in the
 constant tail", so one table per queue signature, built with array
 operations on the signature's first visit, serves every inventory state.
@@ -35,7 +35,7 @@ import numpy as np
 from . import analysis
 from .errors import ErgodicityError, PreconditionError
 from .exact import ThetaMeasure
-from .generator import _transition_arrays
+from .generator import _move_table
 # enumerate_inventory_states is unused here; perfbench/spans.py traces this binding.
 from .model import NetworkConfig, enumerate_inventory_states, method_inapplicable  # noqa: F401
 
@@ -91,40 +91,25 @@ def _transition_tables(config: NetworkConfig, require_stock_for_service: bool):
     (draining the queue without consuming inventory); it exists purely as
     a negative control for the decoupling test.
 
-    Each state's moves sit in one row of fixed-width arrays: ``J`` arrival
-    slots, ``J`` service slots and the state's inventory edges, left
-    aligned.  Every present move has a positive rate and an absent one
-    rate 0, which leaves the running sums of the present ones unchanged
-    bit for bit.  The delta tuples are built once and shared by every
-    signature.
+    Each state's moves sit in one row of fixed columns: ``J`` arrivals,
+    ``J`` services and the columns of :func:`~qinet.generator._move_table`
+    after its consumption ones.  An absent move has rate 0: it is dropped,
+    and it leaves the running sums of the present ones unchanged bit for
+    bit.  The delta tuples are built once and shared by every signature.
     """
     J = config.J
     caps = [len(p.head) + 1 for p in config.mu]  # signature cap per location
-    src, dst, rate, family = _transition_arrays(config)
-    n_states = math.prod(bj + 1 for bj in config.b)
-    here = np.repeat(np.arange(n_states)[:, None], J, axis=1)
+    table, steps = _move_table(config)
+    here = np.arange(table.shape[0])[:, None]
 
-    # Consumption edge for location i: its target, or the state itself.
-    cons = family < J
-    stocked = np.zeros((n_states, J), dtype=bool)
-    stocked[src[cons], family[cons]] = True
-    consumed = here.copy()
-    consumed[src[cons], family[cons]] = dst[cons]
+    # An arrival at i is admitted, and a service at i consumes stock,
+    # exactly where consumption at i leaves the state.
+    arrivals, inv_rate = table[:, :J], table[:, J:]
+    stocked = arrivals > 0
     served = stocked if require_stock_for_service else np.ones_like(stocked)
-
-    # Inventory-only edges, left aligned in family order.
-    inv_src = src[~cons]
-    slot = np.arange(inv_src.size) - np.searchsorted(inv_src, inv_src)
-    width = int(slot.max()) + 1 if slot.size else 0
-    inv_rate = np.zeros((n_states, width))
-    inv_rate[inv_src, slot] = rate[~cons]
-    inv_dst = np.zeros((n_states, width), dtype=np.int64)
-    inv_dst[inv_src, slot] = dst[~cons]
-
-    arrivals = np.where(stocked, np.asarray(config.lam), 0.0)
-    loc = [*range(J), *range(J)] + [-1] * width
-    dn = [1] * J + [-1] * J + [0] * width
-    target = np.hstack([here, consumed, inv_dst])
+    loc = [*range(J), *range(J)] + [-1] * inv_rate.shape[1]
+    dn = [1] * J + [-1] * J + [0] * inv_rate.shape[1]
+    target = np.hstack([here.repeat(J, axis=1), np.where(stocked, here + steps[:J], here), here + steps[J:]])
     all_deltas = np.fromiter(
         ((l, d, k) for row in target.tolist() for l, d, k in zip(loc, dn, row)),
         dtype=object, count=target.size,

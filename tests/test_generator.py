@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -210,6 +211,35 @@ def test_kernel_routing_matches_scalar_reference(b, rng):
             if k[i] < b[i] and p > 0:
                 expected[(idx, i)] = cfg.nu * p
     assert got == expected
+
+
+@pytest.mark.parametrize(
+    "lam, b, nu, beta, digest",
+    [
+        ((1.0, 1.0), (1, 1), 1.0, None,
+         "b5dac4ce066fc4e77ff19b95eba6d0229f2a866e000c0f7321c8031832a76114"),
+        ((1.0, 1.3), (3, 7), 0.9, None,
+         "3d7bbe2aa3962fd981b85d4170ec3a827cc8a53373bf0310f61c4373c9569e3a"),
+        ((1.2, 1.2, 1.2), (3, 3, 3), 2.0, None,
+         "df9208b48d21ee6ac6b09542d40a41d63a126944400fc1e43708a23ade9909e7"),
+        ((1e-3, 1e-1, 1e1, 1e3), (2, 3, 2, 1), 5.0, None,
+         "3c083c3b5f114449d24503957d6d8eb7ab8f52f36fdfd7a3621e926b0d829362"),
+        ((1.1, 1.1), (4, 4), 0.8, 0.6,
+         "9dcc674d6e5f6c9745b73e24be0e473c3be1ab40e5653d39d337ac371621df09"),
+        ((0.7, 1.9), (20, 2), 1.7, None,
+         "203415bc4859e9d3620e0f0a78ce237ea257f2993babdf7a8c184498a1ae3b3d"),
+    ],
+    ids=["1x1", "3x7", "3x3x3", "graded_J4", "4x4_transfer", "20x2"],
+)
+def test_transition_arrays_pinned(lam, b, nu, beta, digest):
+    # sha256 of src, dst, rate and family, recorded from the per-family
+    # edge lists the move table replaced: a change to any edge, its rate
+    # or the order of the edges changes these bytes.
+    h = hashlib.sha256()
+    arrays = _transition_arrays(make_config(lam, b, nu, beta=beta))
+    for array, dtype in zip(arrays, (np.int64, np.int64, np.float64, np.int64)):
+        h.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+    assert h.hexdigest() == digest
 
 
 def _strong_components(n, src, dst, rate):

@@ -22,6 +22,7 @@ from qinet import (
     solve_theta_exact,
     total_variation,
 )
+from qinet.model import SIMULATE_BYTES_PER_STATE_LOCATION
 
 BASE = make_config((1, 1), (1, 1), 1.0, mu_rate=2.0)
 # The head-rate J=3 config of the simulate-replicas benchmark, at unit scale.
@@ -285,7 +286,7 @@ def test_non_ergodic_refused():
 
 def test_simulation_size_cap(monkeypatch):
     # (3000,3000) has 9,006,001 inventory states: its first rate table
-    # would take about 15 GB.  It is refused before any table is built or
+    # would take about 20 GB.  It is refused before any table is built or
     # anything sizeable is allocated.
     def unreachable(*args, **kwargs):
         raise AssertionError("rate tables built for a refused box")
@@ -295,15 +296,28 @@ def test_simulation_size_cap(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(PreconditionError, match="a simulation of 9006001 inventory states needs "
-                                                    "15310201700 bytes for its first rate table; "
+                                                    "19813202200 bytes for its first rate table; "
                                                     "the cap is 4294967296 bytes"):
             simulate(huge, total_events=10, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    # 850 bytes per state and location: (300,300) is admitted.
+    # 1,100 bytes per state and location: (300,300) is admitted.
     assert method_inapplicable(make_config((1.0, 1.1), (300, 300), 2.5), "simulate") is None
+
+
+def test_simulation_cap_covers_transfer_tables():
+    # The transfer channel adds two move columns to every state: the first
+    # rate table of a transfer box still fits the per-state estimate.
+    cfg = make_config((1.0, 1.0), (200, 200), 2.5, beta=0.6)
+    tracemalloc.start()
+    try:
+        simulate(cfg, total_events=1, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SIMULATE_BYTES_PER_STATE_LOCATION * 201 * 201 * 2
 
 
 def test_parameter_validation():
