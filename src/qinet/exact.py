@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .generator import ReducedGenerator, balance_flows, relative_imbalance
+from .generator import ReducedGenerator, net_inflow, relative_imbalance
 
 __all__ = ["ThetaMeasure", "solve_theta_exact"]
 
@@ -61,14 +61,17 @@ class ThetaMeasure:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         if g.ndim == 0 or min(g.shape) < 2:
             raise ValueError("grid needs one axis of length b_j + 1 >= 2 per location")
-        if not np.all(np.isfinite(g)):
+        # ufunc reductions: ndarray.min, .sum and np.all go through Python
+        # wrappers that cost more than the reduction on a small grid.
+        if not np.logical_and.reduce(np.isfinite(g), axis=None):
             raise SolverError("non-finite weights")
+        least = np.minimum.reduce(g, axis=None)
         if self.provenance == "empirical":
-            if g.min() < 0:
+            if least < 0:
                 raise SolverError("empirical weights must be non-negative")
-        elif g.min() <= 0:
+        elif least <= 0:
             raise SolverError("stationary weights must be strictly positive")
-        if abs(g.sum() - 1.0) > 1e-12:
+        if abs(np.add.reduce(g, axis=None) - 1.0) > 1e-12:
             raise SolverError("normalized measure must sum to one")
 
     @property
@@ -154,42 +157,48 @@ def _one_blas_thread():
             set_(count)
 
 
-def _censored_levels(gen: ReducedGenerator) -> tuple[list, np.ndarray]:
+def _censored_levels(gen: ReducedGenerator) -> tuple[list, list]:
     """Weights of every level, each scaled into range, and the natural log of each scale.
 
     Top-down, ``A_L = -same_L - R_{L+1} down_{L+1}`` is minus the generator
     of the chain censored to levels ``<= L``, restricted to level ``L``, and
     ``R_L = up_{L-1} A_L^{-1}``.  The diagonal of ``A_L`` is rebuilt as the
-    down-rate sum plus the negated off-diagonal entries
+    row sum of ``down_L`` plus the negated off-diagonal entries
     (Grassmann-Taksar-Heyman), a sum of non-negative terms.  ``R_L`` comes
     from the LU factors of ``A_L^T``, which is column diagonally dominant, so
-    partial pivoting leaves its rows in place.  Level 0 is the single empty
-    state: its weight is one, and ``pi_L = pi_{L-1} R_L`` gives the rest.
+    partial pivoting leaves its rows in place.  Level ``L``'s blocks are
+    written out when ``L`` is eliminated, ``down_L`` is kept for one more
+    step and ``dgesv`` writes ``R_L`` over ``up_{L-1}``, so besides the
+    ``R_L`` only one level's blocks are held.
+    Level 0 is the single empty state: its weight is one, and
+    ``pi_L = pi_{L-1} R_L`` gives the rest.
     """
-    levels = gen.levels
-    R = [None] * len(levels)
-    A = -levels[-1][0]
-    for L in range(len(levels) - 1, 0, -1):
-        if L < len(levels) - 1:
-            A = R[L + 1] @ levels[L + 1][2]
-            A += levels[L][0]
-            np.negative(A, out=A)
+    top = len(gen.sizes) - 1
+    R, down = [None] * (top + 1), None
+    for L in range(top, 0, -1):
+        # The top level is the full box alone: nothing above it feeds back.
+        A = np.zeros((1, 1)) if down is None else R[L + 1] @ down
+        del down  # down_{L+1} is read: drop it before level L's blocks are written
+        same, down, up = gen.level_blocks(L)
+        if same is not None:
+            A += same
+        np.negative(A, out=A)
         diagonal = A.reshape(-1)[:: A.shape[0] + 1]
         diagonal[:] = 0.0
-        np.subtract(levels[L][3], np.add.reduce(A, 1), out=diagonal)
-        _, _, RT, info = dgesv(A.T, levels[L - 1][1].T, overwrite_a=True)
+        np.subtract(np.add.reduce(down, 1), np.add.reduce(A, 1), out=diagonal)
+        _, _, RT, info = dgesv(A.T, up.T, overwrite_a=True, overwrite_b=True)
         if info != 0:
             raise SolverError(f"stationary solve failed: censored block of level {L} is singular")
         R[L] = RT.T
-    pi, log_scale = [np.ones(1)], np.zeros(len(levels))
+    pi, log_scale = [np.ones(1)], [0.0]
     low, high = SCALE_RANGE
-    for L in range(1, len(levels)):
+    for L in range(1, top + 1):
         x = pi[-1] @ R[L]
-        log_scale[L] = log_scale[L - 1]
+        log_scale.append(log_scale[-1])
         if not low <= float(x[0]) <= high:
             scale = x.max()
             x /= scale
-            log_scale[L] += math.log(scale)
+            log_scale[-1] += math.log(scale)
         pi.append(x)
     return pi, log_scale
 
@@ -206,14 +215,17 @@ def solve_theta_exact(gen: ReducedGenerator) -> ThetaMeasure:
     """
     with _one_blas_thread():
         pi, log_scale = _censored_levels(gen)
-    top = log_scale.max()
+    top = max(log_scale)
     theta = np.empty(gen.size)
-    theta[gen.order] = np.concatenate([x * math.exp(s - top) for x, s in zip(pi, log_scale)])
-    theta /= theta.sum()
+    # A level on the top scale is used as is: multiplying by exp(0) = 1 changes no bit.
+    theta[gen.order] = np.concatenate([x if s == top else x * math.exp(s - top)
+                                       for x, s in zip(pi, log_scale)])
+    theta /= np.add.reduce(theta)
 
-    imbalance = relative_imbalance(*balance_flows(gen.src, gen.dst, gen.rate, theta), theta)
-    unbalanced = not imbalance.max() <= COMPONENTWISE_RTOL
-    if unbalanced or theta.min() < TINY:
+    net = net_inflow(gen.src, gen.dst, gen.rate, gen.outflow, theta)
+    imbalance = relative_imbalance(gen.outflow, net, theta)
+    unbalanced = not np.maximum.reduce(imbalance) <= COMPONENTWISE_RTOL
+    if unbalanced or np.minimum.reduce(theta) < TINY:
         worst = int(imbalance.argmax() if unbalanced else theta.argmin())
         on_hand = tuple(int(k) for k in np.unravel_index(worst, [bj + 1 for bj in gen.b]))
         with np.errstate(divide="ignore"):  # a level holding a zero reads -inf

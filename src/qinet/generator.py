@@ -13,8 +13,9 @@ plus, when the two-location transfer channel is enabled, lateral moves
 
 Each move changes the total on-hand stock ``L = sum_j k_j`` ("level") by
 one, or leaves it alone (a transfer), so the generator is
-block-tridiagonal by level.  :class:`ReducedGenerator` holds it that way:
-one dense block per level and neighbouring level, and no ``n x n`` array.
+block-tridiagonal by level.  :class:`ReducedGenerator` keeps its edges
+grouped by level and writes one level's dense blocks on request; it stores
+no block, and no ``n x n`` array unless ``rates`` is read.
 
 ``_move_table`` writes these moves down once, as one row of fixed columns
 per state, rate 0 where a move is absent.  The simulator's rate tables
@@ -43,19 +44,20 @@ class ReducedGenerator:
 
     ``src``, ``dst`` and ``rate`` list every off-diagonal transition (COO,
     canonical state indices) as :func:`_transition_arrays` writes them; the
-    diagonal is implied.  Every such chain is irreducible (replenishment
-    fills any state up to ``b``, consumption then reaches every state
-    below it), and every move changes the level by at most one; a property
-    test checks both, so construction does not.  A box whose level blocks
-    and level loop exceed ``DENSE_BYTES_CAP`` raises
-    :class:`PreconditionError` before anything is allocated.  The rates are
-    laid out as level blocks:
+    diagonal is implied, and ``outflow`` holds each state's total outflow
+    rate.  Every such chain is irreducible (replenishment fills any state
+    up to ``b``, consumption then reaches every state below it), and every
+    move changes the level by at most one; a property test checks both, so
+    construction does not.  A box whose level blocks and level loop exceed
+    ``DENSE_BYTES_CAP`` raises :class:`PreconditionError` before anything
+    is allocated.  The rates are grouped by level:
 
     * ``order[p]`` is the canonical index of the state at level-ordered
       position ``p`` (levels ascending, canonical order inside a level);
-    * ``levels[L]`` is ``(same, up, down, down_sum)``: the rates from level
-      ``L`` to ``L``, ``L + 1`` and ``L - 1`` as dense blocks, and the
-      row sums of ``down``.
+    * ``sizes[L]`` is the number of states at level ``L``;
+    * :meth:`level_blocks` writes out, on request, the dense blocks between
+      level ``L`` and the level below.  Only the edges are kept: no block is
+      stored.
 
     ``rates`` is the dense matrix (diagonal = minus the row sums), built on
     first read and refused above ``DENSE_BYTES_CAP``.  ``states`` holds one
@@ -66,46 +68,62 @@ class ReducedGenerator:
     src: np.ndarray = field(init=False, repr=False)
     dst: np.ndarray = field(init=False, repr=False)
     rate: np.ndarray = field(init=False, repr=False)
+    outflow: np.ndarray = field(init=False, repr=False)
     order: np.ndarray = field(init=False, repr=False)
-    levels: tuple = field(init=False, repr=False)
+    sizes: tuple = field(init=False, repr=False)
+    _edges: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if (reason := method_inapplicable(self.config, "exact")) is not None:
             raise PreconditionError(reason)
-        src, dst, rate, _ = _transition_arrays(self.config)
-        for name, value in (("src", src), ("dst", dst), ("rate", rate)):
-            object.__setattr__(self, name, value)
-
-        # Block (kind, L) holds the rates from level L to level L + kind - 1.
+        src, dst, rate = _transition_arrays(self.config)[:3]
         n = self.size
         level = _on_hand_rows(self.b).sum(axis=1)
         m = np.bincount(level)
         order = np.argsort(level, kind="stable")
         pos = np.empty(n, dtype=np.int64)
         pos[order] = np.arange(n) - np.repeat(np.cumsum(m) - m, m)
-        cols = np.zeros((3, m.size), dtype=np.int64)
-        cols[0, 1:], cols[1], cols[2, :-1] = m[:-1], m, m[1:]
-        sizes = m * cols
-        offsets = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
-        kind, lsrc = level[dst] - level[src] + 1, level[src]
-        flat = offsets[kind, lsrc] + pos[src] * cols[kind, lsrc] + pos[dst]
-        buf = np.bincount(flat, weights=rate, minlength=int(sizes.sum()))
 
-        def block(k, L):
-            return buf[offsets[k, L]:offsets[k, L] + sizes[k, L]].reshape(m[L], cols[k, L])
+        # An edge belongs to the higher of its two levels L, whose elimination
+        # reads it: down_L (m_L x m_{L-1}), same_L (m_L x m_L) or up_{L-1}
+        # (m_{L-1} x m_L).  Each block keeps its edges' row-major positions
+        # and rates.  The edge-sized temporaries are dropped as soon as used.
+        lsrc, ldst = level[src], level[dst]
+        key = 3 * np.maximum(lsrc, ldst) + (ldst - lsrc + 1)  # 3 L + (0 down, 1 same, 2 up)
+        flat = pos[src] * m[ldst] + pos[dst]
+        del lsrc, ldst
+        by_key = np.argsort(key, kind="stable")
+        bounds = [0] + np.cumsum(np.bincount(key, minlength=3 * m.size)).tolist()
+        del key
+        flat, rate_by_key = flat[by_key], rate[by_key]
+        sizes = m.tolist()
+        edges = []
+        for L, (m_L, below) in enumerate(zip(sizes, [0] + sizes[:-1])):
+            down, same, up, end = bounds[3 * L:3 * L + 4]
+            edges.append((m_L, below, flat[down:same], rate_by_key[down:same], flat[up:end],
+                          rate_by_key[up:end], (flat[same:up], rate_by_key[same:up]) if up > same else None))
+        for name, value in (("src", src), ("dst", dst), ("rate", rate),
+                            ("outflow", np.bincount(src, weights=rate, minlength=n)),
+                            ("order", order), ("sizes", tuple(sizes)), ("_edges", tuple(edges))):
+            object.__setattr__(self, name, value)
 
-        levels = []
-        for L in range(m.size):
-            down = block(0, L)
-            levels.append((block(1, L), block(2, L), down, down.sum(axis=1)))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "levels", tuple(levels))
+    def level_blocks(self, L: int):
+        """Dense rates ``(same, down, up)`` between level ``L`` and level ``L - 1``.
+
+        ``same`` is from level ``L`` to itself (``None`` where level ``L``
+        has no same-level edge), ``down`` from ``L`` to ``L - 1`` and ``up``
+        from ``L - 1`` to ``L``; rows and columns are in level order (see
+        ``order``).  Each call writes new arrays.
+        """
+        m, below, down_flat, down_rate, up_flat, up_rate, same = self._edges[L]
+        return (None if same is None else _dense(m, m, *same),
+                _dense(m, below, down_flat, down_rate), _dense(below, m, up_flat, up_rate))
 
     @property
     def b(self) -> tuple[int, ...]:
         return self.config.b
 
-    @property
+    @functools.cached_property
     def size(self) -> int:
         return math.prod(bj + 1 for bj in self.b)
 
@@ -119,9 +137,16 @@ class ReducedGenerator:
         if 8 * n * n > DENSE_BYTES_CAP:
             raise PreconditionError(f"a dense rate matrix of {n} states needs {8 * n * n} bytes; "
                                     f"the cap is {DENSE_BYTES_CAP} bytes")
-        Q = np.bincount(self.src * n + self.dst, weights=self.rate, minlength=n * n).reshape(n, n)
-        np.fill_diagonal(Q, -Q.sum(axis=1))
-        return Q
+        Q = np.bincount(self.src * n + self.dst, weights=self.rate, minlength=n * n)
+        Q[:: n + 1] = -np.add.reduce(Q.reshape(n, n), 1)
+        return Q.reshape(n, n)
+
+
+def _dense(rows: int, cols: int, flat, rate) -> np.ndarray:
+    """A ``rows x cols`` block of zeros with ``rate`` at row-major positions ``flat``."""
+    block = np.zeros((rows, cols))
+    block.ravel()[flat] = rate
+    return block
 
 
 def _move_table(config: NetworkConfig):
@@ -169,13 +194,9 @@ def _transition_arrays(config: NetworkConfig):
     return src, src + steps[move], rates[src, move], np.minimum(move, 2 * config.J)
 
 
-def balance_flows(src, dst, rate, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Per state, its total outflow rate ``q_i`` and its net inflow ``(weights @ Q)_i``."""
-    weights = np.asarray(weights, dtype=float)
-    n = weights.size
-    outflow = np.bincount(src, weights=rate, minlength=n)
-    net = np.bincount(dst, weights=weights[src] * rate, minlength=n) - weights * outflow
-    return outflow, net
+def net_inflow(src, dst, rate, outflow, weights) -> np.ndarray:
+    """Per state, its net inflow ``(weights @ Q)_i``, where ``outflow`` holds its total outflow rate."""
+    return np.bincount(dst, weights=weights[src] * rate, minlength=weights.size) - weights * outflow
 
 
 def relative_imbalance(outflow, net, weights) -> np.ndarray:
@@ -202,7 +223,8 @@ def balance_residuals(config: NetworkConfig, weights) -> tuple[float, float]:
     """
     src, dst, rate, _ = _transition_arrays(config)
     weights = np.asarray(weights, dtype=float)
-    outflow, net = balance_flows(src, dst, rate, weights)
+    outflow = np.bincount(src, weights=rate, minlength=weights.size)
+    net = net_inflow(src, dst, rate, outflow, weights)
     return (float(np.abs(net).max() / max(outflow.max(), 1.0)),
             float(relative_imbalance(outflow, net, weights).max()))
 

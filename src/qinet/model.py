@@ -28,16 +28,17 @@ __all__ = [
     "method_inapplicable",
 ]
 
-# Memory a solve may take.  The dense blocks of an exact solve take, per
-# level L of m_L states, the same-level block and its LU factors
-# (2 m_L^2 float64) and the blocks to and from level L + 1 (2 m_L m_{L+1}),
-# 16 (sum m_L^2 + sum m_L m_{L+1}) bytes in all.  A dense n x n rate matrix,
-# the recursion's table, the closed form's arrays and a simulation's first
-# rate table have the same cap.
+# Memory a solve may take.  An exact solve is charged, per level L of m_L
+# states, a same-level block and its LU factors (2 m_L^2 float64) and the
+# blocks to and from level L + 1 (2 m_L m_{L+1}), 16 (sum m_L^2 + sum m_L
+# m_{L+1}) bytes in all (see ``level_block_bytes``).  A dense n x n rate
+# matrix, the recursion's table, the closed form's arrays and a simulation's
+# first rate table have the same cap.
 DENSE_BYTES_CAP = 4 << 30
-# Bytes the exact solve's level loop holds per level besides the blocks
-# (block views, R_L, pi_L).  tracemalloc peak at (20000,2), 20,003 levels:
-# 30.4 MB, of which 5.8 MB are blocks, 1,234 bytes per level.
+# Bytes per level of the exact solve's Python objects: each level's edge
+# views, R_L and pi_L.  tracemalloc peak of build and solve at (20000,2),
+# 20,003 levels and 60,003 states: 28.7 MiB, below the 29.3 MiB that
+# ``level_block_bytes`` plus this charge per level allow.
 LEVEL_LOOP_BYTES = 1_250
 # Bytes per state of the recursion's balance terms and table, Python
 # objects all.  tracemalloc peak: 964 per state at (20000,2), 1,034 at (300,300).
@@ -46,11 +47,12 @@ RECURSIVE_BYTES_PER_STATE = 1_100
 # takes 8).  tracemalloc peak: 14.1 at J=8, 10.9 at J=12, 9.7 at J=20.
 CLOSED_BYTES_PER_STATE_LOCATION = 16
 # Bytes per state and location of a simulation's first rate table, its move
-# tuples mostly.  tracemalloc peak of a one-event run in a fresh process, with
-# the transfer channel (beta=0.6): 1,063 at (100,100), 1,022 at (200,200),
-# 1,015 at (300,300); without it: 865 at homogeneous (100,100), 815 at
-# (300,300), 777 at (20000,2), 720 at (30,30,30), 589 at (2,)*8.
-SIMULATE_BYTES_PER_STATE_LOCATION = 1_100
+# tuples mostly (a move no signature makes holds a shared None).  tracemalloc
+# peak of a one-event run in a fresh process, with the transfer channel
+# (beta=0.6): 965 at (100,100), 925 at (200,200), 918 at (300,300); without
+# it: 816 at homogeneous (100,100), 767 at (300,300), 697 at (20000,2), 652
+# at (30,30,30), 464 at (2,)*8.
+SIMULATE_BYTES_PER_STATE_LOCATION = 1_000
 # Bytes per state and location of ``qinet solve``'s report once the measure
 # is solved: the residual pair's transition arrays, the printed table, the
 # ``--json`` state lists and string.  tracemalloc peak with ``--json``: 304
@@ -193,12 +195,17 @@ def enumerate_inventory_states(b) -> np.ndarray:
 
 
 def level_block_bytes(b) -> int:
-    """Bytes of the dense level blocks of an exact solve on the box ``b`` (see ``DENSE_BYTES_CAP``).
+    """An upper bound on an exact solve's block bytes on the box ``b`` (see ``DENSE_BYTES_CAP``).
 
-    The level sizes ``m_L`` are the coefficients of ``prod_j (1 + x + ... +
-    x^{b_j})``; no state is enumerated.  Every ``m_L >= 1``, so the blocks
-    take at least ``16 n`` bytes for ``n`` states; a box above the cap by
-    that floor is not convolved.
+    It counts every level's dense blocks as if all were held at once.  The
+    solve writes one level's blocks at a time and keeps the ``R_L``, so this
+    over-counts it 3-4x: tracemalloc peaks of build and solve are 18.6 MiB
+    against 51 MiB at ``(3,)*6``, 11.6 against 36 at ``(120,120)``, 154
+    against 555 at ``(300,300)``, 126 against 481 at ``(30,30,30)`` and 156
+    against 532 at ``(6,)*5``.  The level sizes ``m_L`` are the coefficients
+    of ``prod_j (1 + x + ... + x^{b_j})``; no state is enumerated.  Every
+    ``m_L >= 1``, so the count is at least ``16 n`` bytes for ``n`` states;
+    a box above the cap by that floor is not convolved.
     """
     n = math.prod(bj + 1 for bj in b)
     if 16 * n > DENSE_BYTES_CAP:

@@ -110,10 +110,15 @@ def _transition_tables(config: NetworkConfig, require_stock_for_service: bool):
     loc = [*range(J), *range(J)] + [-1] * inv_rate.shape[1]
     dn = [1] * J + [-1] * J + [0] * inv_rate.shape[1]
     target = np.hstack([here.repeat(J, axis=1), np.where(stocked, here + steps[:J], here), here + steps[J:]])
-    all_deltas = np.fromiter(
-        ((l, d, k) for row in target.tolist() for l, d, k in zip(loc, dn, row)),
-        dtype=object, count=target.size,
-    ).reshape(target.shape)
+    # A move no signature can make (an unstocked arrival, a service where
+    # ``served`` is false, a zero inventory rate) gets no tuple: None.
+    possible = np.hstack([stocked, served, inv_rate > 0])
+    column = np.nonzero(possible)[1]
+    all_deltas = np.empty(target.shape, dtype=object)
+    all_deltas[possible] = np.fromiter(
+        ((loc[c], dn[c], k) for c, k in zip(column.tolist(), target[possible].tolist())),
+        dtype=object, count=column.size,
+    )
 
     def moves(sig):
         busy = np.array(sig) > 0

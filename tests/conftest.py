@@ -1,4 +1,6 @@
 """Shared helpers for the test suite."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,15 @@ def routing_probs(on_hand, b):
     top = max(deficits)
     p = 1.0 / deficits.count(top)
     return tuple(p if d == top else 0.0 for d in deficits)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), peak)``: the call's result and the most bytes tracemalloc saw it hold."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def draw_rates(rng, n, lo=0.5, hi=2.0):

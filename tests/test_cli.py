@@ -155,9 +155,10 @@ class TestSolve:
         assert 0.0 <= value <= 1e-10 and f"componentwise residual: {value:.3e}" in capsys.readouterr().out
 
     def test_north_star_box(self, tmp_path, capsys):
-        # 14,641 states: the level blocks take 36 MiB where one dense
-        # matrix took 1.7 GB.  The table and the --json report carry the
-        # solver's weights unchanged.
+        # 14,641 states: one dense matrix took 1.7 GB, every level block
+        # at once would take 36 MiB, and the solve, one level's blocks at a
+        # time, peaks at 11.6 MiB.  The table and the --json report carry
+        # the solver's weights unchanged.
         path = write_config(tmp_path, **{"lambda": [1.3, 0.8]}, b=[120, 120], nu=1.2,
                             mu=[{"head": [], "tail": 6.0}] * 2)
         report = tmp_path / "report.json"

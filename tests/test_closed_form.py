@@ -1,11 +1,10 @@
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import draw_rates, make_config
+from conftest import draw_rates, make_config, traced_peak
 from qinet import (
     PreconditionError,
     build_reduced_generator,
@@ -108,14 +107,13 @@ def test_closed_form_size_cap(monkeypatch):
 
     monkeypatch.setattr(np, "indices", unreachable)
     huge = make_config((1.0,) * 40, (1,) * 40, 1.0)
-    tracemalloc.start()
-    try:
+
+    def refused():
         with pytest.raises(PreconditionError, match="the closed form of 1099511627776 states needs "
                                                     "703687441776640 bytes; the cap is 4294967296 bytes"):
             theta_unit_base_stock(huge)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(refused)
     assert peak < 1 << 20
     # 16 bytes per state and location: J=23 (8.4 M states) is admitted, J=24 is not.
     for J, admitted in ((23, True), (24, False)):

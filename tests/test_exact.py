@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -69,6 +70,27 @@ def test_residual_and_positivity(b, rng):
         assert np.abs(theta.weights @ gen.rates).max() <= 1e-12 * scale
         assert theta.weights.min() > 0
         assert theta.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "lam, b, nu, beta, digest",
+    [
+        ((0.7, 1.3, 0.9, 1.1, 0.8, 1.2), (3,) * 6, 2.0, None,
+         "4858115d9908e15e75048292b6d51bea89e3eb91897618e06d22edc6392cd7dd"),
+        ((1.3, 0.8, 1.1), (12, 12, 12), 1.5, None,
+         "d132cb3eb227dccd7d6c40df32d4606001fd1bc6263fdcaac898ee336b5e2aa7"),
+        ((1.3, 0.8), (80, 80), 1.2, None, "800eda9bb6d60ea8a376c1b8734366d23e82fefaa5fbc8fb347680bb8c0a99aa"),
+        ((1.1, 1.1), (6, 6), 0.8, 0.6, "05e3f948ae4ef9306c01e0199c2e8041f73ea470cccd5dd3cd2060050592b6a9"),
+        ((0.05, 1.0, 20.0), (4, 1, 2), 100.0, None,
+         "b6c360ebcf054a453b33dbdaa8efba07d2e7afc83bd22319864eca844764d241"),
+    ],
+    ids=["3^6", "12x12x12", "80x80", "6x6-transfer", "4x1x2-graded"],
+)
+def test_exact_weights_pinned(lam, b, nu, beta, digest):
+    # Fingerprints of level elimination: a change to how the level blocks
+    # are written, multiplied, summed or factored changes these bytes.
+    theta = solve_theta_exact(build_reduced_generator(make_config(lam, b, nu, beta=beta)))
+    assert hashlib.sha256(theta.weights.tobytes()).hexdigest() == digest
 
 
 def test_homogeneous_symmetry(rng):

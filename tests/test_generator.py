@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from conftest import draw_rates, make_config, routing_probs
+from conftest import draw_rates, make_config, routing_probs, traced_peak
 from qinet import (
     NetworkConfig,
     PreconditionError,
@@ -321,27 +320,49 @@ def test_generator_guards(kind):
     assert _broken_invariant((1, 1), *_damaged(kind)) == kind
 
 
-def test_level_blocks_hold_every_rate(rng):
-    # The level blocks, put back in canonical order, are the dense matrix
-    # off its diagonal, and each down_sum is its block's row sum.
-    cfg = make_config((1.1, 1.1), (3, 3), 0.8, beta=0.6)
+def _assert_level_blocks_hold_every_rate(cfg):
     gen = build_reduced_generator(cfg)
     n = gen.size
-    starts = np.cumsum([0] + [len(level[3]) for level in gen.levels])
+    starts = np.cumsum((0,) + gen.sizes)
+    rows = [gen.order[starts[L]:starts[L + 1]] for L in range(len(gen.sizes))]
+    on_hand = enumerate_inventory_states(cfg.b)[:, :-1]
+    levels = on_hand.sum(axis=1)
+    transfers = set(levels[gen.src[levels[gen.src] == levels[gen.dst]]].tolist())
+    assert bool(transfers) == cfg.has_transfer
     Q = np.zeros((n, n))
-    for L, (same, up, down, down_sum) in enumerate(gen.levels):
-        rows = gen.order[starts[L]:starts[L + 1]]
-        Q[np.ix_(rows, rows)] += same
-        if L + 1 < len(gen.levels):
-            Q[np.ix_(rows, gen.order[starts[L + 1]:starts[L + 2]])] += up
-        if L > 0:
-            Q[np.ix_(rows, gen.order[starts[L - 1]:starts[L]])] += down
-        assert np.array_equal(down_sum, down.sum(axis=1))
+    for L in range(1, len(gen.sizes)):
+        same, down, up = gen.level_blocks(L)
+        assert (same is not None) == (L in transfers)
+        if same is not None:
+            Q[np.ix_(rows[L], rows[L])] += same
+        Q[np.ix_(rows[L], rows[L - 1])] += down
+        Q[np.ix_(rows[L - 1], rows[L])] += up
+        consumption = ((on_hand[rows[L]] > 0) * cfg.lam).sum(axis=1)
+        assert np.allclose(down.sum(axis=1), consumption, rtol=1e-15, atol=0)
     off = gen.rates.copy()
     np.fill_diagonal(off, 0.0)
     assert np.array_equal(Q, off)
-    levels = enumerate_inventory_states(cfg.b)[:, :-1].sum(axis=1)
-    assert np.array_equal(levels[gen.order], np.repeat(np.arange(len(gen.levels)), np.diff(starts)))
+    assert np.array_equal(levels[gen.order], np.repeat(np.arange(len(gen.sizes)), gen.sizes))
+
+
+def test_level_blocks_hold_every_rate():
+    # The level blocks, put back in canonical order, are the dense matrix
+    # off its diagonal, and each down row sums to the state's consumption
+    # rate.  A level has a same-level block exactly where a transfer stays
+    # in it; without the channel (J=3) no level has one.
+    _assert_level_blocks_hold_every_rate(make_config((1.1, 1.1), (3, 3), 0.8, beta=0.6))
+    _assert_level_blocks_hold_every_rate(make_config((0.7, 1.3, 0.9), (2, 1, 2), 1.5))
+
+
+def test_level_blocks_written_one_level_at_a_time():
+    # (3,)*6: 4,096 states in 19 levels, whose dense blocks would take
+    # 38 MB.  The generator keeps only edges, and the solve holds the R_L
+    # and one level's blocks: 2.1 and 18.6 MiB measured.
+    cfg = make_config((0.7, 1.3, 0.9, 1.1, 0.8, 1.2), (3,) * 6, 2.0)
+    _, build = traced_peak(build_reduced_generator, cfg)
+    _, both = traced_peak(lambda: solve_theta_exact(build_reduced_generator(cfg)))
+    assert build < 3 * 2**20
+    assert both < 25 * 2**20
 
 
 def test_dense_size_cap(monkeypatch):
@@ -353,15 +374,14 @@ def test_dense_size_cap(monkeypatch):
 
     monkeypatch.setattr("qinet.generator._transition_arrays", unreachable)
     huge = make_config((1.0,) * 3, (100,) * 3, 1.0)
-    tracemalloc.start()
-    try:
+
+    def refused():
         with pytest.raises(PreconditionError,
                            match="1030301 states needs 184977768656 bytes for its level blocks; "
                                  "the cap is 4294967296 bytes"):
             build_reduced_generator(huge)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(refused)
     assert peak < 1 << 20
     assert method_inapplicable(huge, "exact") is not None
     # The north-star boxes stay admitted: 36, 555 and 481 MiB.
@@ -375,12 +395,7 @@ def test_north_star_box_allocates_no_dense_matrix():
     # 1.7 GB.  Building and solving stay under a tenth of that.
     cfg = make_config((1.3, 0.8), (120, 120), 1.2)
     dense = 8 * 14641**2
-    tracemalloc.start()
-    try:
-        theta = solve_theta_exact(build_reduced_generator(cfg))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    theta, peak = traced_peak(lambda: solve_theta_exact(build_reduced_generator(cfg)))
     assert theta.weights.size == 14641
     assert peak < dense / 10
 

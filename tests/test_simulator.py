@@ -1,11 +1,10 @@
 import hashlib
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import make_config
+from conftest import make_config, traced_peak
 from qinet import (
     ErgodicityError,
     NetworkConfig,
@@ -260,12 +259,7 @@ def test_memory_peak_bounded():
     # The draws reach the event loop in short slices: converting whole
     # blocks of 32,768 draws to Python floats would pass this bound.
     simulate(J3_HEADS, 1_000, seed=1)
-    tracemalloc.start()
-    try:
-        simulate(J3_HEADS, 250_000, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(simulate, J3_HEADS, 250_000, seed=1)
     assert peak <= 2.5 * 2**20
 
 
@@ -286,24 +280,23 @@ def test_non_ergodic_refused():
 
 def test_simulation_size_cap(monkeypatch):
     # (3000,3000) has 9,006,001 inventory states: its first rate table
-    # would take about 20 GB.  It is refused before any table is built or
+    # would take about 18 GB.  It is refused before any table is built or
     # anything sizeable is allocated.
     def unreachable(*args, **kwargs):
         raise AssertionError("rate tables built for a refused box")
 
     monkeypatch.setattr(sys.modules["qinet.simulate"], "_transition_tables", unreachable)
     huge = make_config((1.0, 1.1), (3000, 3000), 2.5)
-    tracemalloc.start()
-    try:
+
+    def refused():
         with pytest.raises(PreconditionError, match="a simulation of 9006001 inventory states needs "
-                                                    "19813202200 bytes for its first rate table; "
+                                                    "18012002000 bytes for its first rate table; "
                                                     "the cap is 4294967296 bytes"):
             simulate(huge, total_events=10, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(refused)
     assert peak < 1 << 20
-    # 1,100 bytes per state and location: (300,300) is admitted.
+    # 1,000 bytes per state and location: (300,300) is admitted.
     assert method_inapplicable(make_config((1.0, 1.1), (300, 300), 2.5), "simulate") is None
 
 
@@ -311,12 +304,7 @@ def test_simulation_cap_covers_transfer_tables():
     # The transfer channel adds two move columns to every state: the first
     # rate table of a transfer box still fits the per-state estimate.
     cfg = make_config((1.0, 1.0), (200, 200), 2.5, beta=0.6)
-    tracemalloc.start()
-    try:
-        simulate(cfg, total_events=1, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(simulate, cfg, total_events=1, seed=1)
     assert peak < SIMULATE_BYTES_PER_STATE_LOCATION * 201 * 201 * 2
 
 
