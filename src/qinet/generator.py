@@ -18,8 +18,8 @@ grouped by level and writes one level's dense blocks on request; it stores
 no block, and no ``n x n`` array unless ``rates`` is read.
 
 ``_move_table`` writes these moves down once, as one row of fixed columns
-per state, rate 0 where a move is absent.  The simulator's rate tables
-(which add the queues) read its columns; ``_transition_arrays``, its
+per state, rate 0 where a move is absent.  The simulator's rows (which
+add the queues) read its columns; ``_transition_arrays``, its
 non-zero entries as COO arrays, feeds the level blocks, the recursive
 solver's balance terms and the residuals.
 """

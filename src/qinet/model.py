@@ -28,31 +28,35 @@ __all__ = [
     "method_inapplicable",
 ]
 
-# Memory a solve may take.  An exact solve is charged, per level L of m_L
-# states, a same-level block and its LU factors (2 m_L^2 float64) and the
-# blocks to and from level L + 1 (2 m_L m_{L+1}), 16 (sum m_L^2 + sum m_L
-# m_{L+1}) bytes in all (see ``level_block_bytes``).  A dense n x n rate
-# matrix, the recursion's table, the closed form's arrays and a simulation's
-# first rate table have the same cap.
+# Memory a solve may take.  The exact solve (``exact_solve_bytes``), a dense
+# n x n rate matrix, the recursion's table, the closed form's arrays, a
+# simulation's start and the solve report have the same cap.
 DENSE_BYTES_CAP = 4 << 30
 # Bytes per level of the exact solve's Python objects: each level's edge
 # views, R_L and pi_L.  tracemalloc peak of build and solve at (20000,2),
-# 20,003 levels and 60,003 states: 28.7 MiB, below the 29.3 MiB that
-# ``level_block_bytes`` plus this charge per level allow.
+# 20,003 levels and 60,003 states: 28.7 MiB, 23.8 of it covered by this term.
 LEVEL_LOOP_BYTES = 1_250
+# Bytes per state and location of the exact solve's arrays besides its
+# blocks: the generator's edges (at most J + 1 per state on the boxes below,
+# each kept by source, target and rate, and by level position and rate), its
+# outflow and level order, and the measure.  tracemalloc peak of the build:
+# 120 at (300,300) and (120,120), 103 at (30,30,30), 90 at (3,)*6, 87 at
+# (6,)*5, 74 at (1,)*12.
+EXACT_BYTES_PER_STATE_LOCATION = 128
 # Bytes per state of the recursion's balance terms and table, Python
 # objects all.  tracemalloc peak: 964 per state at (20000,2), 1,034 at (300,300).
 RECURSIVE_BYTES_PER_STATE = 1_100
 # Bytes per state and location of the closed form's arrays (np.indices alone
 # takes 8).  tracemalloc peak: 14.1 at J=8, 10.9 at J=12, 9.7 at J=20.
 CLOSED_BYTES_PER_STATE_LOCATION = 16
-# Bytes per state and location of a simulation's first rate table, its move
-# tuples mostly (a move no signature makes holds a shared None).  tracemalloc
-# peak of a one-event run in a fresh process, with the transfer channel
-# (beta=0.6): 965 at (100,100), 925 at (200,200), 918 at (300,300); without
-# it: 816 at homogeneous (100,100), 767 at (300,300), 697 at (20000,2), 652
-# at (30,30,30), 464 at (2,)*8.
-SIMULATE_BYTES_PER_STATE_LOCATION = 1_000
+# Bytes per state and location of a simulation's start: the move table it
+# reads its rows from, and the table's temporaries.  Rows are built per
+# visited (signature, state) pair, so they grow with the run, not the box.
+# tracemalloc peak of a one-event run in a fresh process, with the transfer
+# channel (beta=0.6): 87 at (100,100), 77 at (200,200) and (300,300);
+# without it: 79 at homogeneous (100,100), 57 at (300,300), (20000,2),
+# (30,30,30), (6,)*5, (2,)*8 and (1,)*16.
+SIMULATE_BYTES_PER_STATE_LOCATION = 100
 # Bytes per state and location of ``qinet solve``'s report once the measure
 # is solved: the residual pair's transition arrays, the printed table, the
 # ``--json`` state lists and string.  tracemalloc peak with ``--json``: 304
@@ -194,46 +198,48 @@ def enumerate_inventory_states(b) -> np.ndarray:
     return np.column_stack([on_hand, sum(b) - on_hand.sum(axis=1)])
 
 
-def level_block_bytes(b) -> int:
-    """An upper bound on an exact solve's block bytes on the box ``b`` (see ``DENSE_BYTES_CAP``).
+def exact_solve_bytes(b) -> int:
+    """An upper bound on the bytes an exact solve holds on the box ``b`` (see ``DENSE_BYTES_CAP``).
 
-    It counts every level's dense blocks as if all were held at once.  The
-    solve writes one level's blocks at a time and keeps the ``R_L``, so this
-    over-counts it 3-4x: tracemalloc peaks of build and solve are 18.6 MiB
-    against 51 MiB at ``(3,)*6``, 11.6 against 36 at ``(120,120)``, 154
-    against 555 at ``(300,300)``, 126 against 481 at ``(30,30,30)`` and 156
-    against 532 at ``(6,)*5``.  The level sizes ``m_L`` are the coefficients
-    of ``prod_j (1 + x + ... + x^{b_j})``; no state is enumerated.  Every
-    ``m_L >= 1``, so the count is at least ``16 n`` bytes for ``n`` states;
-    a box above the cap by that floor is not convolved.
+    The solve keeps every ``R_L`` (``m_{L-1} x m_L`` float64 for levels of
+    ``m_L`` states) and one level's blocks at a time: ``same_L``, the LU
+    factors of ``A_L``, ``down_L`` and ``up_L``, ``16 (m_L^2 + m_L m_{L-1})``
+    bytes, charged for the largest level.  The generator's arrays and the
+    measure add ``EXACT_BYTES_PER_STATE_LOCATION`` per state and location,
+    and the level loop ``LEVEL_LOOP_BYTES`` per level.  tracemalloc peaks of
+    build and solve against this charge, MiB: 18.6 / 25.6 at ``(3,)*6``,
+    11.6 / 13.3 at ``(120,120)``, 28.7 / 39.9 at ``(20000,2)``, 153.8 / 164.3
+    at ``(300,300)``, 126.2 / 146.9 at ``(30,30,30)``, 155.7 / 206.1 at
+    ``(6,)*5``.  The level sizes are the coefficients of
+    ``prod_j (1 + x + ... + x^{b_j})``; no state is enumerated, and a box
+    above the cap on its per-state term alone is not convolved.
     """
     n = math.prod(bj + 1 for bj in b)
-    if 16 * n > DENSE_BYTES_CAP:
-        return 16 * n
+    arrays = EXACT_BYTES_PER_STATE_LOCATION * n * len(b) + LEVEL_LOOP_BYTES * (sum(b) + 1)
+    if arrays > DENSE_BYTES_CAP:
+        return arrays
     m = np.ones(1, dtype=np.int64)
     for bj in b:
         m = np.convolve(m, np.ones(bj + 1, dtype=np.int64))
-    return 16 * int(m @ m + m[:-1] @ m[1:])
+    below = np.concatenate([[0], m[:-1]])
+    return arrays + 8 * int(m @ below) + 16 * int((m * m + m * below).max())
 
 
 def method_inapplicable(config: NetworkConfig, method: str) -> str | None:
     """Why ``method`` cannot solve ``config``, or ``None`` when it can.
 
-    ``"exact"`` needs a box whose level blocks and level loop fit
+    ``"exact"`` needs a box whose solve (:func:`exact_solve_bytes`) fits
     ``DENSE_BYTES_CAP``; ``"closed"`` needs every ``b_j = 1`` and arrays
     that fit it; ``"recursive"`` needs two locations, both base stocks
     above one (in either order), no transfer channel (``beta`` absent or
     zero) and a box whose table fits it.  ``"simulate"`` and ``"report"``
-    (not solve methods) need a simulation's first rate table and a
-    ``qinet solve`` report that fit it.
+    (not solve methods) need a simulation's move table and a ``qinet
+    solve`` report that fit it.
     """
     n = math.prod(bj + 1 for bj in config.b)
     if method == "exact":
-        need, levels = level_block_bytes(config.b), sum(config.b) + 1
-        if need + LEVEL_LOOP_BYTES * levels > DENSE_BYTES_CAP:
-            return (f"a dense exact solve of {n} states needs {need} bytes for its level blocks; "
-                    f"the cap is {DENSE_BYTES_CAP} bytes, less {LEVEL_LOOP_BYTES * levels} "
-                    f"for the objects of its {levels} levels")
+        if (need := exact_solve_bytes(config.b)) > DENSE_BYTES_CAP:
+            return f"a dense exact solve of {n} states needs {need} bytes; the cap is {DENSE_BYTES_CAP} bytes"
     elif method == "closed":
         if any(bj != 1 for bj in config.b):
             return "closed form requires every base-stock level to equal one; use exact"
@@ -253,8 +259,8 @@ def method_inapplicable(config: NetworkConfig, method: str) -> str | None:
                     f"bytes; the cap is {DENSE_BYTES_CAP} bytes")
     elif method == "simulate":
         if (need := SIMULATE_BYTES_PER_STATE_LOCATION * n * config.J) > DENSE_BYTES_CAP:
-            return (f"a simulation of {n} inventory states needs {need} bytes for its first rate "
-                    f"table; the cap is {DENSE_BYTES_CAP} bytes")
+            return (f"a simulation of {n} inventory states needs {need} bytes for its move table; "
+                    f"the cap is {DENSE_BYTES_CAP} bytes")
     elif method == "report":
         if (need := REPORT_BYTES_PER_STATE_LOCATION * n * config.J) > DENSE_BYTES_CAP:
             return (f"the solve report of {n} states needs {need} bytes; "

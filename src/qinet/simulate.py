@@ -10,15 +10,16 @@ exponentials are drawn in blocks of ``_BLOCK`` and reach the event loop
 as Python floats, ``_SLICE`` of each at a time: indexing a numpy array
 and computing on its scalars costs several times as much per event.
 
-The outgoing-rate tables come from the move table of
-:mod:`qinet.generator`: an arrival at location i is admitted exactly where
-consumption at i leaves the inventory state, and a service at i is that
-same move at rate ``mu_i(n_i)``.  Rates only depend on the queue
-vector through, per location, "empty / one of the head levels / in the
-constant tail", so one table per queue signature, built with array
-operations on the signature's first visit, serves every inventory state.
-An event reads its state's row, adds the holding time to its cell's
-occupancy, and picks the move by bisecting the row's running rate sums.
+The outgoing moves come from the move table of :mod:`qinet.generator`:
+an arrival at location i is admitted exactly where consumption at i
+leaves the inventory state, and a service at i is that same move at rate
+``mu_i(n_i)``.  Rates only depend on the queue vector through, per
+location, "empty / one of the head levels / in the constant tail": its
+signature.  Everything is built on first use.  A signature holds its
+service rates, a state its moves read from its row of the move table,
+and a (signature, state) pair its row: the total rate, the running rate
+sums and the moves.  An event reads its row, adds the holding time to
+its cell's occupancy, and picks the move by bisecting the running sums.
 The cell's code (clipped queue vector and inventory index in one
 integer) and the signature's code are running integers: a move changes
 them only when it changes a location's clipped length or signature.
@@ -29,6 +30,7 @@ import math
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -77,61 +79,46 @@ class SimulationResult:
 
 
 def _transition_tables(config: NetworkConfig, require_stock_for_service: bool):
-    """Lazy per-queue-signature tables of every inventory state's outgoing moves.
+    """Signature caps, service rates per signature and moves per state, read off the move table.
 
-    ``moves(sig)`` is ``(rows, rates, cum, deltas)`` under queue signature
-    ``sig``.  The moves of inventory index ``k`` are ``rates[lo:hi]`` and
-    ``deltas[lo:hi]``, where ``rows[k] == (total, lo, hi)``; ``cum[lo:hi]``
-    are their rates summed in sequence, so ``cum[hi - 1] == total``.  Each
-    delta is ``(location, dn, new_k_index)``; ``location == -1`` means the
-    queues do not move.  Arrivals come first, then services, then the
-    inventory-only moves, each in family order.  Setting
-    ``require_stock_for_service=False`` builds a deliberately coupled
-    counter-model in which servers keep working with depleted stock
-    (draining the queue without consuming inventory); it exists purely as
-    a negative control for the decoupling test.
-
-    Each state's moves sit in one row of fixed columns: ``J`` arrivals,
-    ``J`` services and the columns of :func:`~qinet.generator._move_table`
-    after its consumption ones.  An absent move has rate 0: it is dropped,
-    and it leaves the running sums of the present ones unchanged bit for
-    bit.  The delta tuples are built once and shared by every signature.
+    ``service_rates(sig)`` is the ``J`` service rates under queue signature
+    ``sig`` (0 at an empty queue).  ``moves(mu, k)`` lists ``(rate, delta)``
+    out of inventory index ``k`` under service rates ``mu``, in column order:
+    ``J`` arrivals, ``J`` services, then the columns of
+    :func:`~qinet.generator._move_table` after its consumption ones; an
+    absent move is left out.  Each delta is ``(location, dn, new_k_index)``;
+    ``location == -1`` means the queues do not move.  A state's moves are
+    read from its table row on first use and kept, so every signature shares
+    its delta tuples.  ``require_stock_for_service=False`` builds a
+    deliberately coupled counter-model in which servers keep working with
+    depleted stock (draining the queue without consuming inventory); it
+    exists purely as a negative control for the decoupling test.
     """
     J = config.J
     caps = [len(p.head) + 1 for p in config.mu]  # signature cap per location
     table, steps = _move_table(config)
-    here = np.arange(table.shape[0])[:, None]
+    steps = steps.tolist()
+    states: dict[int, tuple] = {}
 
-    # An arrival at i is admitted, and a service at i consumes stock,
-    # exactly where consumption at i leaves the state.
-    arrivals, inv_rate = table[:, :J], table[:, J:]
-    stocked = arrivals > 0
-    served = stocked if require_stock_for_service else np.ones_like(stocked)
-    loc = [*range(J), *range(J)] + [-1] * inv_rate.shape[1]
-    dn = [1] * J + [-1] * J + [0] * inv_rate.shape[1]
-    target = np.hstack([here.repeat(J, axis=1), np.where(stocked, here + steps[:J], here), here + steps[J:]])
-    # A move no signature can make (an unstocked arrival, a service where
-    # ``served`` is false, a zero inventory rate) gets no tuple: None.
-    possible = np.hstack([stocked, served, inv_rate > 0])
-    column = np.nonzero(possible)[1]
-    all_deltas = np.empty(target.shape, dtype=object)
-    all_deltas[possible] = np.fromiter(
-        ((loc[c], dn[c], k) for c, k in zip(column.tolist(), target[possible].tolist())),
-        dtype=object, count=column.size,
-    )
+    def service_rates(sig):
+        return [p.rate(s) if s else 0.0 for p, s in zip(config.mu, sig)]
 
-    def moves(sig):
-        busy = np.array(sig) > 0
-        mu = [config.mu[i].rate(sig[i]) if busy[i] else 0.0 for i in range(J)]
-        rates = np.hstack([arrivals, np.where(served & busy, mu, 0.0), inv_rate])
-        present = rates > 0
-        cum = np.cumsum(rates, axis=1)[present]
-        hi = np.cumsum(present.sum(axis=1))
-        lo = np.concatenate([[0], hi[:-1]])
-        rows = list(zip(cum[hi - 1].tolist(), lo.tolist(), hi.tolist()))
-        return rows, rates[present].tolist(), cum.tolist(), all_deltas[present].tolist()
+    def moves(mu, k):
+        found = states.get(k)
+        if found is None:
+            # An arrival at i is admitted, and a service at i consumes
+            # stock, exactly where consumption at i leaves the state.
+            row = table[k].tolist()
+            found = states[k] = (
+                [(r, (i, 1, k)) for i, r in enumerate(row[:J]) if r > 0],
+                [(i, (i, -1, k + steps[i] if r > 0 else k)) for i, r in enumerate(row[:J])
+                 if r > 0 or not require_stock_for_service],
+                [(r, (-1, 0, k + s)) for r, s in zip(row[J:], steps[J:]) if r > 0],
+            )
+        arrivals, services, inventory = found
+        return arrivals + [(mu[i], delta) for i, delta in services if mu[i] > 0] + inventory
 
-    return caps, moves
+    return caps, service_rates, moves
 
 
 def _slices(total_events: int, burn: int):
@@ -159,8 +146,8 @@ def simulate(
 
     The first ``BURN_IN`` fraction of events is discarded.  Starts from
     empty queues with full inventories.  Refuses a negative ``seed``, a box
-    whose first rate table would pass ``DENSE_BYTES_CAP`` (before anything
-    is allocated) and a non-ergodic configuration, naming each unstable
+    whose move table would pass ``DENSE_BYTES_CAP`` (before anything is
+    allocated) and a non-ergodic configuration, naming each unstable
     location.
     """
     if total_events < 1:
@@ -177,22 +164,23 @@ def simulate(
                         f"{d.tail_rate:g}" for d in report.per_location if not d.ergodic)
         raise ErgodicityError(f"simulation refused: configuration is not ergodic: {bad}")
 
-    caps, moves = _transition_tables(config, require_stock_for_service)
+    caps, service_rates, moves = _transition_tables(config, require_stock_for_service)
     n_states = math.prod(bj + 1 for bj in config.b)
     J = config.J
     clip = n_obs + 1
     # Occupancy code of a cell: sum_i min(n_i, n_obs) * place[i] + k.
     place = [clip ** (J - 1 - i) * n_states for i in range(J)]
-    # Rate tables by signature code sum_i min(n_i, caps[i]) * sig_place[i].
+    # Signatures by code sum_i min(n_i, caps[i]) * sig_place[i]: each holds
+    # its service rates and its rows (total, cum, deltas) by inventory index.
     sig_place = [math.prod(c + 1 for c in caps[i + 1 :]) for i in range(J)]
-    tables: dict[int, tuple] = {}
+    signatures: dict[int, tuple] = {}
 
     rng = np.random.default_rng(seed)
     n = [0] * J
     code = 0  # queue part of the occupancy code
     sig = 0
     kidx = n_states - 1  # all inventories full in canonical (lexicographic) order
-    rows, _, cum, deltas = tables[0] = moves((0,) * J)
+    mu, rows = signatures[0] = service_rates((0,) * J), {}
 
     burn = int(round(BURN_IN * total_events))
     occ: defaultdict[int, float] = defaultdict(float)
@@ -206,11 +194,16 @@ def simulate(
         first = start % _BLOCK
         last = first + stop - start
         for u, e in zip(uniforms[first:last].tolist(), exponentials[first:last].tolist()):
-            total, lo, hi = rows[kidx]
+            row = rows.get(kidx)
+            if row is None:
+                rates, deltas = zip(*moves(mu, kidx))
+                cum = list(accumulate(rates))
+                row = rows[kidx] = cum[-1], cum, deltas
+            total, cum, deltas = row
             dt = e / total
             occ[code + kidx] += dt
             t_acc += dt
-            loc, dn, kidx = deltas[bisect_left(cum, u * total, lo, hi)]
+            loc, dn, kidx = deltas[bisect_left(cum, u * total)]
             if loc >= 0:
                 x = n[loc] + dn
                 n[loc] = x
@@ -219,10 +212,11 @@ def simulate(
                     code += place[loc] if dn > 0 else -place[loc]
                 if top <= caps[loc]:
                     sig += sig_place[loc] if dn > 0 else -sig_place[loc]
-                    table = tables.get(sig)
-                    if table is None:
-                        table = tables[sig] = moves(tuple(min(m, c) for m, c in zip(n, caps)))
-                    rows, _, cum, deltas = table
+                    signature = signatures.get(sig)
+                    if signature is None:
+                        signature = signatures[sig] = (
+                            service_rates([min(m, c) for m, c in zip(n, caps)]), {})
+                    mu, rows = signature
 
     if t_acc <= 0:
         raise PreconditionError("no simulated time left after burn-in")

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -336,6 +338,23 @@ class TestSymmetry:
         assert abs(wa - wb) > 1e-3
         grid[a], grid[b] = wb, wa
         assert check_symmetry(ThetaMeasure(grid=grid, provenance="exact"), cfg) == abs(wa - wb)
+
+    def test_twelve_locations_by_adjacent_swaps(self):
+        # J=12: the 12! permutations would take hours; the 11 adjacent swaps
+        # that generate them take milliseconds.  The closed form passes, and
+        # swapping the weights of two cells from different orbits fails.
+        cfg = make_config((1.0,) * 12, (1,) * 12, 2.0)
+        theta = theta_unit_base_stock(cfg)
+        start = time.perf_counter()
+        assert check_symmetry(theta, cfg) <= 1e-12
+        assert time.perf_counter() - start < 1.0
+        grid = theta.grid.copy()
+        a, b = (0,) * 11 + (1,), (0,) * 10 + (1, 1)
+        wa, wb = grid[a], grid[b]
+        assert abs(wa - wb) > 1e-3
+        grid[a], grid[b] = wb, wa
+        swapped = ThetaMeasure(grid=grid, provenance="closed_form")
+        assert check_symmetry(swapped, cfg) == pytest.approx(abs(wa - wb), rel=1e-12)
 
     def test_unequal_base_stocks_rejected(self):
         # Permuting locations with different levels leaves the state space.

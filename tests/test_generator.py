@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 
@@ -13,29 +14,28 @@ from qinet import (
     NetworkConfig,
     PreconditionError,
     ServiceRateProfile,
+    SolverError,
     build_reduced_generator,
     enumerate_inventory_states,
     method_inapplicable,
     solve_theta_exact,
 )
 from qinet.generator import _transition_arrays
-from qinet.model import level_block_bytes
+from qinet.model import exact_solve_bytes
 from qinet.simulate import _transition_tables
 
 
 def joint_moves(config, n, k):
     """Outgoing moves of the joint state ``(n, k)`` as ``[((n', k'), rate), ...]``.
 
-    Read off the simulator's per-signature tables, which add the queues to
-    the inventory transition arrays.
+    Read off the simulator's row of ``(n, k)``, which adds the queues to
+    the inventory move table.
     """
-    caps, moves = _transition_tables(config, require_stock_for_service=True)
+    caps, service_rates, moves = _transition_tables(config, require_stock_for_service=True)
     states = [tuple(s) for s in enumerate_inventory_states(config.b).tolist()]
-    sig = tuple(min(x, cap) for x, cap in zip(n, caps))
-    rows, rates, _, deltas = moves(sig)
-    _, lo, hi = rows[states.index(tuple(k))]
+    mu = service_rates([min(x, cap) for x, cap in zip(n, caps)])
     out = []
-    for rate, (loc, dn, target) in zip(rates[lo:hi], deltas[lo:hi]):
+    for rate, (loc, dn, target) in moves(mu, states.index(tuple(k))):
         n_next = list(n)
         if loc >= 0:
             n_next[loc] += dn
@@ -366,9 +366,9 @@ def test_level_blocks_written_one_level_at_a_time():
 
 
 def test_dense_size_cap(monkeypatch):
-    # (100,100,100) has 1,030,301 states: the dense blocks of its 301
-    # levels would take 172 GiB.  It is refused before the transition
-    # arrays are written or anything sizeable is allocated.
+    # (100,100,100) has 1,030,301 states: the R_L of its 301 levels alone
+    # would take 30 GiB.  It is refused before the transition arrays are
+    # written or anything sizeable is allocated.
     def unreachable(config):
         raise AssertionError("transition arrays built for a refused box")
 
@@ -377,17 +377,33 @@ def test_dense_size_cap(monkeypatch):
 
     def refused():
         with pytest.raises(PreconditionError,
-                           match="1030301 states needs 184977768656 bytes for its level blocks; "
-                                 "the cap is 4294967296 bytes"):
+                           match="1030301 states needs 48511480410 bytes; the cap is 4294967296 bytes"):
             build_reduced_generator(huge)
 
     _, peak = traced_peak(refused)
     assert peak < 1 << 20
     assert method_inapplicable(huge, "exact") is not None
-    # The north-star boxes stay admitted: 36, 555 and 481 MiB.
-    for b, mib in (((120, 120), 36), ((300, 300), 555), ((30, 30, 30), 481)):
-        assert round(level_block_bytes(b) / 2**20) == mib
+    # The north-star boxes stay admitted, and so does (5,)*6 (46,656
+    # states), whose R_L and largest level's blocks take about 1.6 GiB.
+    for b, mib in (((120, 120), 13), ((300, 300), 164), ((30, 30, 30), 147), ((5,) * 6, 1690)):
+        assert round(exact_solve_bytes(b) / 2**20) == mib
         assert method_inapplicable(make_config((1.0,) * len(b), b, 1.0), "exact") is None
+
+
+def build_and_solve(config):
+    """Build and solve ``config``.  A measure past the float range fails only after all the work."""
+    with contextlib.suppress(SolverError):
+        solve_theta_exact(build_reduced_generator(config))
+
+
+@pytest.mark.parametrize("config", [
+    make_config((0.7, 1.3, 0.9, 1.1, 0.8, 1.2), (3,) * 6, 2.0),
+    make_config((1.3, 0.8), (120, 120), 1.2),
+    make_config((1.0, 1.0), (20000, 2), 1.0),  # 20,003 levels; its weights span 322 decades
+], ids=["3^6", "120x120", "20000x2"])
+def test_exact_charge_covers_the_solve(config):
+    _, peak = traced_peak(build_and_solve, config)
+    assert peak <= exact_solve_bytes(config.b)
 
 
 def test_north_star_box_allocates_no_dense_matrix():

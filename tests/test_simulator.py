@@ -279,30 +279,39 @@ def test_non_ergodic_refused():
 
 
 def test_simulation_size_cap(monkeypatch):
-    # (3000,3000) has 9,006,001 inventory states: its first rate table
-    # would take about 18 GB.  It is refused before any table is built or
-    # anything sizeable is allocated.
+    # (10000,10000) has 100,020,001 inventory states: its move table would
+    # take about 20 GB.  It is refused before the table is read or anything
+    # sizeable is allocated.
     def unreachable(*args, **kwargs):
-        raise AssertionError("rate tables built for a refused box")
+        raise AssertionError("move table read for a refused box")
 
     monkeypatch.setattr(sys.modules["qinet.simulate"], "_transition_tables", unreachable)
-    huge = make_config((1.0, 1.1), (3000, 3000), 2.5)
+    huge = make_config((1.0, 1.1), (10000, 10000), 2.5)
 
     def refused():
-        with pytest.raises(PreconditionError, match="a simulation of 9006001 inventory states needs "
-                                                    "18012002000 bytes for its first rate table; "
+        with pytest.raises(PreconditionError, match="a simulation of 100020001 inventory states needs "
+                                                    "20004000200 bytes for its move table; "
                                                     "the cap is 4294967296 bytes"):
             simulate(huge, total_events=10, seed=1)
 
     _, peak = traced_peak(refused)
     assert peak < 1 << 20
-    # 1,000 bytes per state and location: (300,300) is admitted.
-    assert method_inapplicable(make_config((1.0, 1.1), (300, 300), 2.5), "simulate") is None
+    # 100 bytes per state and location: (3000,3000) is admitted.
+    assert method_inapplicable(make_config((1.0, 1.1), (3000, 3000), 2.5), "simulate") is None
+
+
+def test_wide_unit_box_builds_only_visited_rows():
+    # (1,)*10 has 1,024 inventory states under each of 1,024 signatures.
+    # Rows are built per visited (signature, state) pair: a table over
+    # every state per visited signature held 855 MiB here; these hold 13.
+    cfg = make_config((1.0,) * 10, (1,) * 10, 15.0, mu_rate=4.0)
+    _, peak = traced_peak(simulate, cfg, 20_000, seed=1)
+    assert peak < 32 * 2**20
 
 
 def test_simulation_cap_covers_transfer_tables():
-    # The transfer channel adds two move columns to every state: the first
-    # rate table of a transfer box still fits the per-state estimate.
+    # The transfer channel adds two move columns to every state: the move
+    # table of a transfer box still fits the per-state estimate.
     cfg = make_config((1.0, 1.0), (200, 200), 2.5, beta=0.6)
     _, peak = traced_peak(simulate, cfg, total_events=1, seed=1)
     assert peak < SIMULATE_BYTES_PER_STATE_LOCATION * 201 * 201 * 2
