@@ -33,7 +33,7 @@ from .errors import (
     SequencingError,
     SolverError,
 )
-from .exact import ThetaMeasure, solve_theta_exact
+from .exact import ThetaMeasure, solve_theta_exact, solve_theta_iad
 from .generator import ReducedGenerator, build_reduced_generator
 from .model import (
     NetworkConfig,
@@ -76,6 +76,7 @@ __all__ = [
     "method_inapplicable",
     "simulate",
     "solve_theta_exact",
+    "solve_theta_iad",
     "solve_theta_recursive",
     "theta_unit_base_stock",
     "total_variation",

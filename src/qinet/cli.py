@@ -23,9 +23,10 @@ import numpy as np
 from . import analysis
 from .closed_form import theta_unit_base_stock
 from .errors import ConfigError, ErgodicityError, PreconditionError, QinetError, SolverError
-from .exact import COMPONENTWISE_RTOL, ThetaMeasure, solve_theta_exact
+from .exact import COMPONENTWISE_RTOL, ThetaMeasure, solve_theta_exact, solve_theta_iad
 from .generator import balance_residuals, build_reduced_generator
-from .model import NetworkConfig, ServiceRateProfile, enumerate_inventory_states, method_inapplicable
+from .model import (NetworkConfig, ServiceRateProfile, enumerate_inventory_states, level_sizes,
+                    method_inapplicable)
 from .recursive import solve_theta_recursive
 from .simulate import SimulationResult, decoupling_test, merge_results, simulate
 
@@ -46,6 +47,13 @@ TOL_SIM_THETA_TV = 0.02
 TOL_SIM_QUEUE_TV = 0.02
 TOL_SIM_DECOUPLING = 0.03
 DEFAULT_VERIFY_EVENTS = 1_000_000
+# auto solves a J >= 3 box iteratively when its largest level holds more
+# states than this.  Best of three solves in one process, at nu/mean(lam) in
+# {0.5, 1, 2, 2J}, level solver against iterative solve, ms: (12,12,12)
+# (largest level 127) 9.4-10.9 against 7.2-10.9, (14,14,14) (169) 19-26
+# against 12-25, (16,16,16) (217) 39-44 against 18-27, (6,)*4 (231) 27-29
+# against 10-18, (3,)*6 (580) 133-142 against 13-33.
+IAD_MIN_LEVEL = 200
 
 
 def load_config(path: str) -> NetworkConfig:
@@ -107,6 +115,10 @@ def _pick_method(config: NetworkConfig, method: str) -> tuple[str, str]:
         return method, ""
     if method_inapplicable(config, "closed") is None:
         return "closed", "auto: all base stocks are one"
+    # The byte cap first: a box it refuses is never convolved into level sizes.
+    if (config.J >= 3 and method_inapplicable(config, "iad") is None
+            and level_sizes(config.b).max() > IAD_MIN_LEVEL):
+        return "iad", f"auto: a level holds more than {IAD_MIN_LEVEL} states"
     return "exact", "auto: level-by-level elimination"
 
 
@@ -118,8 +130,27 @@ def _solve_with(config: NetworkConfig, method: str) -> ThetaMeasure:
     return solve_theta_exact(build_reduced_generator(config))
 
 
-def _solve_report(config: NetworkConfig, method: str, note: str) -> tuple[dict, ThetaMeasure]:
-    theta = _solve_with(config, method)
+def _solve_iad(config: NetworkConfig, note: str, fallback: bool) -> tuple[str, str, ThetaMeasure]:
+    """``(method, note, measure)`` of the iterative solve, its sweeps and residual in the note.
+
+    With ``fallback`` (``auto``), a failed iterative solve is followed by the
+    level solver where that applies, and the note gives the failure.
+    """
+    try:
+        theta, sweeps, residual = solve_theta_iad(config)
+    except SolverError as exc:
+        if not fallback or method_inapplicable(config, "exact") is not None:
+            raise
+        return "exact", f"auto: {exc}; level-by-level elimination", _solve_with(config, "exact")
+    return "iad", f"{note}{'; ' if note else ''}{sweeps} sweeps, residual {residual:.1e}", theta
+
+
+def _solve_report(config: NetworkConfig, method: str, note: str,
+                  fallback: bool) -> tuple[dict, ThetaMeasure]:
+    if method == "iad":
+        method, note, theta = _solve_iad(config, note, fallback)
+    else:
+        theta = _solve_with(config, method)
     ergo = analysis.ergodicity_check(config)
     xi_params = []
     for diag in ergo.per_location:
@@ -212,9 +243,9 @@ def cmd_solve(args) -> int:
     for need in (method, "report"):
         if (reason := method_inapplicable(config, need)) is not None:
             raise PreconditionError(reason)
-    report, theta = _solve_report(config, method, note)
+    report, theta = _solve_report(config, method, note, args.method == "auto")
 
-    print(f"method: {method}" + (f" ({note})" if note else ""))
+    print(f"method: {report['method']}" + (f" ({report['note']})" if report["note"] else ""))
     verdict = "ergodic" if report["ergodic"] else "NOT ergodic"
     print(f"ergodicity: {verdict}")
     for d in report["ergodicity"]:
@@ -408,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="compute the stationary inventory measure")
     p_solve.add_argument("config")
     p_solve.add_argument(
-        "--method", choices=["auto", "exact", "closed", "recursive"], default="auto"
+        "--method", choices=["auto", "exact", "iad", "closed", "recursive"], default="auto"
     )
     p_solve.add_argument("--json", metavar="PATH")
     p_solve.add_argument("--csv", metavar="PATH")

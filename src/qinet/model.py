@@ -25,12 +25,14 @@ __all__ = [
     "NetworkConfig",
     "InventoryState",
     "enumerate_inventory_states",
+    "level_sizes",
     "method_inapplicable",
 ]
 
-# Memory a solve may take.  The exact solve (``exact_solve_bytes``), a dense
-# n x n rate matrix, the recursion's table, the closed form's arrays, a
-# simulation's start and the solve report have the same cap.
+# Memory a solve may take.  The exact solve (``exact_solve_bytes``), the
+# iterative solve's arrays, a dense n x n rate matrix, the recursion's table,
+# the closed form's arrays, a simulation's start and the solve report have
+# the same cap.
 DENSE_BYTES_CAP = 4 << 30
 # Bytes per level of the exact solve's Python objects: each level's edge
 # views, R_L and pi_L.  tracemalloc peak of build and solve at (20000,2),
@@ -49,6 +51,12 @@ RECURSIVE_BYTES_PER_STATE = 1_100
 # Bytes per state and location of the closed form's arrays (np.indices alone
 # takes 8).  tracemalloc peak: 14.1 at J=8, 10.9 at J=12, 9.7 at J=20.
 CLOSED_BYTES_PER_STATE_LOCATION = 16
+# Bytes per state and location of an iterative aggregation-disaggregation
+# solve: the transition arrays, their copy in the solve's own order, the
+# weights and the gate.  tracemalloc peak of the solve: 104 at (3,)*6, 99 at
+# (5,)*6, 100 at (6,)*6, 128 at (30,30,30), 129 at (100,100,100), 154 at
+# (120,120) and (150,150).
+IAD_BYTES_PER_STATE_LOCATION = 192
 # Bytes per state and location of a simulation's start: the move table it
 # reads its rows from, and the table's temporaries.  Rows are built per
 # visited (signature, state) pair, so they grow with the run, not the box.
@@ -198,6 +206,18 @@ def enumerate_inventory_states(b) -> np.ndarray:
     return np.column_stack([on_hand, sum(b) - on_hand.sum(axis=1)])
 
 
+def level_sizes(b) -> np.ndarray:
+    """States per level ``L = sum_j k_j`` of the box ``b``, ``L = 0 .. sum_j b_j``.
+
+    They are the coefficients of ``prod_j (1 + x + ... + x^{b_j})``: no
+    state is enumerated.
+    """
+    m = np.ones(1, dtype=np.int64)
+    for bj in b:
+        m = np.convolve(m, np.ones(bj + 1, dtype=np.int64))
+    return m
+
+
 def exact_solve_bytes(b) -> int:
     """An upper bound on the bytes an exact solve holds on the box ``b`` (see ``DENSE_BYTES_CAP``).
 
@@ -210,17 +230,14 @@ def exact_solve_bytes(b) -> int:
     build and solve against this charge, MiB: 18.6 / 25.6 at ``(3,)*6``,
     11.6 / 13.3 at ``(120,120)``, 28.7 / 39.9 at ``(20000,2)``, 153.8 / 164.3
     at ``(300,300)``, 126.2 / 146.9 at ``(30,30,30)``, 155.7 / 206.1 at
-    ``(6,)*5``.  The level sizes are the coefficients of
-    ``prod_j (1 + x + ... + x^{b_j})``; no state is enumerated, and a box
-    above the cap on its per-state term alone is not convolved.
+    ``(6,)*5``.  A box above the cap on its per-state term alone is not
+    convolved into its :func:`level_sizes`.
     """
     n = math.prod(bj + 1 for bj in b)
     arrays = EXACT_BYTES_PER_STATE_LOCATION * n * len(b) + LEVEL_LOOP_BYTES * (sum(b) + 1)
     if arrays > DENSE_BYTES_CAP:
         return arrays
-    m = np.ones(1, dtype=np.int64)
-    for bj in b:
-        m = np.convolve(m, np.ones(bj + 1, dtype=np.int64))
+    m = level_sizes(b)
     below = np.concatenate([[0], m[:-1]])
     return arrays + 8 * int(m @ below) + 16 * int((m * m + m * below).max())
 
@@ -229,17 +246,27 @@ def method_inapplicable(config: NetworkConfig, method: str) -> str | None:
     """Why ``method`` cannot solve ``config``, or ``None`` when it can.
 
     ``"exact"`` needs a box whose solve (:func:`exact_solve_bytes`) fits
-    ``DENSE_BYTES_CAP``; ``"closed"`` needs every ``b_j = 1`` and arrays
-    that fit it; ``"recursive"`` needs two locations, both base stocks
-    above one (in either order), no transfer channel (``beta`` absent or
-    zero) and a box whose table fits it.  ``"simulate"`` and ``"report"``
-    (not solve methods) need a simulation's move table and a ``qinet
-    solve`` report that fit it.
+    ``DENSE_BYTES_CAP``; ``"iad"`` needs no transfer channel (its
+    same-level moves break the level-parity split) and arrays of
+    ``IAD_BYTES_PER_STATE_LOCATION`` per state and location that fit it;
+    ``"closed"`` needs every ``b_j = 1`` and arrays that fit it;
+    ``"recursive"`` needs two locations, both base stocks above one (in
+    either order), no transfer channel (``beta`` absent or zero) and a box
+    whose table fits it.  ``"simulate"`` and ``"report"`` (not solve
+    methods) need a simulation's move table and a ``qinet solve`` report
+    that fit it.
     """
     n = math.prod(bj + 1 for bj in config.b)
     if method == "exact":
         if (need := exact_solve_bytes(config.b)) > DENSE_BYTES_CAP:
             return f"a dense exact solve of {n} states needs {need} bytes; the cap is {DENSE_BYTES_CAP} bytes"
+    elif method == "iad":
+        if config.has_transfer:
+            return ("iterative aggregation-disaggregation does not cover the transfer channel: its "
+                    "same-level moves break the level-parity split; use exact")
+        if (need := IAD_BYTES_PER_STATE_LOCATION * n * config.J) > DENSE_BYTES_CAP:
+            return (f"iterative aggregation-disaggregation of {n} states needs {need} bytes; "
+                    f"the cap is {DENSE_BYTES_CAP} bytes")
     elif method == "closed":
         if any(bj != 1 for bj in config.b):
             return "closed form requires every base-stock level to equal one; use exact"

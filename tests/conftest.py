@@ -57,6 +57,13 @@ def draw_rates(rng, n, lo=0.5, hi=2.0):
     return tuple(float(x) for x in np.exp(rng.uniform(np.log(lo), np.log(hi), size=n)))
 
 
+def grid_config(rng, b, ratio):
+    """A config drawn as the solve grid draws one: ``lam`` log-uniform in
+    [0.5, 2], ``nu = ratio * mean(lam)``, every ``mu`` tail ``4 max(lam)``."""
+    lam = draw_rates(rng, len(b))
+    return make_config(lam, b, ratio * float(np.mean(lam)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(987654321)

@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qinet import (build_reduced_generator, enumerate_inventory_states, method_inapplicable,
-                   solve_theta_exact)
-from qinet.cli import load_config, main
+                   solve_theta_exact, solve_theta_iad)
+from qinet.cli import _pick_method, load_config, main
 from qinet.errors import ConfigError, SolverError
+from qinet.exact import IAD_MAX_SWEEPS
 
 
 def write_config(tmp_path, name="net.json", **overrides):
@@ -177,13 +178,86 @@ class TestSolve:
         assert main(["solve", path]) == 0
         assert "method: exact" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("b, method", [([3] * 6, "iad"), ([6] * 4, "iad"), ([16] * 3, "iad"),
+                                           ([12] * 3, "exact"), ([8] * 3, "exact"), ([40, 40], "exact")])
+    def test_auto_takes_iad_above_the_level_size(self, tmp_path, b, method):
+        # Largest levels 580, 231, 217 against 127, 61 and 41 states.
+        J = len(b)
+        config = load_config(write_config(tmp_path, J=J, **{"lambda": [1.0] * J}, b=b,
+                                          mu=[{"head": [], "tail": 4.0}] * J))
+        assert _pick_method(config, "auto")[0] == method
+
+    def test_auto_picks_iad(self, tmp_path, capsys):
+        path = write_config(tmp_path, J=6, **{"lambda": [0.7, 1.3, 0.9, 1.1, 0.8, 1.2]}, b=[3] * 6, nu=2.0,
+                            mu=[{"head": [], "tail": 5.2}] * 6)
+        report = tmp_path / "report.json"
+        assert main(["solve", path, "--json", str(report)]) == 0
+        theta, sweeps, residual = solve_theta_iad(load_config(path))
+        note = f"auto: a level holds more than 200 states; {sweeps} sweeps, residual {residual:.1e}"
+        assert capsys.readouterr().out.startswith(f"method: iad ({note})\n")
+        doc = json.loads(report.read_text())
+        assert (doc["method"], doc["note"], doc["theta"]["provenance"]) == ("iad", note, "iad")
+        assert np.array(doc["theta"]["weights"]).tobytes() == theta.weights.tobytes()
+        assert doc["componentwise_residual"] <= 1e-12
+
+    def test_auto_solves_beyond_the_exact_cap(self, tmp_path, capsys):
+        # (6,)^6: 117,649 states, for which the level solver would hold 8.46 GiB.
+        path = write_config(tmp_path, J=6, **{"lambda": [0.7, 1.3, 0.9, 1.1, 0.8, 1.2]}, b=[6] * 6, nu=2.0,
+                            mu=[{"head": [], "tail": 5.2}] * 6)
+        assert method_inapplicable(load_config(path), "exact").startswith("a dense exact solve of 117649 ")
+        assert main(["solve", path]) == 0
+        assert capsys.readouterr().out.startswith("method: iad (auto: a level holds more than 200 states; ")
+
+    def test_auto_falls_back_when_iad_stalls(self, tmp_path, capsys):
+        # Arrival rates 400 apart: the sweeps stall near 7e-3, and the level
+        # solver answers, bit for bit as it does alone.
+        lam = [24.1, 1.56, 0.0606]
+        path = write_config(tmp_path, J=3, **{"lambda": lam}, b=[20] * 3, nu=sum(lam) / 3,
+                            mu=[{"head": [], "tail": 4 * 24.1}] * 3)
+        report = tmp_path / "report.json"
+        assert main(["solve", path, "--json", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        expected = solve_theta_exact(build_reduced_generator(load_config(path))).weights
+        assert doc["method"] == "exact"
+        assert np.array(doc["theta"]["weights"]).tobytes() == expected.tobytes()
+        stall = re.fullmatch(r"auto: (iterative aggregation-disaggregation stopped after (\d+) sweeps at "
+                             r"componentwise residual (\S+) \(tolerance 1e-13\)); level-by-level elimination",
+                             doc["note"])
+        assert int(stall[2]) == IAD_MAX_SWEEPS and float(stall[3]) > 1e-6
+        assert capsys.readouterr().out.startswith(f"method: exact ({doc['note']})\n")
+        assert main(["solve", path, "--method", "iad"]) == 3
+        assert capsys.readouterr().err == f"numerical failure: {stall[1]}\n"
+
+    def test_no_fallback_above_the_exact_cap(self, tmp_path, capsys, monkeypatch):
+        def stall(config):
+            raise SolverError("iterative aggregation-disaggregation stopped after 3000 sweeps at "
+                              "componentwise residual 1.0e-03 (tolerance 1e-13)")
+
+        monkeypatch.setattr("qinet.cli.solve_theta_iad", stall)
+        monkeypatch.setattr("qinet.cli.solve_theta_exact", no_work)
+        path = write_config(tmp_path, J=6, **{"lambda": [1.0] * 6}, b=[6] * 6, nu=2.0,
+                            mu=[{"head": [], "tail": 4.0}] * 6)
+        assert main(["solve", path]) == 3
+        assert capsys.readouterr().err == ("numerical failure: iterative aggregation-disaggregation stopped "
+                                           "after 3000 sweeps at componentwise residual 1.0e-03 "
+                                           "(tolerance 1e-13)\n")
+
+    def test_iad_refuses_the_transfer_channel(self, tmp_path, capsys):
+        path = write_config(tmp_path, b=[4, 4], beta=0.6)
+        assert main(["solve", path, "--method", "iad"]) == 1
+        assert capsys.readouterr().err == ("error: iterative aggregation-disaggregation does not cover the "
+                                           "transfer channel: its same-level moves break the level-parity "
+                                           "split; use exact\n")
+
     @pytest.mark.parametrize("command", ["solve", "verify", "simulate"])
     def test_box_too_large_for_dense_solve(self, tmp_path, capsys, command):
+        # Above the iterative solve's cap too, so auto falls to the level
+        # solver, which refuses it; (100,100,100) is solved iteratively now.
         path = write_config(tmp_path, J=3, **{"lambda": [1.0] * 3}, mu=[{"head": [], "tail": 2.0}] * 3,
-                            b=[100, 100, 100])
+                            b=[300, 300, 300])
         assert main([command, path]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: a dense exact solve of 1030301 states needs") and err.count("\n") == 1
+        assert err.startswith("error: a dense exact solve of 27270901 states needs") and err.count("\n") == 1
 
     def test_recursive_rejected_for_three_locations(self, tmp_path, capsys):
         path = write_config(
