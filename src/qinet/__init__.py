@@ -5,9 +5,10 @@ inventory; one shared supplier rebuilds the stocks item by item, always
 routing to the site(s) with the largest deficit (ties split evenly).  The
 joint stationary law factorizes into independent geometric-tailed queue
 marginals and a finite inventory measure, which this package computes by
-four mutually cross-validating routes: a direct linear-algebra solve, a
-closed form for unit base stocks, a recursive balance-equation
-elimination for two locations, and event-driven simulation.
+four mutually cross-validating routes: a direct linear-algebra solve (or,
+for large boxes, an iterative aggregation-disaggregation solve), a closed
+form for unit base stocks, a recursive balance-equation elimination for
+two locations, and event-driven simulation.
 """
 
 from .analysis import (
