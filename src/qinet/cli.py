@@ -9,6 +9,9 @@ Exit codes: 0 success / all checks passed, 1 validation error (a usage
 error, an option out of range or an unwritable output path included),
 2 property failure, 3 numerical failure.  Options and output paths are
 checked before any solve or simulation starts.
+
+``solve --method`` names a route; one rule, :func:`_pick_method`, picks the
+exact route's solver for ``solve`` and for ``verify``'s and ``simulate``'s reference.
 """
 from __future__ import annotations
 
@@ -47,12 +50,12 @@ TOL_SIM_THETA_TV = 0.02
 TOL_SIM_QUEUE_TV = 0.02
 TOL_SIM_DECOUPLING = 0.03
 DEFAULT_VERIFY_EVENTS = 1_000_000
-# auto solves a J >= 3 box iteratively when its largest level holds more
-# states than this.  Best of three solves in one process, at nu/mean(lam) in
-# {0.5, 1, 2, 2J}, level solver against iterative solve, ms: (12,12,12)
-# (largest level 127) 9.4-10.9 against 7.2-10.9, (14,14,14) (169) 19-26
-# against 12-25, (16,16,16) (217) 39-44 against 18-27, (6,)*4 (231) 27-29
-# against 10-18, (3,)*6 (580) 133-142 against 13-33.
+# The exact route solves a J >= 3 box iteratively when its largest level holds
+# more states than this.  Best of three solves, at nu/mean(lam) in {0.5, 1, 2,
+# 2J}, level solver against iterative solve, ms: (12,12,12) (largest level 127)
+# 9.4-10.9 against 7.2-10.9, (14,14,14) (169) 19-26 against 12-25, (16,16,16)
+# (217) 39-44 against 18-27, (6,)*4 (231) 27-29 against 10-18, (3,)*6 (580)
+# 133-142 against 13-33.
 IAD_MIN_LEVEL = 200
 
 
@@ -106,51 +109,49 @@ def load_config(path: str) -> NetworkConfig:
 
 
 def _pick_method(config: NetworkConfig, method: str) -> tuple[str, str]:
-    """Resolve ``auto``; returns (method, note).
+    """``(solver, note)`` for ``method``: ``auto`` is the closed form when every ``b_j = 1``, else exact.
 
-    An explicit method is passed through: its solver refuses a config
-    outside its domain with the :func:`method_inapplicable` reason.
+    The exact route is the iterative solve when ``J >= 3``, its cap admits the box and some level
+    holds more than ``IAD_MIN_LEVEL`` states, else the level solver.  A refused solver raises
+    :class:`PreconditionError`.
     """
-    if method != "auto":
-        return method, ""
-    if method_inapplicable(config, "closed") is None:
-        return "closed", "auto: all base stocks are one"
+    solver, note = method, ""
+    if method == "auto":
+        if method_inapplicable(config, "closed") is None:
+            return "closed", "auto: all base stocks are one"
+        solver, note = "exact", "auto: level-by-level elimination"
     # The byte cap first: a box it refuses is never convolved into level sizes.
-    if (config.J >= 3 and method_inapplicable(config, "iad") is None
+    if (solver == "exact" and config.J >= 3 and method_inapplicable(config, "iad") is None
             and level_sizes(config.b).max() > IAD_MIN_LEVEL):
-        return "iad", f"auto: a level holds more than {IAD_MIN_LEVEL} states"
-    return "exact", "auto: level-by-level elimination"
+        solver, note = "iad", f"{method}: a level holds more than {IAD_MIN_LEVEL} states"
+    if (reason := method_inapplicable(config, solver)) is not None:
+        raise PreconditionError(reason)
+    return solver, note
 
 
-def _solve_with(config: NetworkConfig, method: str) -> ThetaMeasure:
-    if method == "closed":
-        return theta_unit_base_stock(config)
-    if method == "recursive":
-        return solve_theta_recursive(config)
-    return solve_theta_exact(build_reduced_generator(config))
+def _solve(config: NetworkConfig, solver: str, note: str) -> tuple[str, str, ThetaMeasure]:
+    """``(solver, note, measure)``, the iterative solve's sweeps and residual in the note.
 
-
-def _solve_iad(config: NetworkConfig, note: str, fallback: bool) -> tuple[str, str, ThetaMeasure]:
-    """``(method, note, measure)`` of the iterative solve, its sweeps and residual in the note.
-
-    With ``fallback`` (``auto``), a failed iterative solve is followed by the
-    level solver where that applies, and the note gives the failure.
+    When the iterative solve raises :class:`SolverError`, the level solver
+    answers where its cap admits the box, and the note gives the failure.
     """
-    try:
-        theta, sweeps, residual = solve_theta_iad(config)
-    except SolverError as exc:
-        if not fallback or method_inapplicable(config, "exact") is not None:
-            raise
-        return "exact", f"auto: {exc}; level-by-level elimination", _solve_with(config, "exact")
-    return "iad", f"{note}{'; ' if note else ''}{sweeps} sweeps, residual {residual:.1e}", theta
+    if solver == "closed":
+        return solver, note, theta_unit_base_stock(config)
+    if solver == "recursive":
+        return solver, note, solve_theta_recursive(config)
+    if solver == "iad":
+        try:
+            theta, sweeps, residual = solve_theta_iad(config)
+            return solver, f"{note}; {sweeps} sweeps, residual {residual:.1e}", theta
+        except SolverError as exc:
+            if method_inapplicable(config, "exact") is not None:
+                raise
+            solver, note = "exact", f"{note.partition(':')[0]}: {exc}; level-by-level elimination"
+    return solver, note, solve_theta_exact(build_reduced_generator(config))
 
 
-def _solve_report(config: NetworkConfig, method: str, note: str,
-                  fallback: bool) -> tuple[dict, ThetaMeasure]:
-    if method == "iad":
-        method, note, theta = _solve_iad(config, note, fallback)
-    else:
-        theta = _solve_with(config, method)
+def _solve_report(config: NetworkConfig, solver: str, note: str) -> tuple[dict, ThetaMeasure]:
+    method, note, theta = _solve(config, solver, note)
     ergo = analysis.ergodicity_check(config)
     xi_params = []
     for diag in ergo.per_location:
@@ -238,12 +239,10 @@ def _write_solve_csv(path: str, report: dict) -> None:
 def cmd_solve(args) -> int:
     config = load_config(args.config)
     _check_writable(args.json, args.csv)
-    method, note = _pick_method(config, args.method)
-    # The method's own refusal first, then the report's, before any solve.
-    for need in (method, "report"):
-        if (reason := method_inapplicable(config, need)) is not None:
-            raise PreconditionError(reason)
-    report, theta = _solve_report(config, method, note, args.method == "auto")
+    solver, note = _pick_method(config, args.method)
+    if (reason := method_inapplicable(config, "report")) is not None:
+        raise PreconditionError(reason)
+    report, theta = _solve_report(config, solver, note)
 
     print(f"method: {report['method']}" + (f" ({report['note']})" if report["note"] else ""))
     verdict = "ergodic" if report["ergodic"] else "NOT ergodic"
@@ -308,7 +307,7 @@ def _verify_checks(config: NetworkConfig, events: int, seed: int) -> tuple[list[
         checks.append({"name": name, "value": None if value is None else float(value),
                        "tolerance": tol, "passed": passed})
 
-    theta_exact = _solve_with(config, "exact")
+    theta_exact = _solve(config, *_pick_method(config, "exact"))[2]
     residual, componentwise = balance_residuals(config, theta_exact.weights)
     add("exact_balance_residual", residual, TOL_EXACT_RESIDUAL)
     add("exact_componentwise_residual", componentwise, TOL_EXACT_COMPONENTWISE)
@@ -318,7 +317,7 @@ def _verify_checks(config: NetworkConfig, events: int, seed: int) -> tuple[list[
         if method_inapplicable(config, route) is not None:
             return None
         try:
-            return _solve_with(config, route)
+            return _solve(config, route, "")[2]
         except SolverError as exc:
             notices.append(f"{route} route failed: {exc}")
             for name, tol in tolerances.items():
@@ -387,12 +386,11 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     _check_writable(args.json)
-    # The generator refuses a box too large to solve before any run; simulate
-    # refuses a non-ergodic config before the reference is solved.
-    gen = build_reduced_generator(config)
+    # A box too large to solve is refused before any run, a non-ergodic one before the solve.
+    solver, note = _pick_method(config, "exact")
     runs = [simulate(config, total_events=args.events, seed=args.seed + r, n_obs=args.n_obs)
             for r in range(args.replications)]
-    theta_exact = solve_theta_exact(gen)
+    theta_exact = _solve(config, solver, note)[2]
     xis = _queue_xi(config, args.n_obs)
     rows = []
     for result in runs:
@@ -439,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="compute the stationary inventory measure")
     p_solve.add_argument("config")
     p_solve.add_argument(
-        "--method", choices=["auto", "exact", "iad", "closed", "recursive"], default="auto"
+        "--method", choices=["auto", "exact", "closed", "recursive"], default="auto"
     )
     p_solve.add_argument("--json", metavar="PATH")
     p_solve.add_argument("--csv", metavar="PATH")

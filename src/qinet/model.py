@@ -259,7 +259,8 @@ def method_inapplicable(config: NetworkConfig, method: str) -> str | None:
     n = math.prod(bj + 1 for bj in config.b)
     if method == "exact":
         if (need := exact_solve_bytes(config.b)) > DENSE_BYTES_CAP:
-            return f"a dense exact solve of {n} states needs {need} bytes; the cap is {DENSE_BYTES_CAP} bytes"
+            return (f"a level-by-level exact solve of {n} states needs {need} bytes; "
+                    f"the cap is {DENSE_BYTES_CAP} bytes")
     elif method == "iad":
         if config.has_transfer:
             return ("iterative aggregation-disaggregation does not cover the transfer channel: its "

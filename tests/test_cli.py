@@ -181,11 +181,12 @@ class TestSolve:
     @pytest.mark.parametrize("b, method", [([3] * 6, "iad"), ([6] * 4, "iad"), ([16] * 3, "iad"),
                                            ([12] * 3, "exact"), ([8] * 3, "exact"), ([40, 40], "exact")])
     def test_auto_takes_iad_above_the_level_size(self, tmp_path, b, method):
-        # Largest levels 580, 231, 217 against 127, 61 and 41 states.
+        # Largest levels 580, 231, 217 against 127, 61 and 41 states.  An
+        # explicit exact route takes the same solver by the same rule.
         J = len(b)
         config = load_config(write_config(tmp_path, J=J, **{"lambda": [1.0] * J}, b=b,
                                           mu=[{"head": [], "tail": 4.0}] * J))
-        assert _pick_method(config, "auto")[0] == method
+        assert _pick_method(config, "auto")[0] == _pick_method(config, "exact")[0] == method
 
     def test_auto_picks_iad(self, tmp_path, capsys):
         path = write_config(tmp_path, J=6, **{"lambda": [0.7, 1.3, 0.9, 1.1, 0.8, 1.2]}, b=[3] * 6, nu=2.0,
@@ -199,12 +200,16 @@ class TestSolve:
         assert (doc["method"], doc["note"], doc["theta"]["provenance"]) == ("iad", note, "iad")
         assert np.array(doc["theta"]["weights"]).tobytes() == theta.weights.tobytes()
         assert doc["componentwise_residual"] <= 1e-12
+        assert main(["solve", path, "--method", "exact"]) == 0
+        note = f"exact: a level holds more than 200 states; {sweeps} sweeps, residual {residual:.1e}"
+        assert capsys.readouterr().out.startswith(f"method: iad ({note})\n")
 
     def test_auto_solves_beyond_the_exact_cap(self, tmp_path, capsys):
         # (6,)^6: 117,649 states, for which the level solver would hold 8.46 GiB.
         path = write_config(tmp_path, J=6, **{"lambda": [0.7, 1.3, 0.9, 1.1, 0.8, 1.2]}, b=[6] * 6, nu=2.0,
                             mu=[{"head": [], "tail": 5.2}] * 6)
-        assert method_inapplicable(load_config(path), "exact").startswith("a dense exact solve of 117649 ")
+        reason = method_inapplicable(load_config(path), "exact")
+        assert reason.startswith("a level-by-level exact solve of 117649 ")
         assert main(["solve", path]) == 0
         assert capsys.readouterr().out.startswith("method: iad (auto: a level holds more than 200 states; ")
 
@@ -225,8 +230,6 @@ class TestSolve:
                              doc["note"])
         assert int(stall[2]) == IAD_MAX_SWEEPS and float(stall[3]) > 1e-6
         assert capsys.readouterr().out.startswith(f"method: exact ({doc['note']})\n")
-        assert main(["solve", path, "--method", "iad"]) == 3
-        assert capsys.readouterr().err == f"numerical failure: {stall[1]}\n"
 
     def test_no_fallback_above_the_exact_cap(self, tmp_path, capsys, monkeypatch):
         def stall(config):
@@ -242,13 +245,6 @@ class TestSolve:
                                            "after 3000 sweeps at componentwise residual 1.0e-03 "
                                            "(tolerance 1e-13)\n")
 
-    def test_iad_refuses_the_transfer_channel(self, tmp_path, capsys):
-        path = write_config(tmp_path, b=[4, 4], beta=0.6)
-        assert main(["solve", path, "--method", "iad"]) == 1
-        assert capsys.readouterr().err == ("error: iterative aggregation-disaggregation does not cover the "
-                                           "transfer channel: its same-level moves break the level-parity "
-                                           "split; use exact\n")
-
     @pytest.mark.parametrize("command", ["solve", "verify", "simulate"])
     def test_box_too_large_for_dense_solve(self, tmp_path, capsys, command):
         # Above the iterative solve's cap too, so auto falls to the level
@@ -257,7 +253,8 @@ class TestSolve:
                             b=[300, 300, 300])
         assert main([command, path]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: a dense exact solve of 27270901 states needs") and err.count("\n") == 1
+        assert err.startswith("error: a level-by-level exact solve of 27270901 states needs")
+        assert err.count("\n") == 1
 
     def test_recursive_rejected_for_three_locations(self, tmp_path, capsys):
         path = write_config(
@@ -284,13 +281,13 @@ class TestSolve:
         assert err == ("error: recursive elimination of 27670116110564327427 states needs "
                        "30437127721620760169700 bytes; the cap is 4294967296 bytes\n")
         assert main(["solve", path]) == 1
-        assert capsys.readouterr().err.startswith("error: a dense exact solve of ")
+        assert capsys.readouterr().err.startswith("error: a level-by-level exact solve of ")
         for b, admitted in (([300, 300], True), ([3000, 3000], False)):
             config = load_config(write_config(tmp_path, b=b))
             assert (method_inapplicable(config, "recursive") is None) == admitted
 
     @pytest.mark.parametrize("method, message", [
-        ("auto", "a dense exact solve of 1099511627776 states needs "),
+        ("auto", "a level-by-level exact solve of 1099511627776 states needs "),
         ("closed", "the closed form of 1099511627776 states needs 703687441776640 bytes; "),
     ], ids=["auto", "closed"])
     def test_unit_box_above_every_cap(self, tmp_path, capsys, method, message):
@@ -537,8 +534,8 @@ class TestUsage:
     @pytest.mark.parametrize(
         "argv",
         [["solve", "{cfg}", "--method", "bogus"], ["verify", "{cfg}", "--seed", "abc"], ["solve"], [],
-         ["simulate", "{cfg}", "--events", "many"]],
-        ids=["bad-method", "bad-seed", "missing-config", "no-command", "bad-events"],
+         ["simulate", "{cfg}", "--events", "many"], ["solve", "{cfg}", "--method", "iad"]],
+        ids=["bad-method", "bad-seed", "missing-config", "no-command", "bad-events", "iad-method"],
     )
     def test_usage_error_exits_1(self, tmp_path, capsys, argv):
         cfg = write_config(tmp_path)
@@ -557,7 +554,7 @@ class TestOutputPaths:
     def test_checked_before_any_work(self, tmp_path, capsys, monkeypatch, command):
         import qinet.cli as cli
 
-        for name in ("simulate", "solve_theta_exact", "_solve_with"):
+        for name in ("simulate", "solve_theta_exact", "_solve"):
             monkeypatch.setattr(cli, name, no_work)
         target = tmp_path / "missing" / "x.json"
         assert main([command, write_config(tmp_path), "--json", str(target)]) == 1
@@ -567,10 +564,10 @@ class TestOutputPaths:
     def test_failed_run_leaves_path_as_found(self, tmp_path, monkeypatch, existing):
         import qinet.cli as cli
 
-        def boom(config, method):
+        def boom(config, solver, note):
             raise SolverError("synthetic failure")
 
-        monkeypatch.setattr(cli, "_solve_with", boom)
+        monkeypatch.setattr(cli, "_solve", boom)
         out = tmp_path / "out.json"
         if existing is not None:
             out.write_text(existing)
@@ -616,6 +613,15 @@ class TestSimulate:
             "error: simulation refused: configuration is not ergodic: "
             "location 1 UNSTABLE, lambda=2 vs tail rate 2; location 2 UNSTABLE, lambda=3 vs tail rate 2\n"
         )
+
+    def test_reference_beyond_the_level_solver_cap(self, tmp_path, capsys):
+        # (6,)^6: the reference is picked by solve's rule, so the iterative
+        # solve answers where the level solver's cap refuses the box.
+        path = write_config(tmp_path, J=6, **{"lambda": [0.7, 1.3, 0.9, 1.1, 0.8, 1.2]}, b=[6] * 6, nu=2.0,
+                            mu=[{"head": [], "tail": 5.2}] * 6)
+        assert method_inapplicable(load_config(path), "exact") is not None
+        assert main(["simulate", path, "--events", "2000"]) == 0
+        assert "merged (1 run(s))" in capsys.readouterr().out
 
     def test_zero_replications_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -690,10 +696,10 @@ def test_exact_report_writes_the_transition_arrays_twice(tmp_path, monkeypatch):
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     import qinet.cli as cli
 
-    def boom(config, method):
+    def boom(config, solver, note):
         raise SolverError("synthetic failure")
 
-    monkeypatch.setattr(cli, "_solve_with", boom)
+    monkeypatch.setattr(cli, "_solve", boom)
     path = write_config(tmp_path)
     assert main(["solve", path]) == 3
 
