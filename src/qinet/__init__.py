@@ -34,11 +34,12 @@ from .errors import (
     SequencingError,
     SolverError,
 )
-from .exact import ThetaMeasure, solve_theta_exact, solve_theta_iad
+from .exact import solve_theta_exact, solve_theta_iad
 from .generator import ReducedGenerator, build_reduced_generator
 from .model import (
     NetworkConfig,
     ServiceRateProfile,
+    ThetaMeasure,
     enumerate_inventory_states,
     method_inapplicable,
 )

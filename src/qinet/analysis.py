@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ErgodicityError, PreconditionError
-from .exact import ThetaMeasure
-from .model import NetworkConfig
+from .model import NetworkConfig, ThetaMeasure
 
 __all__ = [
     "LocationDiagnostic",

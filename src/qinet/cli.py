@@ -6,9 +6,9 @@ Config files are JSON with exactly the keys ``J``, ``lambda``, ``mu``,
 rejected.
 
 Exit codes: 0 success / all checks passed, 1 validation error (a usage
-error, an option out of range or an unwritable output path included),
-2 property failure, 3 numerical failure.  Options and output paths are
-checked before any solve or simulation starts.
+error, an option out of range or an unwritable output path included) or
+standard output closed early, 2 property failure, 3 numerical failure.
+Options and output paths are checked before any solve or simulation starts.
 
 ``solve --method`` names a route; one rule, :func:`_pick_method`, picks the
 exact route's solver for ``solve`` and for ``verify``'s and ``simulate``'s reference.
@@ -26,10 +26,10 @@ import numpy as np
 from . import analysis
 from .closed_form import theta_unit_base_stock
 from .errors import ConfigError, ErgodicityError, PreconditionError, QinetError, SolverError
-from .exact import COMPONENTWISE_RTOL, ThetaMeasure, solve_theta_exact, solve_theta_iad
+from .exact import COMPONENTWISE_RTOL, solve_theta_exact, solve_theta_iad
 from .generator import balance_residuals, build_reduced_generator
-from .model import (NetworkConfig, ServiceRateProfile, enumerate_inventory_states, level_sizes,
-                    method_inapplicable)
+from .model import (NetworkConfig, ServiceRateProfile, ThetaMeasure, enumerate_inventory_states,
+                    level_sizes, method_inapplicable)
 from .recursive import solve_theta_recursive
 from .simulate import SimulationResult, decoupling_test, merge_results, simulate
 
@@ -472,7 +472,12 @@ def main(argv=None) -> int:
         for name, low in (("seed", 0), ("events", 1), ("n_obs", 1), ("replications", 1)):
             if getattr(args, name, low) < low:
                 raise PreconditionError(f"{name} must be >= {low}, got {getattr(args, name)}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's flush at exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout: what is still buffered goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VALIDATION
     except (ConfigError, PreconditionError, ErgodicityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -14,9 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError
-from .exact import ThetaMeasure
 # enumerate_inventory_states is unused here; perfbench/spans.py traces this binding.
-from .model import NetworkConfig, enumerate_inventory_states, method_inapplicable  # noqa: F401
+from .model import NetworkConfig, ThetaMeasure, enumerate_inventory_states, method_inapplicable  # noqa: F401
 
 __all__ = ["theta_unit_base_stock", "unit_base_stock_weights"]
 

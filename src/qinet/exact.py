@@ -1,4 +1,4 @@
-"""The inventory measure type and the two stationary solves on K.
+"""The two exact stationary solves on K.
 
 ``solve_theta_exact`` is the oracle every other route is checked against.
 It censors the reduced generator level by level (total on-hand stock),
@@ -12,7 +12,7 @@ McAllister & Stewart 1984).  It holds a few arrays per edge, so it reaches
 ``J >= 3`` boxes the level solver's cap refuses.  It does not cover the
 transfer channel.
 
-Both accept their answer only when every state's own balance equation
+Both return their measure only when every state's own balance equation
 holds (:func:`_gated`).  The one LAPACK routine the level solver calls,
 ``dgesv``, is scipy's f2py binding, loaded from scipy's extension module
 file so that no ``scipy`` module is imported (see :func:`_load_flapack`).
@@ -27,15 +27,14 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError, SolverError
 from .generator import ReducedGenerator, _transition_arrays, net_inflow, relative_imbalance
-from .model import NetworkConfig, _on_hand_rows, method_inapplicable
+from .model import NetworkConfig, ThetaMeasure, _on_hand_rows, method_inapplicable
 
-__all__ = ["ThetaMeasure", "solve_theta_exact", "solve_theta_iad"]
+__all__ = ["solve_theta_exact", "solve_theta_iad"]
 
 # Largest relative imbalance |(wQ)_i| / (w_i q_i) a solve may leave in any
 # state's balance equation.
@@ -57,52 +56,6 @@ IAD_MAX_SWEEPS = 3000
 # sweep, it held (6,)*6 (117,649 states) at a residual of 1.4e-13 for 3,000
 # sweeps; skipped, the solve stopped after 175.
 IAD_RESCALE_MIN = 1e-12
-
-PROVENANCES = ("exact", "iad", "closed_form", "recursive", "empirical")
-
-
-@dataclass(frozen=True)
-class ThetaMeasure:
-    """A probability distribution on the inventory box ``0 <= k_j <= b_j``.
-
-    ``grid[k_1, ..., k_J]`` is the weight of on-hand vector ``k``; the
-    supplier coordinate ``sum_j (b_j - k_j)`` is implied.  ``weights`` is
-    the same array flattened in canonical (lexicographic) state order.
-    The weights always sum to one within ``1e-12``.  Analytic provenances
-    carry strictly positive weights; empirical measures may put zero mass
-    on states a finite run never visited.
-    """
-
-    grid: np.ndarray
-    provenance: str
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        object.__setattr__(self, "grid", g)
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if g.ndim == 0 or min(g.shape) < 2:
-            raise ValueError("grid needs one axis of length b_j + 1 >= 2 per location")
-        # ufunc reductions: ndarray.min, .sum and np.all go through Python
-        # wrappers that cost more than the reduction on a small grid.
-        if not np.logical_and.reduce(np.isfinite(g), axis=None):
-            raise SolverError("non-finite weights")
-        least = np.minimum.reduce(g, axis=None)
-        if self.provenance == "empirical":
-            if least < 0:
-                raise SolverError("empirical weights must be non-negative")
-        elif least <= 0:
-            raise SolverError("stationary weights must be strictly positive")
-        if abs(np.add.reduce(g, axis=None) - 1.0) > 1e-12:
-            raise SolverError("normalized measure must sum to one")
-
-    @property
-    def b(self) -> tuple[int, ...]:
-        return tuple(n - 1 for n in self.grid.shape)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.grid.reshape(-1)
 
 
 def _package_dir(name: str) -> str:

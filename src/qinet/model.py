@@ -1,4 +1,4 @@
-"""Network parameters, inventory state space and the replenishment routing policy.
+"""Network parameters, the inventory state space, its measure type and the routing policy.
 
 A network has J > 1 locations, each a single-server make-to-order queue fed
 from a local inventory, plus one shared supplier (treated as workstation
@@ -18,12 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 
 __all__ = [
     "ServiceRateProfile",
     "NetworkConfig",
     "InventoryState",
+    "ThetaMeasure",
     "enumerate_inventory_states",
     "level_sizes",
     "method_inapplicable",
@@ -204,6 +205,55 @@ def enumerate_inventory_states(b) -> np.ndarray:
         raise ConfigError("base-stock levels must be a non-empty list of integers >= 1")
     on_hand = _on_hand_rows(b)
     return np.column_stack([on_hand, sum(b) - on_hand.sum(axis=1)])
+
+
+PROVENANCES = ("exact", "iad", "closed_form", "recursive", "empirical")
+
+
+@dataclass(frozen=True)
+class ThetaMeasure:
+    """A probability distribution on the inventory box ``0 <= k_j <= b_j``.
+
+    ``grid[k_1, ..., k_J]`` is the weight of on-hand vector ``k``; the
+    supplier coordinate ``sum_j (b_j - k_j)`` is implied.  ``weights`` is
+    the same array flattened in canonical (lexicographic) state order.
+    The weights always sum to one within ``1e-12``.  Analytic provenances
+    carry strictly positive weights; empirical measures may put zero mass
+    on states a finite run never visited.  A refusal is a
+    :class:`SolverError` naming the on-hand cell and its weight, or the sum.
+    """
+
+    grid: np.ndarray
+    provenance: str
+
+    def __post_init__(self):
+        g = np.asarray(self.grid, dtype=float)
+        object.__setattr__(self, "grid", g)
+        if self.provenance not in PROVENANCES:
+            raise ValueError(f"unknown provenance {self.provenance!r}")
+        if g.ndim == 0 or min(g.shape) < 2:
+            raise ValueError("grid needs one axis of length b_j + 1 >= 2 per location")
+        # ufunc reductions, not ndarray.min, .sum or np.all: their Python wrappers outcost a small grid.
+        if not np.logical_and.reduce(finite := np.isfinite(g), axis=None):
+            raise self._refusal("non-finite", np.argmin(finite), "")
+        empirical = self.provenance == "empirical"
+        if (least := np.minimum.reduce(g, axis=None)) < 0 or (least == 0 and not empirical):
+            raise self._refusal("negative" if empirical else "non-positive", np.argmin(g), " (floor 0)")
+        if abs((total := float(np.add.reduce(g, axis=None))) - 1.0) > 1e-12:
+            raise SolverError(f"weights sum to {total!r}: a normalized measure must sum to one within 1e-12")
+
+    def _refusal(self, what: str, flat: int, floor: str) -> SolverError:
+        on_hand = tuple(int(k) for k in np.unravel_index(flat, self.grid.shape))
+        return SolverError(f"{what} weight {self.grid.flat[flat]:.3e} at on-hand {on_hand} in the "
+                           f"{self.provenance} measure{floor}")
+
+    @property
+    def b(self) -> tuple[int, ...]:
+        return tuple(n - 1 for n in self.grid.shape)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.grid.reshape(-1)
 
 
 def level_sizes(b) -> np.ndarray:

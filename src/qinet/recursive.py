@@ -26,10 +26,9 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DegenerateEliminationError, PreconditionError, SequencingError, SolverError
-from .exact import ThetaMeasure
 from .generator import _transition_arrays
 # enumerate_inventory_states is unused here; perfbench/spans.py traces this binding.
-from .model import NetworkConfig, enumerate_inventory_states, method_inapplicable  # noqa: F401
+from .model import NetworkConfig, ThetaMeasure, enumerate_inventory_states, method_inapplicable  # noqa: F401
 
 __all__ = ["solve_theta_recursive"]
 
@@ -158,10 +157,4 @@ def solve_theta_recursive(config: NetworkConfig) -> ThetaMeasure:
     if not known.all():
         raise SequencingError("table is not complete")
     grid = table[..., 0].copy()
-    k1, k2 = np.unravel_index(np.argmin(grid), grid.shape)
-    if grid[k1, k2] <= 0:
-        raise SolverError(
-            f"non-positive weight {grid[k1, k2]:.3e} at on-hand ({k1}, {k2}) in recursive table "
-            f"(floor 0)"
-        )
     return ThetaMeasure(grid=grid / grid.sum(), provenance="recursive")

@@ -36,10 +36,9 @@ import numpy as np
 
 from . import analysis
 from .errors import ErgodicityError, PreconditionError
-from .exact import ThetaMeasure
 from .generator import _move_table
 # enumerate_inventory_states is unused here; perfbench/spans.py traces this binding.
-from .model import NetworkConfig, enumerate_inventory_states, method_inapplicable  # noqa: F401
+from .model import NetworkConfig, ThetaMeasure, enumerate_inventory_states, method_inapplicable  # noqa: F401
 
 __all__ = ["SimulationResult", "simulate", "decoupling_test", "merge_results"]
 

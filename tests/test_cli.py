@@ -704,6 +704,23 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     assert main(["solve", path]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv", [["solve"], ["verify", "--events", "1000"]], ids=["solve", "verify"]
+)
+def test_closed_stdout_exits_1_silently(tmp_path, argv):
+    # The reader of stdout is gone before the command prints: no traceback,
+    # no "Exception ignored" line from the interpreter's flush at exit.
+    path = write_config(tmp_path, b=[2, 2])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    read_end, write_end = os.pipe()
+    child = subprocess.Popen([sys.executable, "-m", "qinet.cli", argv[0], path, *argv[1:]],
+                             stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(read_end)
+    os.close(write_end)
+    err = child.communicate()[1]
+    assert (child.returncode, err) == (1, b"")
+
+
 def test_import_leaves_scipy_sparse_unloaded():
     # The generator is built from the config alone; no command needs a
     # sparse graph, so importing the CLI must not load scipy.sparse.

@@ -10,6 +10,8 @@ from qinet import (
     ConfigError,
     NetworkConfig,
     ServiceRateProfile,
+    SolverError,
+    ThetaMeasure,
     build_reduced_generator,
     enumerate_inventory_states,
     method_inapplicable,
@@ -119,6 +121,34 @@ class TestEnumeration:
             enumerate_inventory_states(())
         with pytest.raises(ConfigError):
             enumerate_inventory_states((1, 0))
+
+
+class TestThetaMeasureRefusals:
+    """Each refusal names the on-hand cell and its weight, or the sum."""
+
+    def test_non_finite_names_the_first_cell(self):
+        grid = np.full((2, 2, 2), 0.125)
+        grid[0, 1, 1], grid[1, 0, 0] = np.inf, np.nan
+        with pytest.raises(SolverError, match=r"^non-finite weight inf at on-hand \(0, 1, 1\) "
+                                              r"in the exact measure$"):
+            ThetaMeasure(grid=grid, provenance="exact")
+
+    def test_analytic_names_the_smallest_non_positive_weight(self):
+        grid = np.array([[0.5, 0.0], [0.75, -0.25]])
+        with pytest.raises(SolverError, match=r"^non-positive weight -2\.500e-01 at on-hand \(1, 1\) "
+                                              r"in the recursive measure \(floor 0\)$"):
+            ThetaMeasure(grid=grid, provenance="recursive")
+
+    def test_empirical_names_the_most_negative_weight(self):
+        grid = np.array([[0.0, -0.125], [1.375, -0.25]])
+        with pytest.raises(SolverError, match=r"^negative weight -2\.500e-01 at on-hand \(1, 1\) "
+                                              r"in the empirical measure \(floor 0\)$"):
+            ThetaMeasure(grid=grid, provenance="empirical")
+
+    def test_off_one_names_the_sum(self):
+        with pytest.raises(SolverError, match=r"^weights sum to 1\.5: a normalized measure must sum to one "
+                                              r"within 1e-12$"):
+            ThetaMeasure(grid=np.full((2, 3), 0.25), provenance="closed_form")
 
 
 class TestRouting:
