@@ -12,6 +12,10 @@ Options and output paths are checked before any solve or simulation starts.
 
 ``solve --method`` names a route; one rule, :func:`_pick_method`, picks the
 exact route's solver for ``solve`` and for ``verify``'s and ``simulate``'s reference.
+
+``simulate`` runs its ``R`` replications, seeded ``seed + r``, on
+``min(R, usable CPUs)`` forked processes, in this process when that is one;
+the output bytes do not depend on the count.
 """
 from __future__ import annotations
 
@@ -383,13 +387,35 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _replica(job: tuple) -> SimulationResult:
+    """One replication ``(config, events, seed, n_obs)``.
+
+    A worker process looks this function up by name: the pool never pickles
+    the ``simulate`` binding, which a tracer may have wrapped.
+    """
+    config, events, seed, n_obs = job
+    return simulate(config, total_events=events, seed=seed, n_obs=n_obs)
+
+
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     _check_writable(args.json)
     # A box too large to solve is refused before any run, a non-ergodic one before the solve.
     solver, note = _pick_method(config, "exact")
-    runs = [simulate(config, total_events=args.events, seed=args.seed + r, n_obs=args.n_obs)
-            for r in range(args.replications)]
+    jobs = [(config, args.events, args.seed + r, args.n_obs) for r in range(args.replications)]
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    if workers > 1:
+        # Imported here: at module level they would slow every start by tens of ms.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Forked workers inherit the imported package; spawned ones would each
+        # import it again.  A fork pool forks every worker before its own
+        # thread starts, and the command starts no other thread.
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            runs = list(pool.map(_replica, jobs))
+    else:
+        runs = list(map(_replica, jobs))
     theta_exact = _solve(config, solver, note)[2]
     xis = _queue_xi(config, args.n_obs)
     rows = []

@@ -21,8 +21,9 @@ and a (signature, state) pair its row: the total rate, the running rate
 sums and the moves.  An event reads its row, adds the holding time to
 its cell's occupancy, and picks the move by bisecting the running sums.
 The cell's code (clipped queue vector and inventory index in one
-integer) and the signature's code are running integers: a move changes
-them only when it changes a location's clipped length or signature.
+integer) and the row's key (signature and inventory index in one
+integer) are running sums: a queue move adds to them only when it
+changes a location's clipped length or signature.
 """
 from __future__ import annotations
 
@@ -169,17 +170,18 @@ def simulate(
     clip = n_obs + 1
     # Occupancy code of a cell: sum_i min(n_i, n_obs) * place[i] + k.
     place = [clip ** (J - 1 - i) * n_states for i in range(J)]
-    # Signatures by code sum_i min(n_i, caps[i]) * sig_place[i]: each holds
-    # its service rates and its rows (total, cum, deltas) by inventory index.
-    sig_place = [math.prod(c + 1 for c in caps[i + 1 :]) for i in range(J)]
-    signatures: dict[int, tuple] = {}
+    # Row keys: sum_i min(n_i, caps[i]) * sig_place[i] + k, one dict of rows
+    # (total, cum, deltas) over every visited (signature, state) pair.
+    # Service rates are kept per signature code only to build rows.
+    sig_place = [math.prod(c + 1 for c in caps[i + 1 :]) * n_states for i in range(J)]
+    rows: dict[int, tuple] = {}
+    mus: dict[int, list] = {}
 
     rng = np.random.default_rng(seed)
     n = [0] * J
     code = 0  # queue part of the occupancy code
-    sig = 0
+    sig = 0  # signature part of the row key
     kidx = n_states - 1  # all inventories full in canonical (lexicographic) order
-    mu, rows = signatures[0] = service_rates((0,) * J), {}
 
     burn = int(round(BURN_IN * total_events))
     occ: defaultdict[int, float] = defaultdict(float)
@@ -193,12 +195,16 @@ def simulate(
         first = start % _BLOCK
         last = first + stop - start
         for u, e in zip(uniforms[first:last].tolist(), exponentials[first:last].tolist()):
-            row = rows.get(kidx)
-            if row is None:
+            try:
+                total, cum, deltas = rows[sig + kidx]
+            except KeyError:
+                mu = mus.get(sig)
+                if mu is None:
+                    mu = mus[sig] = service_rates([min(m, c) for m, c in zip(n, caps)])
                 rates, deltas = zip(*moves(mu, kidx))
                 cum = list(accumulate(rates))
-                row = rows[kidx] = cum[-1], cum, deltas
-            total, cum, deltas = row
+                total = cum[-1]
+                rows[sig + kidx] = total, cum, deltas
             dt = e / total
             occ[code + kidx] += dt
             t_acc += dt
@@ -211,11 +217,6 @@ def simulate(
                     code += place[loc] if dn > 0 else -place[loc]
                 if top <= caps[loc]:
                     sig += sig_place[loc] if dn > 0 else -sig_place[loc]
-                    signature = signatures.get(sig)
-                    if signature is None:
-                        signature = signatures[sig] = (
-                            service_rates([min(m, c) for m, c in zip(n, caps)]), {})
-                    mu, rows = signature
 
     if t_acc <= 0:
         raise PreconditionError("no simulated time left after burn-in")

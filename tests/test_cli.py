@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -660,6 +661,80 @@ class TestSimulate:
         assert abs(sum(doc["theta"]["weights"]) - 1.0) < 1e-9
 
 
+class TestSimulateWorkers:
+    """Replications run on ``min(R, usable CPUs)`` forked processes, with seeds ``seed + r``."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker counts of the process pools started, with four usable CPUs.
+
+        Once the test is done, no worker is left running.
+        """
+        import concurrent.futures
+
+        started = []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        yield started
+        assert multiprocessing.active_children() == []
+
+    def test_pool_writes_the_same_bytes_as_one_process(self, tmp_path, capsys, monkeypatch, pools):
+        path = write_config(tmp_path, b=[3, 2], **{"lambda": [1.3, 0.8]})
+        argv = ["simulate", path, "--events", "20000", "--replications", "4", "--seed", "11", "--json"]
+        assert main([*argv, str(tmp_path / "pool.json")]) == 0
+        pooled = capsys.readouterr().out
+        assert pools == [4]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main([*argv, str(tmp_path / "one.json")]) == 0
+        assert pools == [4]
+        assert capsys.readouterr().out == pooled
+        assert (tmp_path / "pool.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+        rows = json.loads((tmp_path / "pool.json").read_text())["replications"]
+        assert [row["seed"] for row in rows] == [11, 12, 13, 14]
+
+    def test_two_replications_take_two_workers(self, tmp_path, pools):
+        assert main(["simulate", write_config(tmp_path), "--events", "2000", "--replications", "2"]) == 0
+        assert pools == [2]
+
+    def test_non_ergodic_refused_before_solving(self, tmp_path, capsys, monkeypatch, pools):
+        import qinet.cli as cli
+
+        for name in ("solve_theta_exact", "_solve"):
+            monkeypatch.setattr(cli, name, no_work)
+        path = write_config(tmp_path, **{"lambda": [2.0, 3.0]})
+        assert main(["simulate", path, "--replications", "4"]) == 1
+        assert capsys.readouterr().err == (
+            "error: simulation refused: configuration is not ergodic: "
+            "location 1 UNSTABLE, lambda=2 vs tail rate 2; location 2 UNSTABLE, lambda=3 vs tail rate 2\n"
+        )
+        assert pools == [4]
+
+    def test_box_too_large_refused_before_any_run(self, tmp_path, capsys, pools):
+        path = write_config(tmp_path, J=3, **{"lambda": [1.0] * 3}, mu=[{"head": [], "tail": 2.0}] * 3,
+                            b=[300, 300, 300])
+        assert main(["simulate", path, "--replications", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a level-by-level exact solve of 27270901 states needs")
+        assert err.count("\n") == 1
+        assert pools == []
+
+    @pytest.mark.parametrize("option, message", [
+        (["--events", "0"], "error: events must be >= 1, got 0\n"),
+        (["--seed", "-5"], "error: seed must be >= 0, got -5\n"),
+        (["--n-obs", "0"], "error: n_obs must be >= 1, got 0\n"),
+    ])
+    def test_bad_option_refused_before_any_run(self, tmp_path, capsys, pools, option, message):
+        assert main(["simulate", write_config(tmp_path), "--replications", "4", *option]) == 1
+        assert capsys.readouterr().err == message
+        assert pools == []
+
+
 @pytest.mark.parametrize("argv", [["solve", "--method", "exact"], ["verify", "--events", "20000"],
                                   ["simulate", "--events", "20000", "--replications", "2"]],
                          ids=["solve", "verify", "simulate"])
@@ -734,6 +809,16 @@ def test_import_loads_no_scipy_module():
     # The level solver binds scipy's LAPACK dgesv from its extension file;
     # importing the CLI must leave no module of the scipy package loaded.
     code = "import sys, qinet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == "[]\n"
+
+
+def test_import_loads_no_process_pool():
+    # Only a simulation with more than one worker imports them: at module
+    # level they would add to the start of every command.
+    code = ("import sys, qinet.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert done.stdout == "[]\n"
