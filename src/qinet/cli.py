@@ -281,19 +281,19 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _queue_xi(config: NetworkConfig, n_obs: int) -> list[np.ndarray]:
-    """Analytic queue marginal ``xi_j(n)`` for ``n < min(6, n_obs)``, one array per location."""
-    qms = [analysis.queue_marginal(config, j) for j in range(1, config.J + 1)]
-    return [np.array([qm.xi(n) for n in range(min(6, n_obs))]) for qm in qms]
+def _scores(result: SimulationResult, theta_exact: ThetaMeasure, config: NetworkConfig) -> dict:
+    """``theta_tv``, ``decoupling_tv``, then ``queue{j}_tv``: the TVs of a run against the analysis.
 
-
-def _queue_tvs(result: SimulationResult, xis: list[np.ndarray]) -> list[float]:
-    """Per location, TV between the empirical queue marginal and ``xi`` on ``xi``'s levels."""
-    tvs = []
-    for j, xi in enumerate(xis):
-        emp = np.bincount(result.queues[:, j], result.mass, minlength=xi.size)[: xi.size]
-        tvs.append(0.5 * float(np.abs(emp - xi).sum()))
-    return tvs
+    Queue ``j``'s empirical marginal is compared with ``xi_j(n)`` for ``n < min(6, n_obs)``.
+    """
+    scores = {"theta_tv": analysis.total_variation(result.empirical_theta(), theta_exact),
+              "decoupling_tv": decoupling_test(result)}
+    for j in range(1, config.J + 1):
+        qm = analysis.queue_marginal(config, j)
+        xi = np.array([qm.xi(n) for n in range(min(6, result.n_obs))])
+        emp = np.bincount(result.queues[:, j - 1], result.mass, minlength=xi.size)[: xi.size]
+        scores[f"queue{j}_tv"] = 0.5 * float(np.abs(emp - xi).sum())
+    return scores
 
 
 def _verify_checks(config: NetworkConfig, events: int, seed: int) -> tuple[list[dict], list[str]]:
@@ -316,27 +316,24 @@ def _verify_checks(config: NetworkConfig, events: int, seed: int) -> tuple[list[
     add("exact_balance_residual", residual, TOL_EXACT_RESIDUAL)
     add("exact_componentwise_residual", componentwise, TOL_EXACT_COMPONENTWISE)
 
-    def cross_check(route: str, tolerances: dict):
-        """The ``route`` measure, or None after failing each of its checks."""
+    def tv(theta: ThetaMeasure) -> float:
+        return analysis.total_variation(theta, theta_exact)
+
+    # Each cross-check route's checks: (name, tolerance, value of the route's measure).
+    routes = {"closed": [("closed_form_vs_exact_tv", TOL_CLOSED_TV, tv)],
+              "recursive": [("recursive_vs_exact_tv", TOL_RECURSIVE_TV, tv),
+                            ("recursive_balance_residual", TOL_RECURSIVE_RESIDUAL,
+                             lambda theta: balance_residuals(config, theta.weights)[0])]}
+    for route, route_checks in routes.items():
         if method_inapplicable(config, route) is not None:
-            return None
+            continue
         try:
-            return _solve(config, route, "")[2]
+            theta = _solve(config, route, "")[2]
         except SolverError as exc:
             notices.append(f"{route} route failed: {exc}")
-            for name, tol in tolerances.items():
-                add(name, None, tol)
-            return None
-
-    if (theta_closed := cross_check("closed", {"closed_form_vs_exact_tv": TOL_CLOSED_TV})) is not None:
-        add("closed_form_vs_exact_tv", analysis.total_variation(theta_closed, theta_exact), TOL_CLOSED_TV)
-
-    recursive_checks = {"recursive_vs_exact_tv": TOL_RECURSIVE_TV,
-                        "recursive_balance_residual": TOL_RECURSIVE_RESIDUAL}
-    if (theta_rec := cross_check("recursive", recursive_checks)) is not None:
-        add("recursive_vs_exact_tv", analysis.total_variation(theta_rec, theta_exact), TOL_RECURSIVE_TV)
-        add("recursive_balance_residual", balance_residuals(config, theta_rec.weights)[0],
-            TOL_RECURSIVE_RESIDUAL)
+            theta = None
+        for name, tol, value in route_checks:
+            add(name, None if theta is None else value(theta), tol)
 
     if config.is_homogeneous():
         add("symmetry", analysis.check_symmetry(theta_exact, config), TOL_SYMMETRY)
@@ -348,15 +345,10 @@ def _verify_checks(config: NetworkConfig, events: int, seed: int) -> tuple[list[
 
     ergo = analysis.ergodicity_check(config)
     if ergo.ergodic:
-        result = simulate(config, total_events=events, seed=seed)
-        add(
-            "simulation_theta_tv",
-            analysis.total_variation(result.empirical_theta(), theta_exact),
-            TOL_SIM_THETA_TV,
-        )
-        for j, tv in enumerate(_queue_tvs(result, _queue_xi(config, result.n_obs)), start=1):
-            add(f"simulation_queue{j}_tv", tv, TOL_SIM_QUEUE_TV)
-        add("simulation_decoupling_tv", decoupling_test(result), TOL_SIM_DECOUPLING)
+        scores = _scores(simulate(config, total_events=events, seed=seed), theta_exact, config)
+        tols = {"theta_tv": TOL_SIM_THETA_TV, "decoupling_tv": TOL_SIM_DECOUPLING}
+        for name in ["theta_tv", *list(scores)[2:], "decoupling_tv"]:
+            add(f"simulation_{name}", scores[name], tols.get(name, TOL_SIM_QUEUE_TV))
     else:
         notices.append(
             "configuration not ergodic: inventory-level checks only, "
@@ -417,38 +409,21 @@ def cmd_simulate(args) -> int:
     else:
         runs = list(map(_replica, jobs))
     theta_exact = _solve(config, solver, note)[2]
-    xis = _queue_xi(config, args.n_obs)
-    rows = []
-    for result in runs:
-        row = {
-            "seed": result.seed,
-            "events": result.total_events,
-            "sim_time": result.sim_time,
-            "theta_tv": analysis.total_variation(result.empirical_theta(), theta_exact),
-            "decoupling_tv": decoupling_test(result),
-        }
-        row.update((f"queue{j}_tv", tv) for j, tv in enumerate(_queue_tvs(result, xis), start=1))
-        rows.append(row)
-
+    rows = [{"seed": result.seed, "events": result.total_events, "sim_time": result.sim_time,
+             **_scores(result, theta_exact, config)} for result in runs]
     merged = merge_results(runs) if len(runs) > 1 else runs[0]
-    merged_theta = merged.empirical_theta()
-    merged_theta_tv = analysis.total_variation(merged_theta, theta_exact)
-    merged_dec = decoupling_test(merged)
+    scores = _scores(merged, theta_exact, config)
+    merged_tvs = {k: scores[k] for k in ("theta_tv", "decoupling_tv")}
+
+    def tvs(row: dict) -> str:
+        return "  ".join(f"{k}={v:.5f}" for k, v in row.items() if k.endswith("_tv"))
 
     for row in rows:
-        extras = "  ".join(f"{k}={v:.5f}" for k, v in row.items() if k.endswith("_tv"))
-        print(f"seed {row['seed']}: time={row['sim_time']:.1f}  {extras}")
-    print(f"merged ({len(runs)} run(s)): theta_tv={merged_theta_tv:.5f}  decoupling_tv={merged_dec:.5f}")
-
+        print(f"seed {row['seed']}: time={row['sim_time']:.1f}  {tvs(row)}")
+    print(f"merged ({len(runs)} run(s)): {tvs(merged_tvs)}")
     if args.json:
-        _write_json(
-            args.json,
-            {
-                "replications": rows,
-                "merged": {"theta_tv": merged_theta_tv, "decoupling_tv": merged_dec},
-                "theta": _theta_block(merged_theta),
-            },
-        )
+        _write_json(args.json, {"replications": rows, "merged": merged_tvs,
+                                "theta": _theta_block(merged.empirical_theta())})
     return EXIT_OK
 
 

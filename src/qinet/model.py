@@ -58,14 +58,27 @@ CLOSED_BYTES_PER_STATE_LOCATION = 16
 # (5,)*6, 100 at (6,)*6, 128 at (30,30,30), 129 at (100,100,100), 154 at
 # (120,120) and (150,150).
 IAD_BYTES_PER_STATE_LOCATION = 192
-# Bytes per state and location of a simulation's start: the move table it
-# reads its rows from, and the table's temporaries.  Rows are built per
-# visited (signature, state) pair, so they grow with the run, not the box.
-# tracemalloc peak of a one-event run in a fresh process, with the transfer
-# channel (beta=0.6): 87 at (100,100), 77 at (200,200) and (300,300);
-# without it: 79 at homogeneous (100,100), 57 at (300,300), (20000,2),
-# (30,30,30), (6,)*5, (2,)*8 and (1,)*16.
+# Bytes per state and location of a simulation's move table, which it reads
+# its rows from, and the table's temporaries.  Rows are capped (below); what
+# still grows with the run is the occupancy, about 100 bytes per visited cell,
+# which the estimator needs.  tracemalloc peak of a one-event run in a fresh
+# process, with the transfer channel (beta=0.6): 87 at (100,100), 77 at
+# (200,200) and (300,300); without it: 79 at homogeneous (100,100), 57 at
+# (300,300), (20000,2), (30,30,30), (6,)*5, (2,)*8 and (1,)*16.
 SIMULATE_BYTES_PER_STATE_LOCATION = 100
+# Rows a simulation keeps, one per visited (queue signature, state) pair; it
+# drops them all when it holds this many.  The largest signature x state
+# count of a benchmark box, 46,656 at (2,)*6 with constant mu, stays below.
+# On (1,)*12 (lam 0.6..1.7, nu 5, mu 6.8), 1e6 events visit 509,868 pairs
+# and build 734,452 rows under this cap; under 1 << 16 they built 801,000
+# and ran 1-12% behind keeping every row.
+SIMULATE_MAX_ROWS = 1 << 17
+# Bytes per row and location, charged for SIMULATE_MAX_ROWS rows: the bytes
+# tracemalloc sees freed when a run's rows and service rates are dropped, over
+# the rows.  766 per row (64 per location) at (1,)*12, 741 (74) at (1,)*10,
+# 566 (94) at (2,)*6, 413 (138) at (4,3,2), 431 (216) at (6,6) with
+# beta=0.6 and 521 (261) at (300,300).
+SIMULATE_ROW_BYTES_PER_LOCATION = 320
 # Bytes per state and location of ``qinet solve``'s report once the measure
 # is solved: the residual pair's transition arrays, the printed table, the
 # ``--json`` state lists and string.  tracemalloc peak with ``--json``: 304
@@ -303,8 +316,8 @@ def method_inapplicable(config: NetworkConfig, method: str) -> str | None:
     ``"recursive"`` needs two locations, both base stocks above one (in
     either order), no transfer channel (``beta`` absent or zero) and a box
     whose table fits it.  ``"simulate"`` and ``"report"`` (not solve
-    methods) need a simulation's move table and a ``qinet solve`` report
-    that fit it.
+    methods) need a simulation's move table and capped rows, and a ``qinet
+    solve`` report, that fit it.
     """
     n = math.prod(bj + 1 for bj in config.b)
     if method == "exact":
@@ -336,9 +349,10 @@ def method_inapplicable(config: NetworkConfig, method: str) -> str | None:
             return (f"recursive elimination of {n} states needs {RECURSIVE_BYTES_PER_STATE * n} "
                     f"bytes; the cap is {DENSE_BYTES_CAP} bytes")
     elif method == "simulate":
-        if (need := SIMULATE_BYTES_PER_STATE_LOCATION * n * config.J) > DENSE_BYTES_CAP:
-            return (f"a simulation of {n} inventory states needs {need} bytes for its move table; "
-                    f"the cap is {DENSE_BYTES_CAP} bytes")
+        rows = SIMULATE_ROW_BYTES_PER_LOCATION * SIMULATE_MAX_ROWS
+        if (need := (SIMULATE_BYTES_PER_STATE_LOCATION * n + rows) * config.J) > DENSE_BYTES_CAP:
+            return (f"a simulation of {n} inventory states needs {need} bytes for its move table "
+                    f"and rows; the cap is {DENSE_BYTES_CAP} bytes")
     elif method == "report":
         if (need := REPORT_BYTES_PER_STATE_LOCATION * n * config.J) > DENSE_BYTES_CAP:
             return (f"the solve report of {n} states needs {need} bytes; "

@@ -18,18 +18,18 @@ location, "empty / one of the head levels / in the constant tail": its
 signature.  Everything is built on first use.  A signature holds its
 service rates, a state its moves read from its row of the move table,
 and a (signature, state) pair its row: the total rate, the running rate
-sums and the moves.  An event reads its row, adds the holding time to
-its cell's occupancy, and picks the move by bisecting the running sums.
-The cell's code (clipped queue vector and inventory index in one
-integer) and the row's key (signature and inventory index in one
-integer) are running sums: a queue move adds to them only when it
-changes a location's clipped length or signature.
+sums and the moves.  Rows are dropped once ``SIMULATE_MAX_ROWS`` are
+kept, so only the occupancies grow with the run.  An event reads its
+row, adds the holding time to its cell's occupancy, and picks the move
+by bisecting the running sums.  The cell's code (clipped queue vector
+and inventory index in one integer) and the row's key (signature and
+inventory index in one integer) are running sums: a queue move adds to
+them only when it changes a location's clipped length or signature.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -39,7 +39,8 @@ from . import analysis
 from .errors import ErgodicityError, PreconditionError
 from .generator import _move_table
 # enumerate_inventory_states is unused here; perfbench/spans.py traces this binding.
-from .model import NetworkConfig, ThetaMeasure, enumerate_inventory_states, method_inapplicable  # noqa: F401
+from .model import (SIMULATE_MAX_ROWS, NetworkConfig, ThetaMeasure, enumerate_inventory_states,  # noqa: F401
+                    method_inapplicable)
 
 __all__ = ["SimulationResult", "simulate", "decoupling_test", "merge_results"]
 
@@ -72,10 +73,15 @@ class SimulationResult:
     mass: np.ndarray       # (cells,) occupancy fractions
 
     def empirical_theta(self) -> ThetaMeasure:
-        """Empirical inventory measure; unvisited states carry zero mass."""
+        """Empirical inventory measure; unvisited states carry zero mass.
+
+        The grid is divided by its own sum: ``mass`` is occupancy over the
+        run's summed holding times, and over a long run that sum drifts from
+        the occupancies' own sum by more than the measure's ``1e-12``.
+        """
         shape = [bj + 1 for bj in self.b]
         grid = np.bincount(self.states, self.mass, minlength=math.prod(shape))
-        return ThetaMeasure(grid=grid.reshape(shape), provenance="empirical")
+        return ThetaMeasure(grid=(grid / grid.sum()).reshape(shape), provenance="empirical")
 
 
 def _transition_tables(config: NetworkConfig, require_stock_for_service: bool):
@@ -99,9 +105,10 @@ def _transition_tables(config: NetworkConfig, require_stock_for_service: bool):
     table, steps = _move_table(config)
     steps = steps.tolist()
     states: dict[int, tuple] = {}
+    by_level = [[0.0] + [p.rate(s) for s in range(1, c + 1)] for p, c in zip(config.mu, caps)]
 
     def service_rates(sig):
-        return [p.rate(s) if s else 0.0 for p, s in zip(config.mu, sig)]
+        return [rates[s] for rates, s in zip(by_level, sig)]
 
     def moves(mu, k):
         found = states.get(k)
@@ -146,9 +153,9 @@ def simulate(
 
     The first ``BURN_IN`` fraction of events is discarded.  Starts from
     empty queues with full inventories.  Refuses a negative ``seed``, a box
-    whose move table would pass ``DENSE_BYTES_CAP`` (before anything is
-    allocated) and a non-ergodic configuration, naming each unstable
-    location.
+    whose move table and rows would pass ``DENSE_BYTES_CAP`` (before
+    anything is allocated) and a non-ergodic configuration, naming each
+    unstable location.
     """
     if total_events < 1:
         raise PreconditionError("total_events must be >= 1")
@@ -171,11 +178,13 @@ def simulate(
     # Occupancy code of a cell: sum_i min(n_i, n_obs) * place[i] + k.
     place = [clip ** (J - 1 - i) * n_states for i in range(J)]
     # Row keys: sum_i min(n_i, caps[i]) * sig_place[i] + k, one dict of rows
-    # (total, cum, deltas) over every visited (signature, state) pair.
-    # Service rates are kept per signature code only to build rows.
+    # (total, cum, deltas) over the visited (signature, state) pairs, dropped
+    # with the service rates (kept per signature code only to build rows)
+    # once it holds max_rows: a row is rebuilt the same, so the stream is too.
     sig_place = [math.prod(c + 1 for c in caps[i + 1 :]) * n_states for i in range(J)]
     rows: dict[int, tuple] = {}
     mus: dict[int, list] = {}
+    max_rows = SIMULATE_MAX_ROWS
 
     rng = np.random.default_rng(seed)
     n = [0] * J
@@ -184,29 +193,33 @@ def simulate(
     kidx = n_states - 1  # all inventories full in canonical (lexicographic) order
 
     burn = int(round(BURN_IN * total_events))
-    occ: defaultdict[int, float] = defaultdict(float)
+    # A plain dict of floats, not a defaultdict: the cyclic GC stops tracking it.
+    occ: dict[int, float] = {}
     t_acc = 0.0
     for start, stop in _slices(total_events, burn):
         if start % _BLOCK == 0:
             uniforms = rng.random(_BLOCK)
             exponentials = rng.standard_exponential(_BLOCK)
         if start == burn:
-            occ, t_acc = defaultdict(float), 0.0
+            occ, t_acc = {}, 0.0
         first = start % _BLOCK
         last = first + stop - start
         for u, e in zip(uniforms[first:last].tolist(), exponentials[first:last].tolist()):
             try:
                 total, cum, deltas = rows[sig + kidx]
             except KeyError:
+                if len(rows) >= max_rows:
+                    rows.clear()
+                    mus.clear()
                 mu = mus.get(sig)
                 if mu is None:
                     mu = mus[sig] = service_rates([min(m, c) for m, c in zip(n, caps)])
                 rates, deltas = zip(*moves(mu, kidx))
-                cum = list(accumulate(rates))
+                cum = tuple(accumulate(rates))  # a tuple of floats, which the cyclic GC stops tracking
                 total = cum[-1]
                 rows[sig + kidx] = total, cum, deltas
             dt = e / total
-            occ[code + kidx] += dt
+            occ[code + kidx] = occ.get(code + kidx, 0.0) + dt
             t_acc += dt
             loc, dn, kidx = deltas[bisect_left(cum, u * total)]
             if loc >= 0:
@@ -221,13 +234,17 @@ def simulate(
     if t_acc <= 0:
         raise PreconditionError("no simulated time left after burn-in")
 
-    # Unpack the codes, last digit first.  A huge n_obs can push them past
-    # int64; they are then unpacked as Python ints.
+    # Unpack the codes, last digit first, with the rows and the occupancy
+    # dict already dropped.  A huge n_obs can push the codes past int64; they
+    # are then unpacked as Python ints.
+    rows.clear()
+    mass = np.fromiter(occ.values(), dtype=float, count=len(occ)) / t_acc
     wide = clip**J * n_states > np.iinfo(np.int64).max
     codes = np.fromiter(occ, dtype=object if wide else np.int64, count=len(occ))
+    del occ
     states = (codes % n_states).astype(np.intp)
     codes //= n_states
-    queues = np.empty((len(occ), J), dtype=np.int64)
+    queues = np.empty((len(codes), J), dtype=np.int64)
     for i in range(J - 1, -1, -1):
         queues[:, i] = codes % clip
         codes //= clip
@@ -241,7 +258,7 @@ def simulate(
         sim_time=t_acc,
         queues=queues,
         states=states,
-        mass=np.fromiter(occ.values(), dtype=float, count=len(occ)) / t_acc,
+        mass=mass,
     )
 
 

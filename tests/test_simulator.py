@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import sys
 
@@ -123,14 +124,15 @@ def test_masses_sum_to_one(base_run):
 
 
 def test_reductions_equal_per_cell_loop(base_run):
-    # Same additions in the same (first-visit) order: bit-equal.
+    # Same additions in the same (first-visit) order, then the same division
+    # by the grid's own sum: bit-equal.
     grid = np.zeros(base_run.empirical_theta().weights.size)
     margs = [{} for _ in range(BASE.J)]
     for q, s, p in zip(base_run.queues.tolist(), base_run.states.tolist(), base_run.mass.tolist()):
         grid[s] += p
         for j, n in enumerate(q):
             margs[j][n] = margs[j].get(n, 0.0) + p
-    assert base_run.empirical_theta().weights.tolist() == grid.tolist()
+    assert base_run.empirical_theta().weights.tolist() == (grid / grid.sum()).tolist()
     for j, marg in enumerate(margs):
         emp = np.bincount(base_run.queues[:, j], base_run.mass)
         assert emp.tolist() == [marg.get(n, 0.0) for n in range(len(emp))]
@@ -166,6 +168,16 @@ def hand_result(queues, states, mass, b=(1, 1), sim_time=1.0, seed=0):
         states=np.array(states),
         mass=np.array(mass, dtype=float),
     )
+
+
+def test_empirical_theta_normalizes_its_own_sum():
+    # A long run's occupancies sum to one only up to the drift of its summed
+    # holding times, which can pass the measure's 1e-12.
+    result = hand_result([(0, 0), (1, 0), (0, 2)], [0, 3, 3], [0.25, 0.5, 0.25 + 5e-12])
+    assert result.mass.sum() - 1.0 > 4e-12
+    theta = result.empirical_theta()
+    assert abs(theta.weights.sum() - 1.0) <= 1e-15
+    np.testing.assert_allclose(theta.weights, [0.25, 0.0, 0.0, 0.75], rtol=1e-11)
 
 
 def test_decoupling_equals_per_pair_sum(base_run):
@@ -290,13 +302,14 @@ def test_simulation_size_cap(monkeypatch):
 
     def refused():
         with pytest.raises(PreconditionError, match="a simulation of 100020001 inventory states needs "
-                                                    "20004000200 bytes for its move table; "
+                                                    "20087886280 bytes for its move table and rows; "
                                                     "the cap is 4294967296 bytes"):
             simulate(huge, total_events=10, seed=1)
 
     _, peak = traced_peak(refused)
     assert peak < 1 << 20
-    # 100 bytes per state and location: (3000,3000) is admitted.
+    # 100 bytes per state and location, and 320 per row and location for
+    # 131,072 rows: (3000,3000) is admitted.
     assert method_inapplicable(make_config((1.0, 1.1), (3000, 3000), 2.5), "simulate") is None
 
 
@@ -307,6 +320,32 @@ def test_wide_unit_box_builds_only_visited_rows():
     cfg = make_config((1.0,) * 10, (1,) * 10, 15.0, mu_rate=4.0)
     _, peak = traced_peak(simulate, cfg, 20_000, seed=1)
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("case", GOLDEN_STREAMS)
+def test_dropping_rows_keeps_the_stream(case, monkeypatch):
+    # Rows are a cache: rebuilt after every eighth one, each is the same.
+    monkeypatch.setattr(sys.modules["qinet.simulate"], "SIMULATE_MAX_ROWS", 8)
+    config, total_events, seed, options, digest = GOLDEN_STREAMS[case]
+    assert result_digest(simulate(config, total_events, seed, **options)) == digest
+
+
+def test_memory_grows_only_with_the_occupancy(monkeypatch):
+    # (1,)*10 visits a new (signature, state) pair about every second event.
+    # With the rows capped at 256, what grows is the occupancy (a dict entry
+    # and the cell's arrays) and the moves of newly visited inventory states
+    # (about 2.7 KB each, at most 1,024 of them).  From 2e4 to 8e4 events,
+    # with the states mostly visited, that reads 94 B per new cell.  Here it
+    # reads 499 B, and 965 with every row kept.
+    monkeypatch.setattr(sys.modules["qinet.simulate"], "SIMULATE_MAX_ROWS", 256)
+    cfg = make_config((1.0,) * 10, (1,) * 10, 15.0, mu_rate=4.0)
+    simulate(cfg, 10, seed=1)  # first-call allocations out of the peaks
+    # A full collection empties the free lists, so every object a run makes is traced.
+    gc.collect()
+    short, low = traced_peak(simulate, cfg, 2_000, seed=1)
+    gc.collect()
+    long, high = traced_peak(simulate, cfg, 8_000, seed=1)
+    assert high - low <= 700 * (long.mass.size - short.mass.size)
 
 
 def test_simulation_cap_covers_transfer_tables():

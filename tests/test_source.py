@@ -92,3 +92,31 @@ def test_only_the_front_ends_import_the_exact_solvers():
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "exact"
     }
     assert importers == {"cli.py", "__init__.py"}
+
+
+def _defined_privately(tree):
+    """``(name, line)`` of each top-level private function and upper-case constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_"):
+            yield node.name, node.lineno
+        for target in node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]:
+            name = getattr(target, "id", "")
+            if name.isupper() and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def _references(tree):
+    """Every name the module reads, reads as an attribute, or imports by name."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names})
+
+
+def test_every_private_function_and_constant_is_used():
+    # A helper or a tolerance left behind by a refactor is referenced
+    # nowhere in the package, though tests or tools may still import it.
+    trees = {path.name: _tree(path) for path in MODULES}
+    referenced = set().union(*map(_references, trees.values()))
+    unused = [(module, name, line) for module, tree in trees.items()
+              for name, line in _defined_privately(tree) if name not in referenced]
+    assert unused == []
