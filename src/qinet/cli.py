@@ -15,7 +15,11 @@ exact route's solver for ``solve`` and for ``verify``'s and ``simulate``'s refer
 
 ``simulate`` runs its ``R`` replications, seeded ``seed + r``, on
 ``min(R, usable CPUs)`` forked processes, in this process when that is one;
-the output bytes do not depend on the count.
+the output bytes do not depend on the count.  ``verify`` splits its events
+over two replications the same way, seeded ``seed`` and ``seed + 1``, the
+first taking the odd event (one replication at ``--events 1``), and checks
+their merge: ``simulate --replications 2 --events E/2 --seed S`` gives the
+same TVs, and the output bytes do not depend on the worker count either.
 """
 from __future__ import annotations
 
@@ -54,6 +58,11 @@ TOL_SIM_THETA_TV = 0.02
 TOL_SIM_QUEUE_TV = 0.02
 TOL_SIM_DECOUPLING = 0.03
 DEFAULT_VERIFY_EVENTS = 1_000_000
+# `verify` splits its events over this many replications, seeded `seed + r`.
+# `verify-suite` goodput in configs per reference second on 2 vCPUs: 1 replica
+# 1.16-1.31 (10 runs), 2 replicas 2.13-2.28 (10 runs), 4 replicas 2.05-2.08
+# (2 runs), as each of 4 shorter runs rebuilds more of its rows.
+VERIFY_REPLICAS = 2
 # The exact route solves a J >= 3 box iteratively when its largest level holds
 # more states than this.  Best of three solves, at nu/mean(lam) in {0.5, 1, 2,
 # 2J}, level solver against iterative solve, ms: (12,12,12) (largest level 127)
@@ -345,7 +354,11 @@ def _verify_checks(config: NetworkConfig, events: int, seed: int) -> tuple[list[
 
     ergo = analysis.ergodicity_check(config)
     if ergo.ergodic:
-        scores = _scores(simulate(config, total_events=events, seed=seed), theta_exact, config)
+        # The replications of `qinet simulate --replications 2 --events events/2`, at its 8 buckets.
+        replicas = min(VERIFY_REPLICAS, events)
+        runs = _replicas([(config, events // replicas + (r < events % replicas), seed + r, 8)
+                          for r in range(replicas)])
+        scores = _scores(merge_results(runs), theta_exact, config)
         tols = {"theta_tv": TOL_SIM_THETA_TV, "decoupling_tv": TOL_SIM_DECOUPLING}
         for name in ["theta_tv", *list(scores)[2:], "decoupling_tv"]:
             add(f"simulation_{name}", scores[name], tols.get(name, TOL_SIM_QUEUE_TV))
@@ -389,25 +402,31 @@ def _replica(job: tuple) -> SimulationResult:
     return simulate(config, total_events=events, seed=seed, n_obs=n_obs)
 
 
+def _replicas(jobs: list[tuple]) -> list[SimulationResult]:
+    """The replications ``jobs``, in order, on ``min(len(jobs), usable CPUs)`` forked processes.
+
+    With one worker they run in this process and no pool starts.
+    """
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    if workers == 1:
+        return list(map(_replica, jobs))
+    # Imported here: at module level they would slow every start by tens of ms.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Forked workers inherit the imported package; spawned ones would each
+    # import it again.  A fork pool forks every worker before its own
+    # thread starts, and the commands start no other thread.
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_replica, jobs))
+
+
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     _check_writable(args.json)
     # A box too large to solve is refused before any run, a non-ergodic one before the solve.
     solver, note = _pick_method(config, "exact")
-    jobs = [(config, args.events, args.seed + r, args.n_obs) for r in range(args.replications)]
-    workers = min(len(jobs), len(os.sched_getaffinity(0)))
-    if workers > 1:
-        # Imported here: at module level they would slow every start by tens of ms.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Forked workers inherit the imported package; spawned ones would each
-        # import it again.  A fork pool forks every worker before its own
-        # thread starts, and the command starts no other thread.
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            runs = list(pool.map(_replica, jobs))
-    else:
-        runs = list(map(_replica, jobs))
+    runs = _replicas([(config, args.events, args.seed + r, args.n_obs) for r in range(args.replications)])
     theta_exact = _solve(config, solver, note)[2]
     rows = [{"seed": result.seed, "events": result.total_events, "sim_time": result.sim_time,
              **_scores(result, theta_exact, config)} for result in runs]

@@ -142,6 +142,34 @@ def _slices(total_events: int, burn: int):
         yield start, stop
 
 
+def _code_dtype(J: int, clip: int, n_states: int):
+    """The dtype of cell codes: int64, or Python ints where a huge ``n_obs`` pushes them past int64."""
+    return object if clip**J * n_states > np.iinfo(np.int64).max else np.int64
+
+
+def _pack(queues: np.ndarray, states, clip: int, n_states: int) -> np.ndarray:
+    """Cell codes ``sum_i q_i * clip**(J-1-i) * n_states + k``, which sort as the cells do.
+
+    ``states`` is an array of inventory indices ``k``, or one index for every cell.
+    """
+    dtype = _code_dtype(queues.shape[1], clip, n_states)
+    codes = np.zeros(len(queues), dtype=dtype)
+    for column in queues.T.astype(dtype):
+        codes = codes * clip + column
+    return codes * n_states + np.asarray(states, dtype=dtype)
+
+
+def _unpack(codes: np.ndarray, J: int, clip: int, n_states: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(queues, states)`` of cell codes, last digit first."""
+    states = (codes % n_states).astype(np.intp)
+    codes = codes // n_states
+    queues = np.empty((len(codes), J), dtype=np.int64)
+    for i in range(J - 1, -1, -1):
+        queues[:, i] = codes % clip
+        codes //= clip
+    return queues, states
+
+
 def simulate(
     config: NetworkConfig,
     total_events: int,
@@ -234,20 +262,12 @@ def simulate(
     if t_acc <= 0:
         raise PreconditionError("no simulated time left after burn-in")
 
-    # Unpack the codes, last digit first, with the rows and the occupancy
-    # dict already dropped.  A huge n_obs can push the codes past int64; they
-    # are then unpacked as Python ints.
+    # Unpacked with the rows and the occupancy dict already dropped.
     rows.clear()
     mass = np.fromiter(occ.values(), dtype=float, count=len(occ)) / t_acc
-    wide = clip**J * n_states > np.iinfo(np.int64).max
-    codes = np.fromiter(occ, dtype=object if wide else np.int64, count=len(occ))
+    codes = np.fromiter(occ, dtype=_code_dtype(J, clip, n_states), count=len(occ))
     del occ
-    states = (codes % n_states).astype(np.intp)
-    codes //= n_states
-    queues = np.empty((len(codes), J), dtype=np.int64)
-    for i in range(J - 1, -1, -1):
-        queues[:, i] = codes % clip
-        codes //= clip
+    queues, states = _unpack(codes, J, clip, n_states)
 
     return SimulationResult(
         b=config.b,
@@ -262,21 +282,6 @@ def simulate(
     )
 
 
-def _group_rows(rows):
-    """The distinct rows of a 2-d array in lexicographic order, and each row's index into them.
-
-    The same as ``np.unique(rows, axis=0, return_inverse=True)``, by one
-    ``lexsort`` and a comparison of neighbouring sorted rows.
-    """
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    ids = np.empty(len(rows), dtype=np.intp)
-    ids[order] = np.cumsum(first) - 1
-    return ordered[first], ids
-
-
 def decoupling_test(result: SimulationResult) -> float:
     """TV distance between the empirical joint and the product of its marginals.
 
@@ -286,7 +291,8 @@ def decoupling_test(result: SimulationResult) -> float:
     over visited queue vectors x visited states; an unvisited pair
     contributes its product mass.
     """
-    qid = _group_rows(result.queues)[1]
+    # Queue vectors grouped by their codes without the inventory digit.
+    qid = np.unique(_pack(result.queues, 0, result.n_obs + 1, 1), return_inverse=True)[1]
     pn = np.bincount(qid, result.mass)
     pk = np.bincount(result.states, result.mass)
     product = pn[qid] * pk[result.states]
@@ -303,9 +309,11 @@ def merge_results(results) -> SimulationResult:
     if any(r.b != first.b or r.n_obs != first.n_obs for r in results):
         raise PreconditionError("replications must share b and n_obs")
     total_time = sum(r.sim_time for r in results)
-    cells = np.concatenate([np.column_stack([r.queues, r.states]) for r in results])
+    clip, n_states = first.n_obs + 1, math.prod(bj + 1 for bj in first.b)
+    codes = np.concatenate([_pack(r.queues, r.states, clip, n_states) for r in results])
     weighted = np.concatenate([r.sim_time / total_time * r.mass for r in results])
-    cells, inverse = _group_rows(cells)
+    codes, inverse = np.unique(codes, return_inverse=True)
+    queues, states = _unpack(codes, len(first.b), clip, n_states)
     seeds = [s for r in results for s in (r.seed if isinstance(r.seed, tuple) else (r.seed,))]
     return SimulationResult(
         b=first.b,
@@ -314,7 +322,7 @@ def merge_results(results) -> SimulationResult:
         total_events=sum(r.total_events for r in results),
         events=sum(r.events for r in results),
         sim_time=total_time,
-        queues=cells[:, :-1],
-        states=cells[:, -1],
+        queues=queues,
+        states=states,
         mass=np.bincount(inverse, weighted),
     )

@@ -40,6 +40,27 @@ def no_work(*args, **kwargs):
     pytest.fail("work started before the command line was checked")
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the process pools started, with four usable CPUs.
+
+    Once the test is done, no worker is left running.
+    """
+    import concurrent.futures
+
+    started = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    yield started
+    assert multiprocessing.active_children() == []
+
+
 class TestLoadConfig:
     def test_valid(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -531,6 +552,49 @@ class TestVerify:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+class TestVerifyWorkers:
+    """``verify`` simulates two replications, seeded ``seed`` and ``seed + 1``, on ``simulate``'s pool."""
+
+    HEADS = [{"head": [1.5, 2.5], "tail": 3.0}, {"head": [1.0], "tail": 2.0}]
+
+    def test_equals_simulate_with_two_replications(self, tmp_path):
+        path = write_config(tmp_path, b=[3, 2], **{"lambda": [1.3, 0.8]}, mu=self.HEADS)
+        main(["verify", path, "--events", "40000", "--seed", "11", "--json", str(tmp_path / "v.json")])
+        assert main(["simulate", path, "--replications", "2", "--events", "20000", "--seed", "11",
+                     "--json", str(tmp_path / "s.json")]) == 0
+        checks = {c["name"]: c["value"] for c in json.loads((tmp_path / "v.json").read_text())["checks"]}
+        merged = json.loads((tmp_path / "s.json").read_text())["merged"]
+        assert checks["simulation_theta_tv"] == merged["theta_tv"]
+        assert checks["simulation_decoupling_tv"] == merged["decoupling_tv"]
+
+    def test_pool_writes_the_same_bytes_as_one_process(self, tmp_path, capsys, monkeypatch, pools):
+        path = write_config(tmp_path, b=[3, 2], **{"lambda": [1.3, 0.8]}, mu=self.HEADS)
+        argv = ["verify", path, "--events", "30001", "--seed", "11", "--json"]
+        code = main([*argv, str(tmp_path / "pool.json")])
+        pooled = capsys.readouterr().out
+        assert pools == [2]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main([*argv, str(tmp_path / "one.json")]) == code
+        assert pools == [2]
+        assert capsys.readouterr().out == pooled
+        assert (tmp_path / "pool.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+
+    @pytest.mark.parametrize("events, split", [(20001, [(10001, 7), (10000, 8)]), (1, [(1, 7)])])
+    def test_events_split_over_the_seeds(self, tmp_path, monkeypatch, events, split):
+        import qinet.cli as cli
+
+        jobs = []
+        replica = cli._replica
+        monkeypatch.setattr(cli, "_replica", lambda job: (jobs.append(job[1:3]), replica(job))[1])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        main(["verify", write_config(tmp_path), "--events", str(events), "--seed", "7"])
+        assert jobs == split
+
+    def test_one_event_starts_no_pool(self, tmp_path, pools):
+        assert main(["verify", write_config(tmp_path), "--events", "1"]) in (0, 2)
+        assert pools == []
+
+
 class TestUsage:
     @pytest.mark.parametrize(
         "argv",
@@ -663,26 +727,6 @@ class TestSimulate:
 
 class TestSimulateWorkers:
     """Replications run on ``min(R, usable CPUs)`` forked processes, with seeds ``seed + r``."""
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """The worker counts of the process pools started, with four usable CPUs.
-
-        Once the test is done, no worker is left running.
-        """
-        import concurrent.futures
-
-        started = []
-
-        class Recorded(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                started.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        yield started
-        assert multiprocessing.active_children() == []
 
     def test_pool_writes_the_same_bytes_as_one_process(self, tmp_path, capsys, monkeypatch, pools):
         path = write_config(tmp_path, b=[3, 2], **{"lambda": [1.3, 0.8]})
