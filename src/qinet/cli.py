@@ -66,9 +66,10 @@ VERIFY_REPLICAS = 2
 # The exact route solves a J >= 3 box iteratively when its largest level holds
 # more states than this.  Best of three solves, at nu/mean(lam) in {0.5, 1, 2,
 # 2J}, level solver against iterative solve, ms: (12,12,12) (largest level 127)
-# 9.4-10.9 against 7.2-10.9, (14,14,14) (169) 19-26 against 12-25, (16,16,16)
-# (217) 39-44 against 18-27, (6,)*4 (231) 27-29 against 10-18, (3,)*6 (580)
-# 133-142 against 13-33.
+# 11-17 against 6.0-7.8, (14,14,14) (169) 24 against 7.0-12, (16,16,16) (217)
+# 48-49 against 10-15, (6,)*4 (231) 25-26 against 4.3-7.1, (3,)*6 (580)
+# 159-191 against 8.8-13.  The iterative solve is ahead below 200 too; the
+# rule is kept until the pick weighs both costs, graded rates included.
 IAD_MIN_LEVEL = 200
 
 

@@ -53,19 +53,22 @@ RECURSIVE_BYTES_PER_STATE = 1_100
 # takes 8).  tracemalloc peak: 14.1 at J=8, 10.9 at J=12, 9.7 at J=20.
 CLOSED_BYTES_PER_STATE_LOCATION = 16
 # Bytes per state and location of an iterative aggregation-disaggregation
-# solve: the transition arrays, their copy in the solve's own order, the
-# weights and the gate.  tracemalloc peak of the solve: 104 at (3,)*6, 99 at
-# (5,)*6, 100 at (6,)*6, 128 at (30,30,30), 129 at (100,100,100), 154 at
-# (120,120) and (150,150).
+# solve: the transition arrays, the two half steps' CSR operators (a column
+# and a rate per edge), the weights and the gate.  tracemalloc peak of the
+# solve: 71 at (3,)*6, 72 at (5,)*6 and (6,)*6, 95 at (20,20,20) and
+# (30,30,30), 96 at (100,100,100), 116 at (120,120) and (150,150).
 IAD_BYTES_PER_STATE_LOCATION = 192
-# Bytes per state and location of a simulation's move table, which it reads
-# its rows from, and the table's temporaries.  Rows are capped (below); what
-# still grows with the run is the occupancy, about 100 bytes per visited cell,
-# which the estimator needs.  tracemalloc peak of a one-event run in a fresh
-# process, with the transfer channel (beta=0.6): 87 at (100,100), 77 at
-# (200,200) and (300,300); without it: 79 at homogeneous (100,100), 57 at
-# (300,300), (20000,2), (30,30,30), (6,)*5, (2,)*8 and (1,)*16.
-SIMULATE_BYTES_PER_STATE_LOCATION = 100
+# Bytes per state and location a simulation holds for its move table and for
+# every state's moves, which it reads off the table on first visit and keeps
+# as lists of tuples; a long run may visit every state.  Rows are capped
+# (below); what else grows with the run is the occupancy, about 100 bytes
+# per visited cell, which the estimator needs.  tracemalloc peak once every
+# state's moves are read: 290 at (1,)*10 and (1,)*12, 287 at (1,)*16, 331 at
+# (2,)*8, 403 at (6,)*5, 498 at (30,30,30), 552 at (20000,2), 591 at
+# (100,100), 601 at (1000,1000), 608 at (300,300); with the transfer channel
+# (beta=0.6): 585 at (6,6), 684 at (100,100), 690 at (200,200), 703 at
+# (300,300).
+SIMULATE_BYTES_PER_STATE_LOCATION = 768
 # Rows a simulation keeps, one per visited (queue signature, state) pair; it
 # drops them all when it holds this many.  The largest signature x state
 # count of a benchmark box, 46,656 at (2,)*6 with constant mu, stays below.

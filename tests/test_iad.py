@@ -1,8 +1,11 @@
 """The iterative aggregation-disaggregation solve against the level solver."""
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import grid_config, make_config, mp_stationary, traced_peak
 from qinet import (PreconditionError, SolverError, build_reduced_generator, method_inapplicable,
@@ -19,6 +22,31 @@ def test_matches_level_solver_on_the_grid_shapes(b, rng):
         assert theta.provenance == "iad" and theta.b == b
         assert 0 < sweeps < IAD_MAX_SWEEPS and residual <= IAD_RTOL
         assert np.max(np.abs(theta.weights / expected - 1.0)) <= 1e-12
+
+
+@st.composite
+def drawn_configs(draw):
+    """A box of 3 or 4 locations with ``b_j`` up to 12, ``lam`` log-uniform in
+    [0.5, 2] and ``nu / mean(lam)`` in [0.5, 2J]; its largest level holds at
+    most 600 states, so the level solver answers within about 0.15 s."""
+    J = draw(st.integers(3, 4))
+    b = tuple(draw(st.lists(st.integers(1, 12), min_size=J, max_size=J)))
+    assume(level_sizes(b).max() <= 600)
+    lam = tuple(math.exp(draw(st.floats(math.log(0.5), math.log(2.0)))) for _ in range(J))
+    return make_config(lam, b, draw(st.floats(0.5, 2.0 * J)) * float(np.mean(lam)))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(drawn_configs())
+def test_matches_level_solver_on_drawn_boxes(config):
+    try:
+        theta, sweeps, residual = solve_theta_iad(config)
+    except SolverError as exc:
+        assert re.search(r"stopped after \d+ sweeps at componentwise residual |\d+ sweeps, residual ", str(exc))
+        return
+    expected = solve_theta_exact(build_reduced_generator(config)).weights
+    assert 0 < sweeps < IAD_MAX_SWEEPS and residual <= IAD_RTOL
+    assert np.max(np.abs(theta.weights / expected - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("b, lam, ratio", [

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import math
 import sys
 
 import numpy as np
@@ -23,6 +24,7 @@ from qinet import (
     total_variation,
 )
 from qinet.model import SIMULATE_BYTES_PER_STATE_LOCATION
+from qinet.simulate import _transition_tables
 
 BASE = make_config((1, 1), (1, 1), 1.0, mu_rate=2.0)
 # The head-rate J=3 config of the simulate-replicas benchmark, at unit scale.
@@ -302,15 +304,16 @@ def test_simulation_size_cap(monkeypatch):
 
     def refused():
         with pytest.raises(PreconditionError, match="a simulation of 100020001 inventory states needs "
-                                                    "20087886280 bytes for its move table and rows; "
+                                                    "153714607616 bytes for its move table and rows; "
                                                     "the cap is 4294967296 bytes"):
             simulate(huge, total_events=10, seed=1)
 
     _, peak = traced_peak(refused)
     assert peak < 1 << 20
-    # 100 bytes per state and location, and 320 per row and location for
-    # 131,072 rows: (3000,3000) is admitted.
-    assert method_inapplicable(make_config((1.0, 1.1), (3000, 3000), 2.5), "simulate") is None
+    # 768 bytes per state and location, and 320 per row and location for
+    # 131,072 rows: (1500,1500) is admitted, (3000,3000) is not.
+    assert method_inapplicable(make_config((1.0, 1.1), (1500, 1500), 2.5), "simulate") is None
+    assert method_inapplicable(make_config((1.0, 1.1), (3000, 3000), 2.5), "simulate") is not None
 
 
 def test_wide_unit_box_builds_only_visited_rows():
@@ -354,6 +357,26 @@ def test_simulation_cap_covers_transfer_tables():
     cfg = make_config((1.0, 1.0), (200, 200), 2.5, beta=0.6)
     _, peak = traced_peak(simulate, cfg, total_events=1, seed=1)
     assert peak < SIMULATE_BYTES_PER_STATE_LOCATION * 201 * 201 * 2
+
+
+@pytest.mark.parametrize("config", [
+    make_config((1.0,) * 10, (1,) * 10, 15.0, mu_rate=4.0),
+    make_config((1.0, 1.0), (100, 100), 2.5, beta=0.6),
+], ids=["1^10", "100x100-transfer"])
+def test_simulation_cap_covers_every_state_read(config):
+    # A long run may read every state's moves, and keeps them: the per-state
+    # charge covers the move table and all of them.
+    n = math.prod(bj + 1 for bj in config.b)
+
+    def read_every_state():
+        _, service_rates, moves = _transition_tables(config, True)
+        mu = service_rates([1] * config.J)
+        for k in range(n):
+            moves(mu, k)
+
+    gc.collect()
+    _, peak = traced_peak(read_every_state)
+    assert peak <= SIMULATE_BYTES_PER_STATE_LOCATION * n * config.J
 
 
 def test_parameter_validation():
