@@ -60,8 +60,8 @@ TOL_SIM_DECOUPLING = 0.03
 DEFAULT_VERIFY_EVENTS = 1_000_000
 # `verify` splits its events over this many replications, seeded `seed + r`.
 # `verify-suite` goodput in configs per reference second on 2 vCPUs: 1 replica
-# 1.16-1.31 (10 runs), 2 replicas 2.13-2.28 (10 runs), 4 replicas 2.05-2.08
-# (2 runs), as each of 4 shorter runs rebuilds more of its rows.
+# 1.83-1.95 (2 runs), 2 replicas 3.07-3.33 (5 runs), 4 replicas 3.02-3.08
+# (2 runs), as each of 4 shorter runs rebuilds more of its rows and entries.
 VERIFY_REPLICAS = 2
 # The exact route solves a J >= 3 box iteratively when its largest level holds
 # more states than this.  Best of three solves, at nu/mean(lam) in {0.5, 1, 2,

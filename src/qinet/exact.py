@@ -17,7 +17,8 @@ Both return their measure only when every state's own balance equation
 holds (:func:`_gated`).  The two compiled kernels, LAPACK's ``dgesv`` for
 the level solver and scipy's ``csr_matvec`` for the iterative one, are
 loaded from scipy's extension module files, so that no ``scipy`` module is
-imported (see :func:`_scipy_extension`).
+imported (see :func:`_scipy_extension`); ``csr_matvec`` only on the first
+iterative solve (:func:`_csr_matvec`).
 """
 from __future__ import annotations
 
@@ -83,11 +84,19 @@ def _scipy_extension(subpackage: str, name: str):
     return module
 
 
-# f2py's LAPACK binding, and the compiled sparse kernel ``y += A x`` of a
-# CSR matrix ``A`` (``csr_matvec(rows, cols, indptr, indices, data, x, y)``)
-# that ``scipy.sparse.csr_matrix @ x`` runs.
+# f2py's LAPACK binding.
 dgesv = _scipy_extension("linalg", "_flapack").dgesv
-csr_matvec = _scipy_extension("sparse", "_sparsetools").csr_matvec
+
+
+@functools.cache
+def _csr_matvec():
+    """The compiled sparse kernel ``y += A x`` of a CSR matrix ``A`` that ``scipy.sparse.csr_matrix @ x`` runs.
+
+    It is called as ``csr_matvec(rows, cols, indptr, indices, data, x, y)``.
+    Only the iterative solve uses it, so its 4.5 MB module is loaded on the
+    first call, not when qinet is imported.
+    """
+    return _scipy_extension("sparse", "_sparsetools").csr_matvec
 
 
 def _thread_controls(pattern: str, suffix: str):
@@ -304,6 +313,7 @@ def solve_theta_iad(config: NetworkConfig) -> tuple[ThetaMeasure, int, float]:
     into_even = (even, n - even, indptr[:even + 1], column[:split], weight[:split])
     into_odd = (n - even, even, indptr[even:] - split, column[split:], weight[split:])
 
+    csr_matvec = _csr_matvec()
     pi, factor, flow, new = np.ones(n), np.ones(top + 1), np.empty(n), np.empty(n - even)
     evens, odds = pi[:even], pi[even:]
     even_q, odd_q = inverse_q[:even], inverse_q[even:]

@@ -18,16 +18,26 @@ location, "empty / one of the head levels / in the constant tail": its
 signature.  Everything is built on first use.  A signature holds its
 service rates, a state its moves read from its row of the move table,
 and a (signature, state) pair its row: the total rate, the running rate
-sums and the moves.  Rows are dropped once ``SIMULATE_MAX_ROWS`` are
-kept, so only the occupancies grow with the run.  An event reads its
-row, adds the holding time to its cell's occupancy, and picks the move
-by bisecting the running sums.  The cell's code (clipped queue vector
-and inventory index in one integer) and the row's key (signature and
-inventory index in one integer) are running sums: a queue move adds to
-them only when it changes a location's clipped length or signature.
+sums, the moves and, once the row is read a second time, each move's
+integer step of the key below.
+
+The event loop keeps one integer, the key: the queue lengths clipped at
+``top = max(n_obs, signature caps)`` as digits, and the inventory index.
+The key fixes both the occupancy cell and the row, so an event is one
+dict lookup of its entry ``(slot, total, cum, steps)``: it adds the
+holding time to the cell's occupancy at ``slot``, bisects the running
+sums and adds the picked step to the key.  A location at its top digit
+keeps its excess ``n_i - top`` in a counter: its queue moves are stored
+as their ``(location, dn, k)`` moves, which the integer add refuses, and
+are stepped one by one.  A missed entry is built from the shared row,
+and kept only if the row was built before: on wide boxes most rows are
+read once.  A cell gets the next slot on its first visit.  Entries and
+rows are dropped once either holds ``SIMULATE_MAX_ROWS``, and the
+entries at the burn-in too, so only the occupancies grow with the run.
 """
 from __future__ import annotations
 
+import gc
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -203,70 +213,149 @@ def simulate(
     n_states = math.prod(bj + 1 for bj in config.b)
     J = config.J
     clip = n_obs + 1
-    # Occupancy code of a cell: sum_i min(n_i, n_obs) * place[i] + k.
-    place = [clip ** (J - 1 - i) * n_states for i in range(J)]
-    # Row keys: sum_i min(n_i, caps[i]) * sig_place[i] + k, one dict of rows
-    # (total, cum, deltas) over the visited (signature, state) pairs, dropped
-    # with the service rates (kept per signature code only to build rows)
-    # once it holds max_rows: a row is rebuilt the same, so the stream is too.
+    # The loop's state is one key, sum_i min(n_i, top) * place[i] + k, and
+    # excess[i] = n_i - top for a location at its top digit.  With top at
+    # least n_obs and every signature cap, the key fixes the cell (digits
+    # clipped at n_obs, code_place) and the row (digits clipped at the caps,
+    # sig_place); with top == n_obs it is the cell's code.
+    top = max(n_obs, *caps)
+    radix = top + 1
+    place = [radix ** (J - 1 - i) * n_states for i in range(J)]
+    code_place = [clip ** (J - 1 - i) * n_states for i in range(J)]
     sig_place = [math.prod(c + 1 for c in caps[i + 1 :]) * n_states for i in range(J)]
+    decode = list(zip(place, caps, sig_place, code_place))
+    # entries: key -> (slot, total, cum, steps), where vals[slot] is the
+    # cell's occupancy and steps[m] the key's change under move m, or for a
+    # queue move at a top digit its delta (loc, dn, new k).  slots: cell
+    # code -> slot, in first-visit order.  rows: sig + k -> (total, cum,
+    # deltas, steps or None until read twice).  mus: signature -> service
+    # rates.  vectors: queue part of a key -> (sig, code, locations at the
+    # top digit or None).  ints: one int object per distinct step, shared by
+    # the rows' steps: a quarter less memory per row on (2,)*6, and fewer
+    # cache misses.  The caches are rebuilt the same, so the stream is too:
+    # all are dropped once entries or rows hold max_rows.
+    entries: dict[int, tuple] = {}
     rows: dict[int, tuple] = {}
     mus: dict[int, list] = {}
+    vectors: dict[int, tuple] = {}
+    ints: dict[int, int] = {}
     max_rows = SIMULATE_MAX_ROWS
 
     rng = np.random.default_rng(seed)
-    n = [0] * J
-    code = 0  # queue part of the occupancy code
-    sig = 0  # signature part of the row key
-    kidx = n_states - 1  # all inventories full in canonical (lexicographic) order
+    excess = [0] * J
+    key = n_states - 1  # empty queues, all inventories full in canonical (lexicographic) order
 
     burn = int(round(BURN_IN * total_events))
-    # A plain dict of floats, not a defaultdict: the cyclic GC stops tracking it.
-    occ: dict[int, float] = {}
+    # Occupancies by slot, in a list: the loop reads and writes its items
+    # faster than an array's (a float object each, 32 bytes a cell).
+    vals: list[float] = []
+    slots: dict[int, int] = {}
     t_acc = 0.0
-    for start, stop in _slices(total_events, burn):
-        if start % _BLOCK == 0:
-            uniforms = rng.random(_BLOCK)
-            exponentials = rng.standard_exponential(_BLOCK)
-        if start == burn:
-            occ, t_acc = {}, 0.0
-        first = start % _BLOCK
-        last = first + stop - start
-        for u, e in zip(uniforms[first:last].tolist(), exponentials[first:last].tolist()):
-            try:
-                total, cum, deltas = rows[sig + kidx]
-            except KeyError:
-                if len(rows) >= max_rows:
-                    rows.clear()
-                    mus.clear()
-                mu = mus.get(sig)
-                if mu is None:
-                    mu = mus[sig] = service_rates([min(m, c) for m, c in zip(n, caps)])
-                rates, deltas = zip(*moves(mu, kidx))
-                cum = tuple(accumulate(rates))  # a tuple of floats, which the cyclic GC stops tracking
-                total = cum[-1]
-                rows[sig + kidx] = total, cum, deltas
-            dt = e / total
-            occ[code + kidx] = occ.get(code + kidx, 0.0) + dt
-            t_acc += dt
-            loc, dn, kidx = deltas[bisect_left(cum, u * total)]
-            if loc >= 0:
-                x = n[loc] + dn
-                n[loc] = x
-                top = x if dn > 0 else x + 1  # the larger of the old and new length
-                if top <= n_obs:
-                    code += place[loc] if dn > 0 else -place[loc]
-                if top <= caps[loc]:
-                    sig += sig_place[loc] if dn > 0 else -sig_place[loc]
+    # The loop makes no reference cycles, but on a wide box it allocates a
+    # row or an entry nearly every event: the collector's passes cost it
+    # 8-13%, so they wait for the run's end.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for start, stop in _slices(total_events, burn):
+            if start % _BLOCK == 0:
+                uniforms = rng.random(_BLOCK)
+                exponentials = rng.standard_exponential(_BLOCK)
+            if start == burn:
+                vals, slots, t_acc = [], {}, 0.0
+                entries.clear()
+            first = start % _BLOCK
+            last = first + stop - start
+            for u, e in zip(uniforms[first:last].tolist(), exponentials[first:last].tolist()):
+                entry = entries.get(key)
+                if entry is None:
+                    if len(entries) >= max_rows or len(rows) >= max_rows:
+                        entries.clear()
+                        rows.clear()
+                        mus.clear()
+                        vectors.clear()
+                        ints.clear()
+                    kidx = key % n_states
+                    vector = vectors.get(key - kidx)
+                    if vector is None:
+                        sig = code = 0
+                        tail = None
+                        for i, (p, c, sp, cp) in enumerate(decode):
+                            d = key // p % radix
+                            sig += (d if d < c else c) * sp
+                            code += (d if d < n_obs else n_obs) * cp
+                            if d == top:
+                                tail = tail + [i] if tail else [i]
+                        vector = vectors[key - kidx] = sig, code, tail
+                    sig, code, tail = vector
+                    slot = slots.setdefault(code + kidx, len(vals))
+                    if slot == len(vals):
+                        vals.append(0.0)
+                    row = rows.get(sig + kidx)
+                    if row is None:
+                        # A fresh row is often read only once: its steps wait
+                        # for a second read, and no entry is kept for it yet.
+                        mu = mus.get(sig)
+                        if mu is None:
+                            levels = [sig // p % (c + 1) for p, c in zip(sig_place, caps)]
+                            mu = mus[sig] = service_rates(levels)
+                        rates, deltas = zip(*moves(mu, kidx))
+                        cum = tuple(accumulate(rates))  # a tuple of floats, which the cyclic GC stops tracking
+                        total = cum[-1]
+                        rows[sig + kidx] = total, cum, deltas, None
+                        steps = None
+                    else:
+                        total, cum, deltas, steps = row
+                        if steps is None:
+                            steps = [k - kidx + dn * place[loc] for loc, dn, k in deltas]
+                            steps = tuple(map(ints.setdefault, steps, steps))
+                            rows[sig + kidx] = total, cum, deltas, steps
+                        if tail:
+                            steps = tuple([delta if delta[0] in tail else step
+                                           for step, delta in zip(steps, deltas)])
+                        entries[key] = slot, total, cum, steps
+                    dt = e / total
+                    vals[slot] += dt
+                    t_acc += dt
+                    pick = bisect_left(cum, u * total)
+                    if steps is None:
+                        loc, dn, k = step = deltas[pick]
+                        if not tail or loc not in tail:
+                            step = k - kidx + dn * place[loc]
+                    else:
+                        step = steps[pick]
+                else:
+                    slot, total, cum, steps = entry
+                    dt = e / total
+                    vals[slot] += dt
+                    t_acc += dt
+                    step = steps[bisect_left(cum, u * total)]
+                try:
+                    key += step
+                except TypeError:
+                    # A queue move at a location at its top digit.
+                    loc, dn, k = step
+                    key += k - key % n_states
+                    if dn > 0:
+                        excess[loc] += 1
+                    elif excess[loc]:
+                        excess[loc] -= 1
+                    else:
+                        key -= place[loc]
+    finally:
+        if collecting:
+            gc.enable()
 
     if t_acc <= 0:
         raise PreconditionError("no simulated time left after burn-in")
 
-    # Unpacked with the rows and the occupancy dict already dropped.
+    # Unpacked with the caches already dropped.
+    entries.clear()
     rows.clear()
-    mass = np.fromiter(occ.values(), dtype=float, count=len(occ)) / t_acc
-    codes = np.fromiter(occ, dtype=_code_dtype(J, clip, n_states), count=len(occ))
-    del occ
+    vectors.clear()
+    mass = np.array(vals) / t_acc
+    codes = np.fromiter(slots, dtype=_code_dtype(J, clip, n_states), count=len(slots))
+    del vals, slots
     queues, states = _unpack(codes, J, clip, n_states)
 
     return SimulationResult(

@@ -281,9 +281,9 @@ def test_dgesv_same_bits_as_scipy_linalg(scipy_linalg_first):
     assert done.stdout == "[0, 0, 0, 2]\n"
 
 
-# Compares exact.csr_matvec with scipy.sparse.csr_matrix(...) @ x bit for bit
-# on int64 indices, with an empty row; the two imports come in the order
-# given by {first} and {second}.
+# Compares exact._csr_matvec() with scipy.sparse.csr_matrix(...) @ x bit for
+# bit on int64 indices, with an empty row; the two imports come in the order
+# given by {first} and {second}.  The kernel is loaded on first use only.
 _SAME_MATVEC = """
 import numpy as np
 {first}
@@ -291,7 +291,9 @@ import numpy as np
 from qinet import exact
 from scipy.sparse import csr_matrix, _sparsetools
 
-assert exact.csr_matvec is not _sparsetools.csr_matvec
+assert exact._csr_matvec.cache_info().currsize == 0
+csr_matvec = exact._csr_matvec()
+assert csr_matvec is not _sparsetools.csr_matvec
 rng = np.random.default_rng(11)
 rows, cols = 200, 150
 counts = rng.integers(1, 8, rows)
@@ -300,7 +302,7 @@ indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
 indices = rng.integers(0, cols, int(indptr[-1])).astype(np.int64)
 data, x = rng.random(indices.size) * 10.0 ** rng.integers(-3, 4, indices.size), rng.random(cols)
 ours = np.zeros(rows)
-exact.csr_matvec(rows, cols, indptr, indices, data, x, ours)
+csr_matvec(rows, cols, indptr, indices, data, x, ours)
 theirs = csr_matrix((data, indices, indptr), shape=(rows, cols)) @ x
 assert ours.dtype == theirs.dtype and ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
 print(int(np.count_nonzero(ours)), ours[17])
@@ -309,7 +311,7 @@ print(int(np.count_nonzero(ours)), ours[17])
 
 @pytest.mark.parametrize("scipy_sparse_first", [True, False], ids=["scipy_first", "qinet_first"])
 def test_csr_matvec_same_bits_as_scipy_sparse(scipy_sparse_first):
-    # exact.csr_matvec is loaded from scipy's _sparsetools file without
+    # exact._csr_matvec() is loaded from scipy's _sparsetools file without
     # importing scipy.sparse; it must be the same kernel whichever import
     # runs first.
     imports = ["import scipy.sparse", "import qinet.exact"]

@@ -36,6 +36,9 @@ J3_HEADS = NetworkConfig(
     nu=4.65,
 )
 J6 = make_config((1.0,) * 6, (2,) * 6, 9.0)
+# J3_HEADS with lam scaled to rho 0.9 at location 3: its queues spend much
+# of the time two or more past the clip digit max(n_obs, caps) = 3.
+J3_TAIL = NetworkConfig(lam=(2.88, 3.6, 4.68), mu=J3_HEADS.mu, b=J3_HEADS.b, nu=J3_HEADS.nu)
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +102,8 @@ GOLDEN_STREAMS = {
                    "99660f938ac42546d26314fb19002ea30806ef2ebcbf8384838d99f1e35c43df"),
     "one-event": (J3_HEADS, 1, 8, {},
                   "b1c04ea932bf487db8c61eaefd754fc299adf7cf8f780068a9cd6a9fb5f599b1"),
+    "tail": (J3_TAIL, 70_001, 6, {"n_obs": 1},
+             "f1782b4b86177f6dafc0c345d18dc223a2ff5c3a6e3b4a81db60b3fa9237ae5a"),
 }
 
 
