@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -298,10 +299,11 @@ def _scores(result: SimulationResult, theta_exact: ThetaMeasure, config: Network
     """
     scores = {"theta_tv": analysis.total_variation(result.empirical_theta(), theta_exact),
               "decoupling_tv": decoupling_test(result)}
+    queues = result.queues  # unpacked from the codes on each read
     for j in range(1, config.J + 1):
         qm = analysis.queue_marginal(config, j)
         xi = np.array([qm.xi(n) for n in range(min(6, result.n_obs))])
-        emp = np.bincount(result.queues[:, j - 1], result.mass, minlength=xi.size)[: xi.size]
+        emp = np.bincount(queues[:, j - 1], result.mass, minlength=xi.size)[: xi.size]
         scores[f"queue{j}_tv"] = 0.5 * float(np.abs(emp - xi).sum())
     return scores
 
@@ -447,7 +449,9 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qinet",
         description="Stationary analysis of production-inventory networks "

@@ -45,9 +45,7 @@ def _balance_terms(config: NetworkConfig) -> dict:
     b1, b2 = config.b
     src, dst, rate, family = _transition_arrays(config)
     cells = [divmod(s, b2 + 1) for s in range((b1 + 1) * (b2 + 1))]
-    outflow = [0.0] * len(cells)
-    for s, r in zip(src.tolist(), rate.tolist()):
-        outflow[s] += r
+    outflow = np.bincount(src, rate, minlength=len(cells)).tolist()  # summed in edge order
     terms = {cell: [(cell, out)] for cell, out in zip(cells, outflow)}
     order = np.lexsort((family, dst))
     for s, d, r in zip(src[order].tolist(), dst[order].tolist(), rate[order].tolist()):

@@ -34,6 +34,8 @@ and kept only if the row was built before: on wide boxes most rows are
 read once.  A cell gets the next slot on its first visit.  Entries and
 rows are dropped once either holds ``SIMULATE_MAX_ROWS``, and the
 entries at the burn-in too, so only the occupancies grow with the run.
+A run returns each cell's code and occupancy, and every statistic reads
+the codes: see :class:`SimulationResult`.
 """
 from __future__ import annotations
 
@@ -66,10 +68,15 @@ BURN_IN = 0.1
 class SimulationResult:
     """Time-weighted occupancy statistics of one run (or a merge of runs).
 
-    Three parallel arrays over the visited cells, in first-visit order for
-    a single run.  Queue lengths are clipped at ``n_obs`` (the last bucket
-    means "at least n_obs").  Marginals are ``np.bincount`` reductions, e.g.
-    ``np.bincount(queues[:, j - 1], mass)`` for the queue at location j.
+    Two parallel arrays over the visited cells, in first-visit order for a
+    single run and in code order for a merge: ``codes``, one integer per
+    cell, and ``mass``.  A cell's code is ``sum_i q_i * clip**(J-1-i) *
+    n_states + k`` with ``clip = n_obs + 1``, which sorts as the cells do:
+    its queue lengths ``q_i`` clipped at ``n_obs`` (the last bucket means
+    "at least n_obs") and its canonical inventory index ``k``.  ``queues``
+    and ``states`` are computed from the codes on each read.  Marginals are
+    ``np.bincount`` reductions, e.g. ``np.bincount(queues[:, j - 1], mass)``
+    for the queue at location j.
     """
 
     b: tuple[int, ...]
@@ -78,9 +85,22 @@ class SimulationResult:
     total_events: int
     events: int            # events that contributed after burn-in
     sim_time: float        # simulated time after burn-in
-    queues: np.ndarray     # (cells, J) clipped queue vectors
-    states: np.ndarray     # (cells,) canonical inventory indices
+    codes: np.ndarray      # (cells,) cell codes: int64, or Python ints where a huge n_obs passes int64
     mass: np.ndarray       # (cells,) occupancy fractions
+
+    @property
+    def _n_states(self) -> int:
+        return math.prod(bj + 1 for bj in self.b)
+
+    @property
+    def queues(self) -> np.ndarray:
+        """``(cells, J)`` clipped queue vectors."""
+        return _unpack(self.codes // self._n_states, len(self.b), self.n_obs + 1)
+
+    @property
+    def states(self) -> np.ndarray:
+        """``(cells,)`` canonical inventory indices."""
+        return (self.codes % self._n_states).astype(np.intp)
 
     def empirical_theta(self) -> ThetaMeasure:
         """Empirical inventory measure; unvisited states carry zero mass.
@@ -152,32 +172,13 @@ def _slices(total_events: int, burn: int):
         yield start, stop
 
 
-def _code_dtype(J: int, clip: int, n_states: int):
-    """The dtype of cell codes: int64, or Python ints where a huge ``n_obs`` pushes them past int64."""
-    return object if clip**J * n_states > np.iinfo(np.int64).max else np.int64
-
-
-def _pack(queues: np.ndarray, states, clip: int, n_states: int) -> np.ndarray:
-    """Cell codes ``sum_i q_i * clip**(J-1-i) * n_states + k``, which sort as the cells do.
-
-    ``states`` is an array of inventory indices ``k``, or one index for every cell.
-    """
-    dtype = _code_dtype(queues.shape[1], clip, n_states)
-    codes = np.zeros(len(queues), dtype=dtype)
-    for column in queues.T.astype(dtype):
-        codes = codes * clip + column
-    return codes * n_states + np.asarray(states, dtype=dtype)
-
-
-def _unpack(codes: np.ndarray, J: int, clip: int, n_states: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(queues, states)`` of cell codes, last digit first."""
-    states = (codes % n_states).astype(np.intp)
-    codes = codes // n_states
+def _unpack(codes: np.ndarray, J: int, clip: int) -> np.ndarray:
+    """The ``(cells, J)`` digits of queue codes in radix ``clip``, last digit first."""
     queues = np.empty((len(codes), J), dtype=np.int64)
     for i in range(J - 1, -1, -1):
         queues[:, i] = codes % clip
-        codes //= clip
-    return queues, states
+        codes = codes // clip
+    return queues
 
 
 def simulate(
@@ -349,15 +350,12 @@ def simulate(
     if t_acc <= 0:
         raise PreconditionError("no simulated time left after burn-in")
 
-    # Unpacked with the caches already dropped.
+    # The arrays are built with the caches already dropped.
     entries.clear()
     rows.clear()
     vectors.clear()
-    mass = np.array(vals) / t_acc
-    codes = np.fromiter(slots, dtype=_code_dtype(J, clip, n_states), count=len(slots))
-    del vals, slots
-    queues, states = _unpack(codes, J, clip, n_states)
-
+    # Python ints where a huge n_obs pushes the codes past int64.
+    dtype = object if clip**J * n_states > np.iinfo(np.int64).max else np.int64
     return SimulationResult(
         b=config.b,
         n_obs=n_obs,
@@ -365,9 +363,8 @@ def simulate(
         total_events=total_events,
         events=total_events - burn,
         sim_time=t_acc,
-        queues=queues,
-        states=states,
-        mass=mass,
+        codes=np.fromiter(slots, dtype=dtype, count=len(slots)),
+        mass=np.array(vals) / t_acc,
     )
 
 
@@ -380,11 +377,12 @@ def decoupling_test(result: SimulationResult) -> float:
     over visited queue vectors x visited states; an unvisited pair
     contributes its product mass.
     """
-    # Queue vectors grouped by their codes without the inventory digit.
-    qid = np.unique(_pack(result.queues, 0, result.n_obs + 1, 1), return_inverse=True)[1]
+    # Queue vectors grouped by their codes: the cell codes without the inventory digit.
+    qid = np.unique(result.codes // result._n_states, return_inverse=True)[1]
+    states = result.states
     pn = np.bincount(qid, result.mass)
-    pk = np.bincount(result.states, result.mass)
-    product = pn[qid] * pk[result.states]
+    pk = np.bincount(states, result.mass)
+    product = pn[qid] * pk[states]
     unvisited = pn.sum() * pk.sum() - product.sum()
     return 0.5 * float(np.abs(result.mass - product).sum() + unvisited)
 
@@ -398,11 +396,8 @@ def merge_results(results) -> SimulationResult:
     if any(r.b != first.b or r.n_obs != first.n_obs for r in results):
         raise PreconditionError("replications must share b and n_obs")
     total_time = sum(r.sim_time for r in results)
-    clip, n_states = first.n_obs + 1, math.prod(bj + 1 for bj in first.b)
-    codes = np.concatenate([_pack(r.queues, r.states, clip, n_states) for r in results])
+    codes, inverse = np.unique(np.concatenate([r.codes for r in results]), return_inverse=True)
     weighted = np.concatenate([r.sim_time / total_time * r.mass for r in results])
-    codes, inverse = np.unique(codes, return_inverse=True)
-    queues, states = _unpack(codes, len(first.b), clip, n_states)
     seeds = [s for r in results for s in (r.seed if isinstance(r.seed, tuple) else (r.seed,))]
     return SimulationResult(
         b=first.b,
@@ -411,7 +406,6 @@ def merge_results(results) -> SimulationResult:
         total_events=sum(r.total_events for r in results),
         events=sum(r.events for r in results),
         sim_time=total_time,
-        queues=queues,
-        states=states,
+        codes=codes,
         mass=np.bincount(inverse, weighted),
     )

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -164,15 +165,16 @@ def test_decoupling_small_for_true_model(base_run):
 
 
 def hand_result(queues, states, mass, b=(1, 1), sim_time=1.0, seed=0):
+    n_obs = 3
+    dims = (n_obs + 1,) * len(b) + (math.prod(bj + 1 for bj in b),)
     return SimulationResult(
         b=b,
-        n_obs=3,
+        n_obs=n_obs,
         seed=seed,
         total_events=1,
         events=1,
         sim_time=sim_time,
-        queues=np.array(queues, dtype=np.int64),
-        states=np.array(states),
+        codes=np.ravel_multi_index((*np.array(queues).T, states), dims),
         mass=np.array(mass, dtype=float),
     )
 
@@ -454,6 +456,46 @@ def test_grouping_equals_unique_rows(config, events, n_obs):
     assert len(mass) < sum(len(r.mass) for r in runs)  # some cells are shared
     for got, want in zip((merged.queues, merged.states, merged.mass), (queues, states, mass)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def code_runs():
+    """Two seeded ``J6`` runs and two huge-``n_obs`` ``J3_HEADS`` runs, whose codes pass int64."""
+    return {"J6": [simulate(J6, 100_000, seed=s) for s in (1, 2)],
+            "huge-n_obs": [simulate(J3_HEADS, 20_000, seed=s, n_obs=10**12) for s in (1, 2)]}
+
+
+@pytest.mark.parametrize("case", ["J6", "huge-n_obs"])
+def test_statistics_never_unpack_the_queue_view(code_runs, monkeypatch, case):
+    # A run holds one code per cell; the merge, the decoupling test and the
+    # empirical measure work on the codes and never build the queue array.
+    runs = code_runs[case]
+
+    def values():
+        merged = merge_results(runs)
+        return ([merged.codes, merged.mass],
+                [decoupling_test(r) for r in (*runs, merged)],
+                [r.empirical_theta().grid for r in (*runs, merged)])
+
+    want = values()
+
+    def refuse(*args):
+        raise AssertionError("queue codes unpacked")
+
+    monkeypatch.setattr(sys.modules["qinet.simulate"], "_unpack", refuse)  # the package binds simulate()
+    with pytest.raises(AssertionError, match="unpacked"):
+        runs[0].queues
+    got = values()
+    for g, w in zip(got[0] + got[2], want[0] + want[2]):
+        assert g.dtype == w.dtype and g.tolist() == w.tolist()  # object codes compare by value
+    assert got[1] == want[1]
+
+
+def test_replica_pickles_one_code_and_one_mass_per_cell(code_runs):
+    # A replica crosses the process pool as its codes and masses: 16 bytes a cell.
+    run = code_runs["J6"][0]
+    assert run.codes.dtype == np.int64 and len(run.mass) > 10_000
+    assert len(pickle.dumps(run)) <= 16 * len(run.mass) + 1_000
 
 
 def test_merge_is_time_weighted_sum_per_cell():
