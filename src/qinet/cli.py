@@ -299,11 +299,13 @@ def _scores(result: SimulationResult, theta_exact: ThetaMeasure, config: Network
     """
     scores = {"theta_tv": analysis.total_variation(result.empirical_theta(), theta_exact),
               "decoupling_tv": decoupling_test(result)}
-    queues = result.queues  # unpacked from the codes on each read
+    clip = result.n_obs + 1
     for j in range(1, config.J + 1):
         qm = analysis.queue_marginal(config, j)
         xi = np.array([qm.xi(n) for n in range(min(6, result.n_obs))])
-        emp = np.bincount(queues[:, j - 1], result.mass, minlength=xi.size)[: xi.size]
+        # Queue j's digit of the cell codes: one column, not the (cells, J) queue view.
+        queue = (result.codes // (clip ** (config.J - j) * result._n_states) % clip).astype(np.int64)
+        emp = np.bincount(queue, result.mass, minlength=xi.size)[: xi.size]
         scores[f"queue{j}_tv"] = 0.5 * float(np.abs(emp - xi).sum())
     return scores
 

@@ -60,41 +60,36 @@ CLOSED_BYTES_PER_STATE_LOCATION = 16
 IAD_BYTES_PER_STATE_LOCATION = 192
 # Bytes per state and location a simulation holds for its move table and for
 # every state's moves, which it reads off the table on first visit and keeps
-# as lists of tuples; a long run may visit every state.  Rows are capped
-# (below); what else grows with the run is the occupancy, about 150 bytes
-# per visited cell, which the estimator needs.  tracemalloc peak once every
-# state's moves are read: 290 at (1,)*10 and (1,)*12, 287 at (1,)*16, 331 at
-# (2,)*8, 403 at (6,)*5, 498 at (30,30,30), 552 at (20000,2), 591 at
-# (100,100), 601 at (1000,1000), 608 at (300,300); with the transfer channel
-# (beta=0.6): 585 at (6,6), 684 at (100,100), 690 at (200,200), 703 at
-# (300,300).
-SIMULATE_BYTES_PER_STATE_LOCATION = 768
+# as lists of (rate, move column) pairs; a long run may visit every state.
+# Rows are capped (below); what else grows with the run is the occupancy,
+# about 150 bytes per visited cell, which the estimator needs.  tracemalloc
+# peak once every state's moves are read: 170 at (1,)*10, 165 at (1,)*12,
+# 160 at (1,)*16, 192 at (2,)*8, 240 at (6,)*5, 310 at (30,30,30), 371 at
+# (20000,2), 385 at (100,100), 393 at (1000,1000), 402 at (300,300); with
+# the transfer channel (beta=0.6): 427 at (6,6), 432 at (100,100), 435 at
+# (200,200), 449 at (300,300).
+SIMULATE_BYTES_PER_STATE_LOCATION = 512
 # Rows a simulation keeps, one per visited (queue signature, state) pair,
 # and entries, one per visited key (queue lengths clipped at max(n_obs,
 # signature caps), and the state); it drops both, and the queue vectors it
 # decoded, once either holds this many.  The largest signature x state
 # count of a benchmark box, 46,656 at (2,)*6 with constant mu, stays below.
 # On (1,)*12 (lam 0.6..1.7, nu 5, mu 6.8), 1e6 events visit 509,868 pairs
-# and build 734,452 rows and 192,219 entries under this cap, dropping all
-# five times; under 1 << 16 the rows loop built 801,000 rows and ran 1-12%
+# and build 746,329 rows and 856,846 entries under this cap, dropping all
+# six times; under 1 << 16 the rows loop built 801,000 rows and ran 1-12%
 # behind keeping every row.
 SIMULATE_MAX_ROWS = 1 << 17
 # Bytes per location charged for SIMULATE_MAX_ROWS rows, as many entries
 # and as many queue vectors: what tracemalloc sees freed when a run drops
-# its entries, its queue vectors and its rows with their service rates and
-# shared step ints, per entry + per vector + per row, over J.  At the cap or
-# a run's end: 159 + 203 + 759 (93) at (1,)*12 (lam 1, mu 4, nu 5); 145 +
-# 188 + 554 (148) at (2,)*6; 103 + 134 + 265 (167) at (4,3,2); 79 + 130 +
-# 278 (244) at (300,300) (lam 0.9, 1.3, nu 1.3, mu 5.2) and 106 + 122 + 334
-# (281) with mu 1.5; 55 + 95 + 128 (139) at (6,6) with beta=0.6.  What the
-# runs held at once came to 40-164 per location and row or entry, whichever
-# they held more of: vectors come far fewer than entries.
+# its entries, its queue vectors and its rows with their service rates,
+# per entry + per vector + per row, over J.  At the cap or a run's end:
+# 149 + 201 + 885 (103) at (1,)*12 (lam 1, mu 4, nu 5); 158 + 166 + 540
+# (144) at (2,)*6; 75 + 115 + 267 (153) at (4,3,2); 62 + 134 + 277 (237) at
+# (300,300) (lam 0.9, 1.3, nu 1.3, mu 5.2) and 106 + 121 + 332 (280) with
+# mu 1.5; 60 + 99 + 192 (176) at (6,6) with beta=0.6.  What the runs held
+# at once came to 51-155 per location and row or entry, whichever they
+# held more of: vectors come far fewer than entries.
 SIMULATE_ROW_BYTES_PER_LOCATION = 320
-# Bytes per state and location of ``qinet solve``'s report once the measure
-# is solved: the residual pair's transition arrays, the printed table, the
-# ``--json`` state lists and string.  tracemalloc peak with ``--json``: 304
-# at (2000,2), 181 at (300,300), 156 at (6,)*4, 126 at (30,30,30), 103 at
-# (2,)*8, 102 at (1,)*17.
 REPORT_BYTES_PER_STATE_LOCATION = 320
 
 

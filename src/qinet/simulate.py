@@ -13,13 +13,15 @@ and computing on its scalars costs several times as much per event.
 The outgoing moves come from the move table of :mod:`qinet.generator`:
 an arrival at location i is admitted exactly where consumption at i
 leaves the inventory state, and a service at i is that same move at rate
-``mu_i(n_i)``.  Rates only depend on the queue vector through, per
-location, "empty / one of the head levels / in the constant tail": its
-signature.  Everything is built on first use.  A signature holds its
-service rates, a state its moves read from its row of the move table,
-and a (signature, state) pair its row: the total rate, the running rate
-sums, the moves and, once the row is read a second time, each move's
-integer step of the key below.
+``mu_i(n_i)``.  Each move is a fixed column ``(location, dn, dk)``: the
+queue at the location changes by ``dn`` and the inventory index by
+``dk``, in every state.  Rates only depend on the queue vector through,
+per location, "empty / one of the head levels / in the constant tail":
+its signature.  Everything is built on first use.  A signature holds its
+service rates, a state its ``(rate, column)`` moves read from its row of
+the move table, and a (signature, state) pair its row: the total rate,
+the running rate sums, each move's step of the key below (one shared
+integer per column) and its columns.
 
 The event loop keeps one integer, the key: the queue lengths clipped at
 ``top = max(n_obs, signature caps)`` as digits, and the inventory index.
@@ -28,12 +30,12 @@ dict lookup of its entry ``(slot, total, cum, steps)``: it adds the
 holding time to the cell's occupancy at ``slot``, bisects the running
 sums and adds the picked step to the key.  A location at its top digit
 keeps its excess ``n_i - top`` in a counter: its queue moves are stored
-as their ``(location, dn, k)`` moves, which the integer add refuses, and
-are stepped one by one.  A missed entry is built from the shared row,
-and kept only if the row was built before: on wide boxes most rows are
-read once.  A cell gets the next slot on its first visit.  Entries and
-rows are dropped once either holds ``SIMULATE_MAX_ROWS``, and the
-entries at the burn-in too, so only the occupancies grow with the run.
+as their columns, which the integer add refuses, and are stepped one by
+one.  A missed entry is built from the shared row and stored, and the
+event then takes the same path as a hit.  A cell gets the next slot on
+its first visit.  Entries and rows are dropped once either holds
+``SIMULATE_MAX_ROWS``, and the entries at the burn-in too, so only the
+occupancies grow with the run.
 A run returns each cell's code and occupancy, and every statistic reads
 the codes: see :class:`SimulationResult`.
 """
@@ -115,25 +117,33 @@ class SimulationResult:
 
 
 def _transition_tables(config: NetworkConfig, require_stock_for_service: bool):
-    """Signature caps, service rates per signature and moves per state, read off the move table.
+    """Signature caps, service rates per signature, moves per state and move columns.
 
+    ``columns[c]`` is move column ``c`` as ``(location, dn, dk)``: the queue
+    at ``location`` changes by ``dn`` (``location == -1``: no queue moves)
+    and the inventory index by ``dk``, whatever the state.  The columns are
+    ``J`` arrivals, ``J`` services that consume stock, the columns of
+    :func:`~qinet.generator._move_table` after its consumption ones and, for
+    the counter-model only, ``J`` services that do not.
     ``service_rates(sig)`` is the ``J`` service rates under queue signature
-    ``sig`` (0 at an empty queue).  ``moves(mu, k)`` lists ``(rate, delta)``
-    out of inventory index ``k`` under service rates ``mu``, in column order:
-    ``J`` arrivals, ``J`` services, then the columns of
-    :func:`~qinet.generator._move_table` after its consumption ones; an
-    absent move is left out.  Each delta is ``(location, dn, new_k_index)``;
-    ``location == -1`` means the queues do not move.  A state's moves are
-    read from its table row on first use and kept, so every signature shares
-    its delta tuples.  ``require_stock_for_service=False`` builds a
-    deliberately coupled counter-model in which servers keep working with
-    depleted stock (draining the queue without consuming inventory); it
-    exists purely as a negative control for the decoupling test.
+    ``sig`` (0 at an empty queue).  ``moves(mu, k)`` lists ``(rate,
+    column)`` out of inventory index ``k`` under service rates ``mu``:
+    arrivals, services by location, then inventory moves; an absent move is
+    left out.  A state's moves are read from its table row on first use and
+    kept.  ``require_stock_for_service=False`` builds a deliberately coupled
+    counter-model in which servers keep working with depleted stock
+    (draining the queue without consuming inventory); it exists purely as a
+    negative control for the decoupling test.
     """
     J = config.J
     caps = [len(p.head) + 1 for p in config.mu]  # signature cap per location
     table, steps = _move_table(config)
     steps = steps.tolist()
+    columns = ([(i, 1, 0) for i in range(J)] + [(i, -1, steps[i]) for i in range(J)]
+               + [(-1, 0, s) for s in steps[J:]])
+    unstocked = len(columns)
+    if not require_stock_for_service:
+        columns += [(i, -1, 0) for i in range(J)]
     states: dict[int, tuple] = {}
     by_level = [[0.0] + [p.rate(s) for s in range(1, c + 1)] for p, c in zip(config.mu, caps)]
 
@@ -147,15 +157,15 @@ def _transition_tables(config: NetworkConfig, require_stock_for_service: bool):
             # stock, exactly where consumption at i leaves the state.
             row = table[k].tolist()
             found = states[k] = (
-                [(r, (i, 1, k)) for i, r in enumerate(row[:J]) if r > 0],
-                [(i, (i, -1, k + steps[i] if r > 0 else k)) for i, r in enumerate(row[:J])
+                [(r, i) for i, r in enumerate(row[:J]) if r > 0],
+                [(i, J + i if r > 0 else unstocked + i) for i, r in enumerate(row[:J])
                  if r > 0 or not require_stock_for_service],
-                [(r, (-1, 0, k + s)) for r, s in zip(row[J:], steps[J:]) if r > 0],
+                [(r, c) for c, r in enumerate(row[J:], 2 * J) if r > 0],
             )
         arrivals, services, inventory = found
-        return arrivals + [(mu[i], delta) for i, delta in services if mu[i] > 0] + inventory
+        return arrivals + [(mu[i], c) for i, c in services if mu[i] > 0] + inventory
 
-    return caps, service_rates, moves
+    return caps, service_rates, moves, columns
 
 
 def _slices(total_events: int, burn: int):
@@ -210,7 +220,7 @@ def simulate(
                         f"{d.tail_rate:g}" for d in report.per_location if not d.ergodic)
         raise ErgodicityError(f"simulation refused: configuration is not ergodic: {bad}")
 
-    caps, service_rates, moves = _transition_tables(config, require_stock_for_service)
+    caps, service_rates, moves, columns = _transition_tables(config, require_stock_for_service)
     n_states = math.prod(bj + 1 for bj in config.b)
     J = config.J
     clip = n_obs + 1
@@ -225,21 +235,21 @@ def simulate(
     code_place = [clip ** (J - 1 - i) * n_states for i in range(J)]
     sig_place = [math.prod(c + 1 for c in caps[i + 1 :]) * n_states for i in range(J)]
     decode = list(zip(place, caps, sig_place, code_place))
+    # Move column c changes the key by column_step[c], one int object that
+    # every row shares (a location at -1 has dn 0).
+    column_step = [dk + dn * place[loc] for loc, dn, dk in columns]
     # entries: key -> (slot, total, cum, steps), where vals[slot] is the
     # cell's occupancy and steps[m] the key's change under move m, or for a
-    # queue move at a top digit its delta (loc, dn, new k).  slots: cell
-    # code -> slot, in first-visit order.  rows: sig + k -> (total, cum,
-    # deltas, steps or None until read twice).  mus: signature -> service
-    # rates.  vectors: queue part of a key -> (sig, code, locations at the
-    # top digit or None).  ints: one int object per distinct step, shared by
-    # the rows' steps: a quarter less memory per row on (2,)*6, and fewer
-    # cache misses.  The caches are rebuilt the same, so the stream is too:
-    # all are dropped once entries or rows hold max_rows.
+    # queue move at a top digit its column (loc, dn, dk).  slots: cell code
+    # -> slot, in first-visit order.  rows: sig + k -> (total, cum, steps,
+    # columns).  mus: signature -> service rates.  vectors: queue part of a
+    # key -> (sig, code, locations at the top digit or None).  The caches
+    # are rebuilt the same, so the stream is too: all are dropped once
+    # entries or rows hold max_rows.
     entries: dict[int, tuple] = {}
     rows: dict[int, tuple] = {}
     mus: dict[int, list] = {}
     vectors: dict[int, tuple] = {}
-    ints: dict[int, int] = {}
     max_rows = SIMULATE_MAX_ROWS
 
     rng = np.random.default_rng(seed)
@@ -275,7 +285,6 @@ def simulate(
                         rows.clear()
                         mus.clear()
                         vectors.clear()
-                        ints.clear()
                     kidx = key % n_states
                     vector = vectors.get(key - kidx)
                     if vector is None:
@@ -294,49 +303,29 @@ def simulate(
                         vals.append(0.0)
                     row = rows.get(sig + kidx)
                     if row is None:
-                        # A fresh row is often read only once: its steps wait
-                        # for a second read, and no entry is kept for it yet.
                         mu = mus.get(sig)
                         if mu is None:
                             levels = [sig // p % (c + 1) for p, c in zip(sig_place, caps)]
                             mu = mus[sig] = service_rates(levels)
-                        rates, deltas = zip(*moves(mu, kidx))
+                        rates, cols = zip(*moves(mu, kidx))
                         cum = tuple(accumulate(rates))  # a tuple of floats, which the cyclic GC stops tracking
-                        total = cum[-1]
-                        rows[sig + kidx] = total, cum, deltas, None
-                        steps = None
-                    else:
-                        total, cum, deltas, steps = row
-                        if steps is None:
-                            steps = [k - kidx + dn * place[loc] for loc, dn, k in deltas]
-                            steps = tuple(map(ints.setdefault, steps, steps))
-                            rows[sig + kidx] = total, cum, deltas, steps
-                        if tail:
-                            steps = tuple([delta if delta[0] in tail else step
-                                           for step, delta in zip(steps, deltas)])
-                        entries[key] = slot, total, cum, steps
-                    dt = e / total
-                    vals[slot] += dt
-                    t_acc += dt
-                    pick = bisect_left(cum, u * total)
-                    if steps is None:
-                        loc, dn, k = step = deltas[pick]
-                        if not tail or loc not in tail:
-                            step = k - kidx + dn * place[loc]
-                    else:
-                        step = steps[pick]
-                else:
-                    slot, total, cum, steps = entry
-                    dt = e / total
-                    vals[slot] += dt
-                    t_acc += dt
-                    step = steps[bisect_left(cum, u * total)]
+                        row = rows[sig + kidx] = cum[-1], cum, tuple(map(column_step.__getitem__, cols)), cols
+                    total, cum, steps, cols = row
+                    if tail:
+                        steps = tuple([columns[c] if columns[c][0] in tail else step
+                                       for step, c in zip(steps, cols)])
+                    entry = entries[key] = slot, total, cum, steps
+                slot, total, cum, steps = entry
+                dt = e / total
+                vals[slot] += dt
+                t_acc += dt
+                step = steps[bisect_left(cum, u * total)]
                 try:
                     key += step
                 except TypeError:
                     # A queue move at a location at its top digit.
-                    loc, dn, k = step
-                    key += k - key % n_states
+                    loc, dn, dk = step
+                    key += dk
                     if dn > 0:
                         excess[loc] += 1
                     elif excess[loc]:

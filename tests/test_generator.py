@@ -31,15 +31,17 @@ def joint_moves(config, n, k):
     Read off the simulator's row of ``(n, k)``, which adds the queues to
     the inventory move table.
     """
-    caps, service_rates, moves = _transition_tables(config, require_stock_for_service=True)
+    caps, service_rates, moves, columns = _transition_tables(config, require_stock_for_service=True)
     states = [tuple(s) for s in enumerate_inventory_states(config.b).tolist()]
     mu = service_rates([min(x, cap) for x, cap in zip(n, caps)])
+    kidx = states.index(tuple(k))
     out = []
-    for rate, (loc, dn, target) in moves(mu, states.index(tuple(k))):
+    for rate, column in moves(mu, kidx):
+        loc, dn, dk = columns[column]
         n_next = list(n)
         if loc >= 0:
             n_next[loc] += dn
-        out.append(((tuple(n_next), states[target]), rate))
+        out.append(((tuple(n_next), states[kidx + dk]), rate))
     return out
 
 

@@ -24,6 +24,7 @@ from qinet import (
     solve_theta_exact,
     total_variation,
 )
+from qinet import cli
 from qinet.model import SIMULATE_BYTES_PER_STATE_LOCATION
 from qinet.simulate import _transition_tables
 
@@ -105,6 +106,9 @@ GOLDEN_STREAMS = {
                   "b1c04ea932bf487db8c61eaefd754fc299adf7cf8f780068a9cd6a9fb5f599b1"),
     "tail": (J3_TAIL, 70_001, 6, {"n_obs": 1},
              "f1782b4b86177f6dafc0c345d18dc223a2ff5c3a6e3b4a81db60b3fa9237ae5a"),
+    # Nearly every event visits a new (signature, state) pair: a run of misses.
+    "wide": (make_config((1.0,) * 10, (1,) * 10, 15.0, mu_rate=4.0), 20_000, 1, {},
+             "21fb760d7e351bec89e811708dc4e4d3593c6b2a8f1677799622e939fb1d3769"),
 }
 
 
@@ -311,13 +315,13 @@ def test_simulation_size_cap(monkeypatch):
 
     def refused():
         with pytest.raises(PreconditionError, match="a simulation of 100020001 inventory states needs "
-                                                    "153714607616 bytes for its move table and rows; "
+                                                    "102504367104 bytes for its move table and rows; "
                                                     "the cap is 4294967296 bytes"):
             simulate(huge, total_events=10, seed=1)
 
     _, peak = traced_peak(refused)
     assert peak < 1 << 20
-    # 768 bytes per state and location, and 320 per row and location for
+    # 512 bytes per state and location, and 320 per row and location for
     # 131,072 rows: (1500,1500) is admitted, (3000,3000) is not.
     assert method_inapplicable(make_config((1.0, 1.1), (1500, 1500), 2.5), "simulate") is None
     assert method_inapplicable(make_config((1.0, 1.1), (3000, 3000), 2.5), "simulate") is not None
@@ -376,7 +380,7 @@ def test_simulation_cap_covers_every_state_read(config):
     n = math.prod(bj + 1 for bj in config.b)
 
     def read_every_state():
-        _, service_rates, moves = _transition_tables(config, True)
+        _, service_rates, moves, _ = _transition_tables(config, True)
         mu = service_rates([1] * config.J)
         for k in range(n):
             moves(mu, k)
@@ -467,14 +471,18 @@ def code_runs():
 
 @pytest.mark.parametrize("case", ["J6", "huge-n_obs"])
 def test_statistics_never_unpack_the_queue_view(code_runs, monkeypatch, case):
-    # A run holds one code per cell; the merge, the decoupling test and the
-    # empirical measure work on the codes and never build the queue array.
+    # A run holds one code per cell; the merge, the decoupling test, the
+    # empirical measure and the run scores work on the codes and never build
+    # the queue array.
     runs = code_runs[case]
+    config = {"J6": J6, "huge-n_obs": J3_HEADS}[case]
+    theta = solve_theta_exact(build_reduced_generator(config))
 
     def values():
         merged = merge_results(runs)
         return ([merged.codes, merged.mass],
-                [decoupling_test(r) for r in (*runs, merged)],
+                [decoupling_test(r) for r in (*runs, merged)]
+                + [cli._scores(r, theta, config) for r in (*runs, merged)],
                 [r.empirical_theta().grid for r in (*runs, merged)])
 
     want = values()
