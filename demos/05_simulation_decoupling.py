@@ -38,7 +38,7 @@ print(f"simulated time: {run.sim_time:.0f} (after burn-in), "
 print(f"\nTV(empirical theta, exact theta) = "
       f"{total_variation(run.empirical_theta(), exact):.4f}")
 
-emp = np.bincount(run.queues[:, 0], run.mass, minlength=6)
+emp = np.bincount(run.queue(1), run.mass, minlength=6)
 print("queue 1, empirical vs geometric (1/2)^(n+1):")
 for n in range(6):
     print(f"  n={n}: {emp[n]:.4f} vs {qm.xi(n):.4f}")

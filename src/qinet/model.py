@@ -81,14 +81,15 @@ SIMULATE_BYTES_PER_STATE_LOCATION = 512
 SIMULATE_MAX_ROWS = 1 << 17
 # Bytes per location charged for SIMULATE_MAX_ROWS rows, as many entries
 # and as many queue vectors: what tracemalloc sees freed when a run drops
-# its entries, its queue vectors and its rows with their service rates,
-# per entry + per vector + per row, over J.  At the cap or a run's end:
-# 149 + 201 + 885 (103) at (1,)*12 (lam 1, mu 4, nu 5); 158 + 166 + 540
-# (144) at (2,)*6; 75 + 115 + 267 (153) at (4,3,2); 62 + 134 + 277 (237) at
-# (300,300) (lam 0.9, 1.3, nu 1.3, mu 5.2) and 106 + 121 + 332 (280) with
-# mu 1.5; 60 + 99 + 192 (176) at (6,6) with beta=0.6.  What the runs held
-# at once came to 51-155 per location and row or entry, whichever they
-# held more of: vectors come far fewer than entries.
+# its entries, its queue vectors with their service rates and its rows,
+# per entry + per vector + per row, over J.  At the first drop or the end
+# of 1e6 events, seed 1: 153 + 401 + 721 (106) at (1,)*12 (lam 1, mu 4,
+# nu 5); 160 + 319 + 460 (156) at (2,)*6 (lam 1, mu 4, nu 9); 103 + 276 +
+# 178 (186) at (4,3,2) (head rates); 85 + 213 + 249 (274) at (300,300)
+# (lam 0.9, 1.3, nu 1.3, mu 5.2) and 106 + 240 + 234 (290) with mu 1.5;
+# 62 + 128 + 129 (160) at (6,6) with beta=0.6.  What the runs held at once
+# came to 46-149 per location and row or entry, whichever they held more
+# of: vectors come far fewer than entries.
 SIMULATE_ROW_BYTES_PER_LOCATION = 320
 REPORT_BYTES_PER_STATE_LOCATION = 320
 

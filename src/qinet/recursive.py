@@ -26,11 +26,17 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DegenerateEliminationError, PreconditionError, SequencingError, SolverError
-from .generator import _transition_arrays
+from .generator import _transition_arrays, net_inflow, relative_imbalance
 # enumerate_inventory_states is unused here; perfbench/spans.py traces this binding.
 from .model import NetworkConfig, ThetaMeasure, enumerate_inventory_states, method_inapplicable  # noqa: F401
 
 __all__ = ["solve_theta_recursive"]
+
+# Largest relative imbalance |(wQ)_i| / (w_i q_i) a returned measure may
+# leave.  perfbench's verify-j2-heterogeneous reads at most 4.8e-11 over
+# seeds 1-40, the wrong solve-grid grid-20x20-r2 measures of seeds 1-3 read
+# 1.7e-3, 2.0e-3 and 1.3e-5, and every recursive measure of the tests passes.
+RECURSIVE_RTOL = 1e-8
 
 
 def _balance_terms(config: NetworkConfig) -> dict:
@@ -132,7 +138,10 @@ def solve_theta_recursive(config: NetworkConfig) -> ThetaMeasure:
     Seeds the corner ``(b1, 0)`` and runs the :func:`_sweeps` schedule,
     which is written for ``b1 >= b2``.  For ``b1 < b2`` the swapped network
     is solved and its grid transposed back; a :class:`SolverError` raised
-    there names cells of the swapped network, and says so.
+    there names cells of the swapped network, and says so.  Float
+    cancellation can spoil the small weights unseen by the total variation,
+    so a measure is refused, naming its cell, where one state's relative
+    imbalance passes ``RECURSIVE_RTOL``.
     """
     reason = method_inapplicable(config, "recursive")
     if reason:
@@ -154,5 +163,15 @@ def solve_theta_recursive(config: NetworkConfig) -> ThetaMeasure:
             _sweep(table, known, terms, seed, steps, close)
     if not known.all():
         raise SequencingError("table is not complete")
-    grid = table[..., 0].copy()
-    return ThetaMeasure(grid=grid / grid.sum(), provenance="recursive")
+    grid = table[..., 0]
+    theta = ThetaMeasure(grid=grid / grid.sum(), provenance="recursive")
+    w = theta.weights
+    src, dst, rate, _ = _transition_arrays(config)
+    outflow = np.bincount(src, rate, minlength=w.size)
+    imbalance = relative_imbalance(outflow, net_inflow(src, dst, rate, outflow, w), w)
+    worst = int(imbalance.argmax())
+    if not imbalance[worst] <= RECURSIVE_RTOL:
+        raise SolverError(f"recursive measure is off balance: weight {w[worst]:.3e} at on-hand "
+                          f"{divmod(worst, b2 + 1)} balances to {imbalance[worst]:.1e} relative "
+                          f"(tolerance {RECURSIVE_RTOL:.0e})")
+    return theta

@@ -17,27 +17,25 @@ leaves the inventory state, and a service at i is that same move at rate
 queue at the location changes by ``dn`` and the inventory index by
 ``dk``, in every state.  Rates only depend on the queue vector through,
 per location, "empty / one of the head levels / in the constant tail":
-its signature.  Everything is built on first use.  A signature holds its
-service rates, a state its ``(rate, column)`` moves read from its row of
-the move table, and a (signature, state) pair its row: the total rate,
-the running rate sums, each move's step of the key below (one shared
-integer per column) and its columns.
+its signature.
 
 The event loop keeps one integer, the key: the queue lengths clipped at
 ``top = max(n_obs, signature caps)`` as digits, and the inventory index.
 The key fixes both the occupancy cell and the row, so an event is one
 dict lookup of its entry ``(slot, total, cum, steps)``: it adds the
 holding time to the cell's occupancy at ``slot``, bisects the running
-sums and adds the picked step to the key.  A location at its top digit
-keeps its excess ``n_i - top`` in a counter: its queue moves are stored
-as their columns, which the integer add refuses, and are stepped one by
-one.  A missed entry is built from the shared row and stored, and the
-event then takes the same path as a hit.  A cell gets the next slot on
-its first visit.  Entries and rows are dropped once either holds
+sums and adds the picked step to the key.  A miss decodes the key's
+queue vector, once per vector, into its signature, cell code and service
+rates, then reads the (signature, state) row ``(total, cum, steps)``,
+built on first use from the state's ``(rate, column)`` moves with one
+shared integer step per column, stores the entry and takes the hit path.
+A location at its top digit keeps its excess ``n_i - top`` in a counter:
+its queue moves are stored as their columns, which the integer add
+refuses, and are stepped one by one.  A cell gets the next slot on its
+first visit.  Entries and rows are dropped once either holds
 ``SIMULATE_MAX_ROWS``, and the entries at the burn-in too, so only the
-occupancies grow with the run.
-A run returns each cell's code and occupancy, and every statistic reads
-the codes: see :class:`SimulationResult`.
+occupancies grow with the run.  A run returns each cell's code and
+occupancy (:class:`SimulationResult`); no other module reads the codes.
 """
 from __future__ import annotations
 
@@ -75,10 +73,10 @@ class SimulationResult:
     cell, and ``mass``.  A cell's code is ``sum_i q_i * clip**(J-1-i) *
     n_states + k`` with ``clip = n_obs + 1``, which sorts as the cells do:
     its queue lengths ``q_i`` clipped at ``n_obs`` (the last bucket means
-    "at least n_obs") and its canonical inventory index ``k``.  ``queues``
-    and ``states`` are computed from the codes on each read.  Marginals are
-    ``np.bincount`` reductions, e.g. ``np.bincount(queues[:, j - 1], mass)``
-    for the queue at location j.
+    "at least n_obs") and its canonical inventory index ``k``.  ``queue(j)``,
+    ``queues`` and ``states`` are computed from the codes on each read.
+    Marginals are ``np.bincount`` reductions, e.g. ``np.bincount(queue(j),
+    mass)`` for the queue at location j.
     """
 
     b: tuple[int, ...]
@@ -94,10 +92,15 @@ class SimulationResult:
     def _n_states(self) -> int:
         return math.prod(bj + 1 for bj in self.b)
 
+    def queue(self, j: int) -> np.ndarray:
+        """``(cells,)`` clipped queue lengths at location ``j`` (1-based): its digit of the codes."""
+        clip = self.n_obs + 1
+        return (self.codes // (clip ** (len(self.b) - j) * self._n_states) % clip).astype(np.int64)
+
     @property
     def queues(self) -> np.ndarray:
         """``(cells, J)`` clipped queue vectors."""
-        return _unpack(self.codes // self._n_states, len(self.b), self.n_obs + 1)
+        return np.stack([self.queue(j) for j in range(1, len(self.b) + 1)], axis=1)
 
     @property
     def states(self) -> np.ndarray:
@@ -117,7 +120,7 @@ class SimulationResult:
 
 
 def _transition_tables(config: NetworkConfig, require_stock_for_service: bool):
-    """Signature caps, service rates per signature, moves per state and move columns.
+    """Signature caps, service rates by level, moves per state and move columns.
 
     ``columns[c]`` is move column ``c`` as ``(location, dn, dk)``: the queue
     at ``location`` changes by ``dn`` (``location == -1``: no queue moves)
@@ -125,8 +128,8 @@ def _transition_tables(config: NetworkConfig, require_stock_for_service: bool):
     ``J`` arrivals, ``J`` services that consume stock, the columns of
     :func:`~qinet.generator._move_table` after its consumption ones and, for
     the counter-model only, ``J`` services that do not.
-    ``service_rates(sig)`` is the ``J`` service rates under queue signature
-    ``sig`` (0 at an empty queue).  ``moves(mu, k)`` lists ``(rate,
+    ``by_level[i][s]`` is location ``i``'s service rate at signature level
+    ``s`` (0 empty, ``caps[i]`` the tail).  ``moves(mu, k)`` lists ``(rate,
     column)`` out of inventory index ``k`` under service rates ``mu``:
     arrivals, services by location, then inventory moves; an absent move is
     left out.  A state's moves are read from its table row on first use and
@@ -147,9 +150,6 @@ def _transition_tables(config: NetworkConfig, require_stock_for_service: bool):
     states: dict[int, tuple] = {}
     by_level = [[0.0] + [p.rate(s) for s in range(1, c + 1)] for p, c in zip(config.mu, caps)]
 
-    def service_rates(sig):
-        return [rates[s] for rates, s in zip(by_level, sig)]
-
     def moves(mu, k):
         found = states.get(k)
         if found is None:
@@ -165,7 +165,7 @@ def _transition_tables(config: NetworkConfig, require_stock_for_service: bool):
         arrivals, services, inventory = found
         return arrivals + [(mu[i], c) for i, c in services if mu[i] > 0] + inventory
 
-    return caps, service_rates, moves, columns
+    return caps, by_level, moves, columns
 
 
 def _slices(total_events: int, burn: int):
@@ -180,15 +180,6 @@ def _slices(total_events: int, burn: int):
             yield start, burn
             start = burn
         yield start, stop
-
-
-def _unpack(codes: np.ndarray, J: int, clip: int) -> np.ndarray:
-    """The ``(cells, J)`` digits of queue codes in radix ``clip``, last digit first."""
-    queues = np.empty((len(codes), J), dtype=np.int64)
-    for i in range(J - 1, -1, -1):
-        queues[:, i] = codes % clip
-        codes = codes // clip
-    return queues
 
 
 def simulate(
@@ -220,7 +211,7 @@ def simulate(
                         f"{d.tail_rate:g}" for d in report.per_location if not d.ergodic)
         raise ErgodicityError(f"simulation refused: configuration is not ergodic: {bad}")
 
-    caps, service_rates, moves, columns = _transition_tables(config, require_stock_for_service)
+    caps, by_level, moves, columns = _transition_tables(config, require_stock_for_service)
     n_states = math.prod(bj + 1 for bj in config.b)
     J = config.J
     clip = n_obs + 1
@@ -234,23 +225,20 @@ def simulate(
     place = [radix ** (J - 1 - i) * n_states for i in range(J)]
     code_place = [clip ** (J - 1 - i) * n_states for i in range(J)]
     sig_place = [math.prod(c + 1 for c in caps[i + 1 :]) * n_states for i in range(J)]
-    decode = list(zip(place, caps, sig_place, code_place))
+    decode = list(enumerate(zip(place, caps, sig_place, code_place, by_level)))
     # Move column c changes the key by column_step[c], one int object that
     # every row shares (a location at -1 has dn 0).
     column_step = [dk + dn * place[loc] for loc, dn, dk in columns]
     # entries: key -> (slot, total, cum, steps), where vals[slot] is the
     # cell's occupancy and steps[m] the key's change under move m, or for a
     # queue move at a top digit its column (loc, dn, dk).  slots: cell code
-    # -> slot, in first-visit order.  rows: sig + k -> (total, cum, steps,
-    # columns).  mus: signature -> service rates.  vectors: queue part of a
-    # key -> (sig, code, locations at the top digit or None).  The caches
-    # are rebuilt the same, so the stream is too: all are dropped once
-    # entries or rows hold max_rows.
+    # -> slot, in first-visit order.  rows: sig + k -> (total, cum, steps).
+    # vectors: queue part of a key -> (sig, code, locations at the top digit
+    # or None, service rates).  The caches are rebuilt the same, so the
+    # stream is too: all are dropped once entries or rows hold SIMULATE_MAX_ROWS.
     entries: dict[int, tuple] = {}
     rows: dict[int, tuple] = {}
-    mus: dict[int, list] = {}
     vectors: dict[int, tuple] = {}
-    max_rows = SIMULATE_MAX_ROWS
 
     rng = np.random.default_rng(seed)
     excess = [0] * J
@@ -273,47 +261,43 @@ def simulate(
                 uniforms = rng.random(_BLOCK)
                 exponentials = rng.standard_exponential(_BLOCK)
             if start == burn:
-                vals, slots, t_acc = [], {}, 0.0
-                entries.clear()
+                vals, slots, t_acc, entries = [], {}, 0.0, {}
             first = start % _BLOCK
             last = first + stop - start
             for u, e in zip(uniforms[first:last].tolist(), exponentials[first:last].tolist()):
                 entry = entries.get(key)
                 if entry is None:
-                    if len(entries) >= max_rows or len(rows) >= max_rows:
-                        entries.clear()
-                        rows.clear()
-                        mus.clear()
-                        vectors.clear()
+                    if len(entries) >= SIMULATE_MAX_ROWS or len(rows) >= SIMULATE_MAX_ROWS:
+                        entries, rows, vectors = {}, {}, {}
                     kidx = key % n_states
                     vector = vectors.get(key - kidx)
                     if vector is None:
                         sig = code = 0
                         tail = None
-                        for i, (p, c, sp, cp) in enumerate(decode):
+                        mu = []
+                        for i, (p, c, sp, cp, rate_at) in decode:
                             d = key // p % radix
-                            sig += (d if d < c else c) * sp
+                            level = d if d < c else c
+                            sig += level * sp
+                            mu.append(rate_at[level])
                             code += (d if d < n_obs else n_obs) * cp
                             if d == top:
                                 tail = tail + [i] if tail else [i]
-                        vector = vectors[key - kidx] = sig, code, tail
-                    sig, code, tail = vector
+                        vector = vectors[key - kidx] = sig, code, tail, mu
+                    sig, code, tail, mu = vector
                     slot = slots.setdefault(code + kidx, len(vals))
                     if slot == len(vals):
                         vals.append(0.0)
                     row = rows.get(sig + kidx)
                     if row is None:
-                        mu = mus.get(sig)
-                        if mu is None:
-                            levels = [sig // p % (c + 1) for p, c in zip(sig_place, caps)]
-                            mu = mus[sig] = service_rates(levels)
                         rates, cols = zip(*moves(mu, kidx))
                         cum = tuple(accumulate(rates))  # a tuple of floats, which the cyclic GC stops tracking
-                        row = rows[sig + kidx] = cum[-1], cum, tuple(map(column_step.__getitem__, cols)), cols
-                    total, cum, steps, cols = row
+                        row = rows[sig + kidx] = cum[-1], cum, tuple(map(column_step.__getitem__, cols))
+                    total, cum, steps = row
                     if tail:
+                        # moves() lists the columns in the row's order.
                         steps = tuple([columns[c] if columns[c][0] in tail else step
-                                       for step, c in zip(steps, cols)])
+                                       for step, (_, c) in zip(steps, moves(mu, kidx))])
                     entry = entries[key] = slot, total, cum, steps
                 slot, total, cum, steps = entry
                 dt = e / total
@@ -339,10 +323,7 @@ def simulate(
     if t_acc <= 0:
         raise PreconditionError("no simulated time left after burn-in")
 
-    # The arrays are built with the caches already dropped.
-    entries.clear()
-    rows.clear()
-    vectors.clear()
+    del entries, rows, vectors  # the arrays are built with the caches already dropped
     # Python ints where a huge n_obs pushes the codes past int64.
     dtype = object if clip**J * n_states > np.iinfo(np.int64).max else np.int64
     return SimulationResult(

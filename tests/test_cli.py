@@ -35,6 +35,13 @@ def write_config(tmp_path, name="net.json", **overrides):
     return str(path)
 
 
+# perfbench's solve-grid box grid-20x20-r2 at seed 1, on which the float
+# recursion closes every sweep but its measure fails the balance equations
+# of its small weights (componentwise residual 1.7e-3).
+GRID_20X20_R2 = {"lambda": [0.7703910799600172, 0.8991619542198879],
+                 "mu": [{"head": [], "tail": 3.5966478168795515}] * 2, "b": [20, 20], "nu": 1.6695530341799052}
+
+
 def no_work(*args, **kwargs):
     """Stands in for a solve or a simulation that must not start."""
     pytest.fail("work started before the command line was checked")
@@ -141,6 +148,14 @@ class TestSolve:
         path = write_config(tmp_path, b=[3, 2])
         assert main(["solve", path]) == 0
         assert "method: exact (auto: level-by-level elimination)" in capsys.readouterr().out
+
+    def test_off_balance_recursion_exits_3(self, tmp_path, capsys):
+        path = write_config(tmp_path, **GRID_20X20_R2)
+        assert main(["solve", path, "--method", "recursive"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "recursive measure is off balance: weight " in captured.err
+        assert " at on-hand (19, 0) " in captured.err
 
     def test_beta_zero_matches_no_beta(self, tmp_path):
         # A zero transfer rate is no transfer channel: same route, same bytes.
@@ -500,6 +515,17 @@ class TestVerify:
         assert failed == {"recursive_vs_exact_tv": None, "recursive_balance_residual": None}
         assert doc["passed"] is False
         assert any(n.startswith("recursive route failed: ") for n in doc["notices"])
+
+    def test_off_balance_recursion_fails_its_checks(self, tmp_path, capsys):
+        # Too few events for the simulation checks; only the route matters.
+        path = write_config(tmp_path, **GRID_20X20_R2)
+        out = tmp_path / "verify.json"
+        assert main(["verify", path, "--events", "20000", "--json", str(out)]) == 2
+        assert "notice: recursive route failed: recursive measure is off balance: " in capsys.readouterr().out
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        for name in ("recursive_vs_exact_tv", "recursive_balance_residual"):
+            assert checks[name]["value"] is None and not checks[name]["passed"]
+        assert checks["exact_componentwise_residual"]["passed"]
 
     def test_reference_failure_exits_3(self, tmp_path, monkeypatch):
         # Only a cross-check route's failure is a failed check; without the

@@ -31,9 +31,9 @@ def joint_moves(config, n, k):
     Read off the simulator's row of ``(n, k)``, which adds the queues to
     the inventory move table.
     """
-    caps, service_rates, moves, columns = _transition_tables(config, require_stock_for_service=True)
+    caps, by_level, moves, columns = _transition_tables(config, require_stock_for_service=True)
     states = [tuple(s) for s in enumerate_inventory_states(config.b).tolist()]
-    mu = service_rates([min(x, cap) for x, cap in zip(n, caps)])
+    mu = [rates[min(x, cap)] for rates, x, cap in zip(by_level, n, caps)]
     kidx = states.index(tuple(k))
     out = []
     for rate, column in moves(mu, kidx):

@@ -17,7 +17,15 @@ from qinet import (
     solve_theta_recursive,
     total_variation,
 )
-from qinet.recursive import _balance_terms, _combine, _sweep, _sweeps
+from qinet.generator import balance_residuals
+from qinet.recursive import RECURSIVE_RTOL, _balance_terms, _combine, _sweep, _sweeps
+
+# perfbench's solve-grid box grid-20x20-r2 at seed 1.  The float recursion
+# closes every sweep here but loses the small weights: unchecked, it
+# returned weights off by up to 2.6e-3 relative to the exact ones, whose TV
+# (3.3e-11) and normwise residual (1.6e-13) both looked fine.
+GRID_20X20_R2 = make_config((0.7703910799600172, 0.8991619542198879), (20, 20), 1.6695530341799052,
+                            mu_rate=3.5966478168795515)
 
 
 def brute_force_gbe(config, grid, state):
@@ -295,6 +303,13 @@ class TestRecursiveSolver:
         zero = solve_theta_recursive(make_config((1.1, 1.1), (3, 3), 0.8, beta=0.0))
         assert zero.weights.tobytes() == plain.weights.tobytes()
 
+    def test_off_balance_measure_names_cell(self):
+        exact = solve_theta_exact(build_reduced_generator(GRID_20X20_R2))
+        assert balance_residuals(GRID_20X20_R2, exact.weights)[1] <= 1e-12
+        with pytest.raises(SolverError, match=r"^recursive measure is off balance: weight \S+ at on-hand "
+                                              r"\(19, 0\) balances to 1\.7e-03 relative \(tolerance 1e-08\)$"):
+            solve_theta_recursive(GRID_20X20_R2)
+
     def test_non_positive_weight_names_cell(self):
         # At b=(20,20) with nu four times mean(lam) the elimination loses
         # every digit and leaves a weight of zero.
@@ -344,6 +359,14 @@ class TestLocationOrder:
             solve_theta_recursive(swap(cfg))
         assert str(swapped.value) == f"{plain.value} (locations swapped to b1 >= b2)"
 
+    def test_off_balance_failure_says_locations_were_swapped(self):
+        cfg = make_config(GRID_20X20_R2.lam, (20, 19), GRID_20X20_R2.nu)
+        with pytest.raises(SolverError, match="off balance") as plain:
+            solve_theta_recursive(cfg)
+        with pytest.raises(SolverError) as swapped:
+            solve_theta_recursive(swap(cfg))
+        assert str(swapped.value) == f"{plain.value} (locations swapped to b1 >= b2)"
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(2, 12).flatmap(lambda b1: st.tuples(st.just(b1), st.integers(b1 + 1, 13))),
@@ -362,3 +385,4 @@ class TestLocationOrder:
             assert "(locations swapped to b1 >= b2)" in str(exc)
             return
         assert total_variation(recursive, exact) <= 1e-10
+        assert balance_residuals(cfg, recursive.weights)[1] <= RECURSIVE_RTOL

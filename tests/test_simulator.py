@@ -380,8 +380,8 @@ def test_simulation_cap_covers_every_state_read(config):
     n = math.prod(bj + 1 for bj in config.b)
 
     def read_every_state():
-        _, service_rates, moves, _ = _transition_tables(config, True)
-        mu = service_rates([1] * config.J)
+        _, by_level, moves, _ = _transition_tables(config, True)
+        mu = [rates[1] for rates in by_level]
         for k in range(n):
             moves(mu, k)
 
@@ -472,8 +472,8 @@ def code_runs():
 @pytest.mark.parametrize("case", ["J6", "huge-n_obs"])
 def test_statistics_never_unpack_the_queue_view(code_runs, monkeypatch, case):
     # A run holds one code per cell; the merge, the decoupling test, the
-    # empirical measure and the run scores work on the codes and never build
-    # the queue array.
+    # empirical measure and the run scores work on the codes, one queue
+    # digit at a time, and never build the (cells, J) queue array.
     runs = code_runs[case]
     config = {"J6": J6, "huge-n_obs": J3_HEADS}[case]
     theta = solve_theta_exact(build_reduced_generator(config))
@@ -487,10 +487,10 @@ def test_statistics_never_unpack_the_queue_view(code_runs, monkeypatch, case):
 
     want = values()
 
-    def refuse(*args):
+    def refuse(self):
         raise AssertionError("queue codes unpacked")
 
-    monkeypatch.setattr(sys.modules["qinet.simulate"], "_unpack", refuse)  # the package binds simulate()
+    monkeypatch.setattr(SimulationResult, "queues", property(refuse))
     with pytest.raises(AssertionError, match="unpacked"):
         runs[0].queues
     got = values()

@@ -84,6 +84,18 @@ def test_theta_measure_has_one_home():
     assert qinet.ThetaMeasure is qinet.model.ThetaMeasure
 
 
+def test_cell_codes_have_one_reader():
+    # The cell-code layout belongs to simulate.py: every other module reads
+    # a run through SimulationResult's queue(j), queues and states.
+    readers = {
+        path.name
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and node.attr in ("codes", "_n_states")
+    }
+    assert readers == {"simulate.py"}
+
+
 def test_only_the_front_ends_import_the_exact_solvers():
     importers = {
         path.name
