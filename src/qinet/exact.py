@@ -13,12 +13,13 @@ mat-vec over the edges into one level parity.  It holds a few arrays per
 edge, so it reaches ``J >= 3`` boxes the level solver's cap refuses.  It
 does not cover the transfer channel.
 
-Both return their measure only when every state's own balance equation
-holds (:func:`_gated`).  The two compiled kernels, LAPACK's ``dgesv`` for
-the level solver and scipy's ``csr_matvec`` for the iterative one, are
-loaded from scipy's extension module files, so that no ``scipy`` module is
-imported (see :func:`_scipy_extension`); ``csr_matvec`` only on the first
-iterative solve (:func:`_csr_matvec`).
+Both return their measure through the gate of :mod:`qinet.generator`,
+:func:`~qinet.generator.gated`, only when every state's own balance
+equation holds to ``COMPONENTWISE_RTOL``.  The two compiled kernels,
+LAPACK's ``dgesv`` for the level solver and scipy's ``csr_matvec`` for the
+iterative one, are loaded from scipy's extension module files, so that no
+``scipy`` module is imported (see :func:`_scipy_extension`);
+``csr_matvec`` only on the first iterative solve (:func:`_csr_matvec`).
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ import os
 import numpy as np
 
 from .errors import PreconditionError, SolverError
-from .generator import ReducedGenerator, _transition_arrays, net_inflow, relative_imbalance
+from .generator import ReducedGenerator, _transition_arrays, gated
 from .model import NetworkConfig, ThetaMeasure, _on_hand_rows, method_inapplicable
 
 __all__ = ["solve_theta_exact", "solve_theta_iad"]
@@ -44,8 +45,6 @@ __all__ = ["solve_theta_exact", "solve_theta_iad"]
 COMPONENTWISE_RTOL = 1e-12
 # A level's weights are rescaled when its first weight leaves this range.
 SCALE_RANGE = (1e-100, 1e100)
-# Weights below the smallest normal double have lost digits: they fail too.
-TINY = np.finfo(float).tiny
 # The iterative solve stops once every relative imbalance is at most
 # IAD_RTOL, checked every IAD_CHECK sweeps, and fails after IAD_MAX_SWEEPS.
 # At 1e-13 its weights agreed with the level solver's to 5.3e-13 or better
@@ -196,7 +195,7 @@ def _censored_levels(gen: ReducedGenerator) -> tuple[list, list]:
 
 
 def solve_theta_exact(gen: ReducedGenerator) -> ThetaMeasure:
-    """Solve ``theta . Q_red = 0`` level by level, normalize, and pass the gate (:func:`_gated`).
+    """Solve ``theta . Q_red = 0`` level by level, normalize, and pass the gate (:func:`gated`).
 
     The levels are combined on their carried log scales, never clamped, and
     normalized.  The levels are solved on one BLAS thread.
@@ -208,34 +207,8 @@ def solve_theta_exact(gen: ReducedGenerator) -> ThetaMeasure:
     # A level on the top scale is used as is: multiplying by exp(0) = 1 changes no bit.
     theta[gen.order] = np.concatenate([x if s == top else x * math.exp(s - top)
                                        for x, s in zip(pi, log_scale)])
-    theta /= np.add.reduce(theta)
-    return _gated(theta, gen.b, gen.src, gen.dst, gen.rate, gen.outflow, pi, log_scale, "exact")
-
-
-def _gated(theta, b, src, dst, rate, outflow, pi, log_scale, provenance: str) -> ThetaMeasure:
-    """The normalized canonical weights ``theta`` as a measure, once every balance equation holds.
-
-    The answer is accepted only when every state's relative imbalance
-    ``|(theta Q)_i| / (theta_i q_i)`` is at most ``COMPONENTWISE_RTOL``; a
-    zero or subnormal weight fails too, and the :class:`SolverError` names
-    the cell, its weight and the measure's dynamic range, read from the
-    solve's pieces ``pi`` on their natural-log scales ``log_scale``.
-    """
-    net = net_inflow(src, dst, rate, outflow, theta)
-    imbalance = relative_imbalance(outflow, net, theta)
-    unbalanced = not np.maximum.reduce(imbalance) <= COMPONENTWISE_RTOL
-    if unbalanced or np.minimum.reduce(theta) < TINY:
-        worst = int(imbalance.argmax() if unbalanced else theta.argmin())
-        on_hand = tuple(int(k) for k in np.unravel_index(worst, [bj + 1 for bj in b]))
-        with np.errstate(divide="ignore"):  # a piece holding a zero reads -inf
-            logs = [(np.log(x.max()) + s, np.log(x.min()) + s) for x, s in zip(pi, log_scale)]
-        decades = (max(hi for hi, _ in logs) - min(lo for _, lo in logs)) / math.log(10)
-        raise SolverError(
-            f"stationary solve failed: weight {theta[worst]:.3e} at on-hand {on_hand} balances to "
-            f"{imbalance[worst]:.1e} relative (tolerance {COMPONENTWISE_RTOL:.0e}); "
-            f"log10(max/min) = {decades:.1f}"
-        )
-    return ThetaMeasure(grid=theta.reshape([bj + 1 for bj in b]), provenance=provenance)
+    return gated(theta, gen.b, gen.src, gen.dst, gen.rate, gen.outflow, COMPONENTWISE_RTOL,
+                 "stationary solve failed", "exact", zip(pi, log_scale))
 
 
 def solve_theta_iad(config: NetworkConfig) -> tuple[ThetaMeasure, int, float]:
@@ -266,7 +239,7 @@ def solve_theta_iad(config: NetworkConfig) -> tuple[ThetaMeasure, int, float]:
     levels off its step: the componentwise residual ``residual`` of the
     weights ``sweeps`` sweeps in.  The solve stops at the first check at
     most ``IAD_RTOL``, and returns the weights it checked, normalized,
-    once they pass the gate of :func:`solve_theta_exact` (:func:`_gated`).
+    once they pass the gate of :func:`solve_theta_exact` (:func:`gated`).
     It raises :class:`SolverError` naming the sweeps and the residual
     after ``IAD_MAX_SWEEPS`` sweeps, at a non-finite residual, or when the
     gate refuses.  A config with the transfer channel, or whose arrays
@@ -294,7 +267,7 @@ def solve_theta_iad(config: NetworkConfig) -> tuple[ThetaMeasure, int, float]:
     position = np.empty(n, dtype=np.int64)
     position[order] = np.arange(n)
     # One CSR operator per half step: row p holds the edges into position p
-    # in edge order, the order in which the gate's net_inflow sums them.
+    # in edge order, the order in which the gate's imbalance sums them.
     # Rows below ``even`` read the odd positions, the rest the even ones.
     tail = position[dst]
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -350,9 +323,9 @@ def solve_theta_iad(config: NetworkConfig) -> tuple[ThetaMeasure, int, float]:
     del into_even, into_odd, column, weight  # the gate's edge temporaries take their place
     theta = np.empty(n)
     theta[order] = pi
-    theta /= np.add.reduce(theta)
     try:
-        return _gated(theta, b, src, dst, rate, outflow, [theta], [0.0], "iad"), sweeps, residual
+        return gated(theta, b, src, dst, rate, outflow, COMPONENTWISE_RTOL, "stationary solve failed",
+                     "iad"), sweeps, residual
     except SolverError as exc:
         raise SolverError(f"{exc} (iterative aggregation-disaggregation, {sweeps} sweeps, "
                           f"residual {residual:.1e})") from exc

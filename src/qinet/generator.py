@@ -21,7 +21,9 @@ no block, and no ``n x n`` array unless ``rates`` is read.
 per state, rate 0 where a move is absent.  The simulator's rows (which
 add the queues) read its columns; ``_transition_arrays``, its
 non-zero entries as COO arrays, feeds the level blocks, the recursive
-solver's balance terms and the residuals.
+solver's balance terms, the residuals and :func:`gated`: the one gate of
+every solve, which refuses a measure, naming its cell, where a state's
+own balance equation does not hold.
 """
 from __future__ import annotations
 
@@ -31,11 +33,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError
-from .model import (DENSE_BYTES_CAP, InventoryState, NetworkConfig, _on_hand_rows,
+from .errors import PreconditionError, SolverError
+from .model import (DENSE_BYTES_CAP, InventoryState, NetworkConfig, ThetaMeasure, _on_hand_rows,
                     enumerate_inventory_states, method_inapplicable)
 
 __all__ = ["ReducedGenerator", "balance_residuals", "build_reduced_generator"]
+
+# Weights below the smallest normal double have lost digits: the gate refuses them.
+TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,39 +199,68 @@ def _transition_arrays(config: NetworkConfig):
     return src, src + steps[move], rates[src, move], np.minimum(move, 2 * config.J)
 
 
-def net_inflow(src, dst, rate, outflow, weights) -> np.ndarray:
-    """Per state, its net inflow ``(weights @ Q)_i``, where ``outflow`` holds its total outflow rate."""
-    return np.bincount(dst, weights=weights[src] * rate, minlength=weights.size) - weights * outflow
+def imbalance(src, dst, rate, outflow, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Per state, its net inflow ``(wQ)_i`` and relative imbalance ``|(wQ)_i| / (w_i q_i)``.
 
-
-def relative_imbalance(outflow, net, weights) -> np.ndarray:
-    """``|(wQ)_i| / (w_i q_i)`` per state: ``inf`` where that is undefined (a zero weight)."""
+    ``outflow`` holds each state's total outflow rate ``q_i``.  The relative
+    imbalance reads ``inf`` where the weight is not positive (a negative
+    weight would read a negative one) and where it is undefined.
+    """
+    net = np.bincount(dst, weights=weights[src] * rate, minlength=weights.size) - weights * outflow
     with np.errstate(divide="ignore", invalid="ignore"):
-        imbalance = np.abs(net) / (weights * outflow)
-    return np.where(np.isnan(imbalance), np.inf, imbalance)
+        relative = np.abs(net) / (weights * outflow)
+    return net, np.where((weights > 0) & (relative >= 0), relative, np.inf)
+
+
+def gated(weights, b, src, dst, rate, outflow, rtol, failure: str, provenance: str,
+          pieces=None) -> ThetaMeasure:
+    """Canonical weights of the box ``b``, normalized in place, as a measure once they balance.
+
+    The measure is accepted only when every state's relative imbalance
+    (:func:`imbalance`) is at most ``rtol`` and no weight is below ``TINY``.
+    Otherwise the :class:`SolverError` opens with ``failure`` and names the
+    worst cell (the smallest weight, once one is not positive), its weight,
+    its imbalance and the measure's dynamic range, read from ``pieces``:
+    ``(x, s)`` pairs of weights ``x`` on natural-log scale ``s``, by default
+    the weights themselves.
+    """
+    weights /= np.add.reduce(weights)
+    relative = imbalance(src, dst, rate, outflow, weights)[1]
+    unbalanced = not np.maximum.reduce(relative) <= rtol
+    smallest = np.minimum.reduce(weights)
+    if unbalanced or smallest < TINY:
+        worst = int(relative.argmax() if unbalanced and smallest > 0 else weights.argmin())
+        on_hand = tuple(int(k) for k in np.unravel_index(worst, [bj + 1 for bj in b]))
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero reads -inf, a negative nan
+            logs = [(np.log(x.max()) + s, np.log(x.min()) + s) for x, s in pieces or [(weights, 0.0)]]
+        decades = (max(hi for hi, _ in logs) - min(lo for _, lo in logs)) / math.log(10)
+        raise SolverError(f"{failure}: weight {weights[worst]:.3e} at on-hand {on_hand} balances to "
+                          f"{relative[worst]:.1e} relative (tolerance {rtol:.0e}); "
+                          f"log10(max/min) = {decades:.1f}")
+    return ThetaMeasure(grid=weights.reshape([bj + 1 for bj in b]), provenance=provenance)
 
 
 def balance_residuals(config: NetworkConfig, weights) -> tuple[float, float]:
     """The balance and componentwise residuals of ``weights`` under the reduced generator ``Q``.
 
     * The balance residual is the largest ``|weights @ Q|`` entry relative
-      to the largest total outflow rate of ``Q`` (floored at 1).
+      to the largest total outflow rate of ``Q``.
     * The componentwise residual is the largest relative imbalance
       ``|(wQ)_i| / (w_i q_i)`` of one state's own balance equation, where
       ``q_i`` is state ``i``'s total outflow rate.  Since ``w_i q_i`` never
       exceeds the largest outflow rate, it is never below the balance
       residual, and unlike it, it sees an error in the small weights.  A
-      zero weight reads ``inf``.
+      weight that is not positive reads ``inf``.
 
-    One pass over the transition arrays serves both; ``Q`` is applied
-    straight from them, and no dense matrix is formed.
+    Neither depends on the unit of the rates.  One pass over the transition
+    arrays serves both; ``Q`` is applied straight from them, and no dense
+    matrix is formed.
     """
     src, dst, rate, _ = _transition_arrays(config)
     weights = np.asarray(weights, dtype=float)
     outflow = np.bincount(src, weights=rate, minlength=weights.size)
-    net = net_inflow(src, dst, rate, outflow, weights)
-    return (float(np.abs(net).max() / max(outflow.max(), 1.0)),
-            float(relative_imbalance(outflow, net, weights).max()))
+    net, relative = imbalance(src, dst, rate, outflow, weights)
+    return float(np.abs(net).max() / outflow.max()), float(relative.max())
 
 
 def build_reduced_generator(config: NetworkConfig) -> ReducedGenerator:

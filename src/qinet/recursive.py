@@ -26,7 +26,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DegenerateEliminationError, PreconditionError, SequencingError, SolverError
-from .generator import _transition_arrays, net_inflow, relative_imbalance
+from .generator import _transition_arrays, gated
 # enumerate_inventory_states is unused here; perfbench/spans.py traces this binding.
 from .model import NetworkConfig, ThetaMeasure, enumerate_inventory_states, method_inapplicable  # noqa: F401
 
@@ -140,8 +140,8 @@ def solve_theta_recursive(config: NetworkConfig) -> ThetaMeasure:
     is solved and its grid transposed back; a :class:`SolverError` raised
     there names cells of the swapped network, and says so.  Float
     cancellation can spoil the small weights unseen by the total variation,
-    so a measure is refused, naming its cell, where one state's relative
-    imbalance passes ``RECURSIVE_RTOL``.
+    so the gate :func:`qinet.generator.gated` refuses a measure, naming its
+    cell, where one state's relative imbalance passes ``RECURSIVE_RTOL``.
     """
     reason = method_inapplicable(config, "recursive")
     if reason:
@@ -163,15 +163,7 @@ def solve_theta_recursive(config: NetworkConfig) -> ThetaMeasure:
             _sweep(table, known, terms, seed, steps, close)
     if not known.all():
         raise SequencingError("table is not complete")
-    grid = table[..., 0]
-    theta = ThetaMeasure(grid=grid / grid.sum(), provenance="recursive")
-    w = theta.weights
     src, dst, rate, _ = _transition_arrays(config)
-    outflow = np.bincount(src, rate, minlength=w.size)
-    imbalance = relative_imbalance(outflow, net_inflow(src, dst, rate, outflow, w), w)
-    worst = int(imbalance.argmax())
-    if not imbalance[worst] <= RECURSIVE_RTOL:
-        raise SolverError(f"recursive measure is off balance: weight {w[worst]:.3e} at on-hand "
-                          f"{divmod(worst, b2 + 1)} balances to {imbalance[worst]:.1e} relative "
-                          f"(tolerance {RECURSIVE_RTOL:.0e})")
-    return theta
+    outflow = np.bincount(src, rate, minlength=known.size)
+    return gated(table[..., 0].flatten(), config.b, src, dst, rate, outflow, RECURSIVE_RTOL,
+                 "recursive measure is off balance", "recursive")

@@ -28,7 +28,7 @@ from qinet import (
     theta_unit_base_stock,
     total_variation,
 )
-from qinet.generator import net_inflow
+from qinet.generator import imbalance
 
 MASTER_SEED = 20240801
 
@@ -57,7 +57,7 @@ def test_criterion_1_balance_residual():
     worst = 0.0
     for gen in gens:
         theta = solve_theta_exact(gen)
-        net = net_inflow(gen.src, gen.dst, gen.rate, gen.outflow, theta.weights)
+        net, _ = imbalance(gen.src, gen.dst, gen.rate, gen.outflow, theta.weights)
         worst = max(worst, np.abs(net).max() / max(gen.outflow.max(), 1.0))
     elapsed = time.perf_counter() - start
 

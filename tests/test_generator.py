@@ -20,7 +20,8 @@ from qinet import (
     method_inapplicable,
     solve_theta_exact,
 )
-from qinet.generator import _transition_arrays
+from qinet.exact import COMPONENTWISE_RTOL
+from qinet.generator import _transition_arrays, balance_residuals, gated
 from qinet.model import exact_solve_bytes
 from qinet.simulate import _transition_tables
 
@@ -426,3 +427,30 @@ def test_dense_rates_refused_above_the_cap(monkeypatch):
     with pytest.raises(PreconditionError, match="a dense rate matrix of 16 states needs 2048 bytes"):
         gen.rates
     assert solve_theta_exact(gen).weights.size == 16
+
+
+def test_residuals_do_not_depend_on_the_rate_unit():
+    # Scaling every rate by s leaves theta alone, so both residuals of one
+    # noisy measure must read the same at every scale.
+    base = make_config((1.0, 1.3), (12, 6), 1.1, mu_rate=6.0)
+    weights = solve_theta_exact(build_reduced_generator(base)).weights
+    weights = weights * (1.0 + 1e-3 * np.random.default_rng(1).standard_normal(weights.size))
+    expected = balance_residuals(base, weights)
+    for s in (1e-8, 1.0, 1e8):
+        scaled = make_config((1.0 * s, 1.3 * s), (12, 6), 1.1 * s, mu_rate=6.0 * s)
+        assert np.allclose(balance_residuals(scaled, weights), expected, rtol=1e-10, atol=0.0)
+
+
+def test_gate_refuses_a_negative_weight_naming_its_cell():
+    # |(wQ)_i| / (w_i q_i) is negative at a negative weight, and would pass
+    # any tolerance: the gate reads it as inf, and names the most negative
+    # weight, not the first in canonical order.
+    gen = build_reduced_generator(make_config((1.0, 1.3), (4, 3), 1.1))
+    weights = solve_theta_exact(gen).weights.copy()
+    weights[3] *= -1.0
+    weights[7] *= -1.0
+    assert weights[7] < weights[3]
+    with pytest.raises(SolverError, match=r"^stationary solve failed: weight -\S+ at on-hand \(1, 3\) "
+                                          r"balances to inf relative \(tolerance 1e-12\)"):
+        gated(weights, gen.b, gen.src, gen.dst, gen.rate, gen.outflow, COMPONENTWISE_RTOL,
+              "stationary solve failed", "exact")

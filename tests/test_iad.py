@@ -102,6 +102,17 @@ def test_weights_beyond_the_double_range_are_named():
                                "residual nan (tolerance 1e-13): a weight left the double range")
 
 
+def test_gate_refusal_names_sweeps_and_residual():
+    # The same underflow as test_underflow_names_cell_value_and_range: the
+    # sweeps converge, and the gate refuses the subnormal weight of (0, 1).
+    with pytest.raises(SolverError) as info:
+        solve_theta_iad(make_config((1.0, 1.0), (134, 1), 0.01))
+    assert re.fullmatch(
+        r"stationary solve failed: weight 3\.250e-309 at on-hand \(0, 1\) balances to \S+ relative "
+        r"\(tolerance 1e-12\); log10\(max/min\) = 308\.5 \(iterative aggregation-disaggregation, "
+        r"160 sweeps, residual \S+\)", str(info.value))
+
+
 def test_level_sizes():
     assert level_sizes((1, 2)).tolist() == [1, 2, 2, 1]
     assert level_sizes((3,) * 6).max() == 580 and level_sizes((6,) * 4).max() == 231

@@ -307,14 +307,16 @@ class TestRecursiveSolver:
         exact = solve_theta_exact(build_reduced_generator(GRID_20X20_R2))
         assert balance_residuals(GRID_20X20_R2, exact.weights)[1] <= 1e-12
         with pytest.raises(SolverError, match=r"^recursive measure is off balance: weight \S+ at on-hand "
-                                              r"\(19, 0\) balances to 1\.7e-03 relative \(tolerance 1e-08\)$"):
+                                              r"\(19, 0\) balances to 1\.7e-03 relative \(tolerance 1e-08\); "
+                                              r"log10\(max/min\) = 11\.2$"):
             solve_theta_recursive(GRID_20X20_R2)
 
     def test_non_positive_weight_names_cell(self):
         # At b=(20,20) with nu four times mean(lam) the elimination loses
-        # every digit and leaves a weight of zero.
+        # every digit and leaves a weight of zero, which the gate refuses.
         cfg = make_config((1.3, 0.8), (20, 20), 4 * 1.05)
-        with pytest.raises(SolverError, match=r"non-positive weight \S+ at on-hand \(\d+, \d+\) .*floor 0"):
+        with pytest.raises(SolverError, match=r"^recursive measure is off balance: weight 0\.000e\+00 at on-hand "
+                                              r"\(19, 1\) balances to inf relative \(tolerance 1e-08\)"):
             solve_theta_recursive(cfg)
 
     @pytest.mark.parametrize(

@@ -84,6 +84,23 @@ def test_theta_measure_has_one_home():
     assert qinet.ThetaMeasure is qinet.model.ThetaMeasure
 
 
+def _divides_by_weight_times_outflow(node):
+    """``x / (a * b)`` with ``outflow`` in the product: a relative imbalance."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and isinstance(node.right, ast.BinOp)
+            and isinstance(node.right.op, ast.Mult) and "outflow" in ast.unparse(node.right))
+
+
+def test_the_balance_gate_has_one_home():
+    # Every solve returns its measure through generator.gated: its refusal
+    # text, its floor and the relative imbalance it reads live nowhere else.
+    trees = {path.name: _tree(path) for path in MODULES}
+    refusing = {name for name, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and "balances to" in str(node.value)}
+    flooring = {name for name, tree in trees.items() if "TINY" in _references(tree)}
+    dividing = {name for name, tree in trees.items() if any(map(_divides_by_weight_times_outflow, ast.walk(tree)))}
+    assert refusing == flooring == dividing == {"generator.py"}
+
+
 def test_cell_codes_have_one_reader():
     # The cell-code layout belongs to simulate.py: every other module reads
     # a run through SimulationResult's queue(j), queues and states.
