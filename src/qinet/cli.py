@@ -27,8 +27,10 @@ import argparse
 import csv
 import functools
 import json
+import operator
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -37,8 +39,7 @@ from .closed_form import theta_unit_base_stock
 from .errors import ConfigError, ErgodicityError, PreconditionError, QinetError, SolverError
 from .exact import COMPONENTWISE_RTOL, solve_theta_exact, solve_theta_iad
 from .generator import balance_residuals, build_reduced_generator
-from .model import (NetworkConfig, ServiceRateProfile, ThetaMeasure, enumerate_inventory_states,
-                    level_sizes, method_inapplicable)
+from .model import NetworkConfig, ServiceRateProfile, ThetaMeasure, level_sizes, method_inapplicable
 from .recursive import solve_theta_recursive
 from .simulate import SimulationResult, decoupling_test, merge_results, simulate
 
@@ -177,7 +178,7 @@ def _solve_report(config: NetworkConfig, solver: str, note: str) -> tuple[dict, 
         else:
             xi_params.append({"location": diag.location, "unstable": True})
     marginals = [list(analysis.inventory_marginal(theta, j)) for j in range(1, config.J + 1)]
-    residual, componentwise = balance_residuals(config, theta.weights)
+    residual, componentwise = _residuals(config, theta)
     return {
         "method": method,
         "note": note,
@@ -195,19 +196,45 @@ def _solve_report(config: NetworkConfig, solver: str, note: str) -> tuple[dict, 
     }, theta
 
 
+def _residuals(config: NetworkConfig, theta: ThetaMeasure) -> tuple[float, float]:
+    """``theta``'s two residuals as its solve's gate read them, else from :func:`balance_residuals`.
+
+    Only the closed form and a recursion run on the swapped locations build the arrays again.
+    """
+    return theta.residuals or balance_residuals(config, theta.weights)
+
+
+def _state_text(b, formats, supplier: str) -> list[str]:
+    """Each canonical state's text: ``formats[j] % k_{j+1}`` for every location, then ``supplier % k_{J+1}``.
+
+    Canonical order is lexicographic, so the states of the last locations
+    read the same after every head of the first ones that leaves as much
+    stock outstanding: ``tails[d]`` lists their texts after a head with
+    ``d`` items outstanding.  Each location joins its strings to those lists,
+    one C-level ``map`` per ``d``; no state is formatted on its own.
+    """
+    tails = [[supplier % d] for d in range(sum(b) + 1)]
+    for j in range(len(b) - 1, -1, -1):
+        heads = [formats[j] % k for k in range(b[j] + 1)]
+        repeated = list(chain.from_iterable([head] * len(tails[0]) for head in heads))
+        # k_j = 0 .. b_j leaves b_j .. 0 more items outstanding.
+        tails = [list(map(operator.add, repeated, chain.from_iterable(reversed(tails[d:d + b[j] + 1]))))
+                 for d in range(sum(b[:j]) + 1)]
+    return tails[0]
+
+
 def _theta_block(theta: ThetaMeasure) -> dict:
-    """The ``theta`` block of a ``--json`` report: canonical states and their weights."""
-    return {"states": enumerate_inventory_states(theta.b).tolist(), "weights": theta.weights.tolist(),
-            "normalized": True, "provenance": theta.provenance}
+    """The ``theta`` block of a ``--json`` report; :func:`_write_json` fills in its ``states``."""
+    return {"states": [], "weights": theta.weights.tolist(), "normalized": True,
+            "provenance": theta.provenance}
 
 
 def _print_theta(theta: ThetaMeasure) -> None:
-    """The measure table: one row per canonical state, written by one ``%`` format per row."""
+    """The measure table: one row per canonical state, its weight as ``%.12g``."""
     J = len(theta.b)
     print("  ".join(f"k{j}" for j in range(1, J + 1)) + "  k_sup  weight")
-    row = "  ".join(["%2d"] * J) + "  %5d  %.12g"
-    columns = enumerate_inventory_states(theta.b).T.tolist() + [theta.weights.tolist()]
-    print("\n".join(map(row.__mod__, zip(*columns))))
+    states = _state_text(theta.b, ["%2d  "] * J, "%5d  ")
+    print("\n".join(map(operator.add, states, map("%.12g".__mod__, theta.weights.tolist()))))
 
 
 def _create(path: str, mode: str = "w", **kwargs):
@@ -227,19 +254,29 @@ def _check_writable(*paths) -> None:
             os.remove(path)
 
 
-def _write_json(path: str, doc: dict) -> None:
-    """``doc`` as one line of compact JSON; ``json.dumps`` runs the C encoder, ``indent`` would not."""
+def _write_json(path: str, doc: dict, b=None) -> None:
+    """``doc`` as one line of compact JSON; ``json.dumps`` runs the C encoder, ``indent`` would not.
+
+    With the box ``b``, the ``theta`` block's empty ``states`` list is
+    written as the box's canonical states, ``[k_1, ..., k_J, k_{J+1}]`` each.
+    """
+    text = json.dumps(doc)
+    if b is not None:
+        states = _state_text(b, ["[%d, "] + ["%d, "] * (len(b) - 1), "%d]")
+        text = text.replace('"states": []', '"states": [' + ", ".join(states) + "]", 1)
     with _create(path) as fh:
-        fh.write(json.dumps(doc) + "\n")
+        fh.write(text + "\n")
 
 
-def _write_solve_csv(path: str, report: dict) -> None:
-    J = len(report["theta"]["states"][0]) - 1
+def _write_solve_csv(path: str, report: dict, b) -> None:
+    """The solve report of the box ``b`` as CSV: the measure, the marginals and the residuals."""
+    J = len(b)
+    weights = map("%.17g\r\n".__mod__, report["theta"]["weights"])
+    rows = map(operator.add, _state_text(b, ["%d,"] * J, "%d,"), weights)
     with _create(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"k{j}" for j in range(1, J + 1)] + ["k_supplier", "weight"])
-        for state, w in zip(report["theta"]["states"], report["theta"]["weights"]):
-            writer.writerow(list(state) + [f"{w:.17g}"])
+        fh.write("".join(rows))
         writer.writerow([])
         writer.writerow(["location", "level", "probability"])
         for j, marg in enumerate(report["inventory_marginals"], start=1):
@@ -286,9 +323,9 @@ def cmd_solve(args) -> int:
             )
 
     if args.json:
-        _write_json(args.json, report)
+        _write_json(args.json, report, theta.b)
     if args.csv:
-        _write_solve_csv(args.csv, report)
+        _write_solve_csv(args.csv, report, theta.b)
     return EXIT_OK
 
 
@@ -323,7 +360,7 @@ def _verify_checks(config: NetworkConfig, events: int, seed: int) -> tuple[list[
                        "tolerance": tol, "passed": passed})
 
     theta_exact = _solve(config, *_pick_method(config, "exact"))[2]
-    residual, componentwise = balance_residuals(config, theta_exact.weights)
+    residual, componentwise = _residuals(config, theta_exact)
     add("exact_balance_residual", residual, TOL_EXACT_RESIDUAL)
     add("exact_componentwise_residual", componentwise, TOL_EXACT_COMPONENTWISE)
 
@@ -334,7 +371,7 @@ def _verify_checks(config: NetworkConfig, events: int, seed: int) -> tuple[list[
     routes = {"closed": [("closed_form_vs_exact_tv", TOL_CLOSED_TV, tv)],
               "recursive": [("recursive_vs_exact_tv", TOL_RECURSIVE_TV, tv),
                             ("recursive_balance_residual", TOL_RECURSIVE_RESIDUAL,
-                             lambda theta: balance_residuals(config, theta.weights)[0])]}
+                             lambda theta: _residuals(config, theta)[0])]}
     for route, route_checks in routes.items():
         if method_inapplicable(config, route) is not None:
             continue
@@ -443,8 +480,9 @@ def cmd_simulate(args) -> int:
         print(f"seed {row['seed']}: time={row['sim_time']:.1f}  {tvs(row)}")
     print(f"merged ({len(runs)} run(s)): {tvs(merged_tvs)}")
     if args.json:
-        _write_json(args.json, {"replications": rows, "merged": merged_tvs,
-                                "theta": _theta_block(merged.empirical_theta())})
+        theta = merged.empirical_theta()
+        _write_json(args.json, {"replications": rows, "merged": merged_tvs, "theta": _theta_block(theta)},
+                    theta.b)
     return EXIT_OK
 
 

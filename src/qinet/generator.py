@@ -217,27 +217,34 @@ def gated(weights, b, src, dst, rate, outflow, rtol, failure: str, provenance: s
     """Canonical weights of the box ``b``, normalized in place, as a measure once they balance.
 
     The measure is accepted only when every state's relative imbalance
-    (:func:`imbalance`) is at most ``rtol`` and no weight is below ``TINY``.
-    Otherwise the :class:`SolverError` opens with ``failure`` and names the
-    worst cell (the smallest weight, once one is not positive), its weight,
-    its imbalance and the measure's dynamic range, read from ``pieces``:
-    ``(x, s)`` pairs of weights ``x`` on natural-log scale ``s``, by default
-    the weights themselves.
+    (:func:`imbalance`) is at most ``rtol`` and no weight is below ``TINY``;
+    it carries the two residuals of :func:`balance_residuals` read off the
+    same imbalance.  Otherwise the :class:`SolverError` opens with
+    ``failure`` and names the worst cell (the smallest weight, once one is
+    not positive), its weight, its imbalance and the dynamic range of the
+    positive weights, read from ``pieces``: ``(x, s)`` pairs of weights
+    ``x`` on natural-log scale ``s``, by default the weights themselves.
     """
     weights /= np.add.reduce(weights)
-    relative = imbalance(src, dst, rate, outflow, weights)[1]
-    unbalanced = not np.maximum.reduce(relative) <= rtol
+    net, relative = imbalance(src, dst, rate, outflow, weights)
+    residuals = _residual_pair(net, relative, outflow)
+    unbalanced = not residuals[1] <= rtol
     smallest = np.minimum.reduce(weights)
     if unbalanced or smallest < TINY:
         worst = int(relative.argmax() if unbalanced and smallest > 0 else weights.argmin())
         on_hand = tuple(int(k) for k in np.unravel_index(worst, [bj + 1 for bj in b]))
-        with np.errstate(divide="ignore", invalid="ignore"):  # a zero reads -inf, a negative nan
-            logs = [(np.log(x.max()) + s, np.log(x.min()) + s) for x, s in pieces or [(weights, 0.0)]]
+        positive = [(x[x > 0], s) for x, s in pieces or [(weights, 0.0)]]
+        logs = [(math.log(x.max()) + s, math.log(x.min()) + s) for x, s in positive if x.size] or [(math.nan,) * 2]
         decades = (max(hi for hi, _ in logs) - min(lo for _, lo in logs)) / math.log(10)
         raise SolverError(f"{failure}: weight {weights[worst]:.3e} at on-hand {on_hand} balances to "
                           f"{relative[worst]:.1e} relative (tolerance {rtol:.0e}); "
                           f"log10(max/min) = {decades:.1f}")
-    return ThetaMeasure(grid=weights.reshape([bj + 1 for bj in b]), provenance=provenance)
+    return ThetaMeasure(grid=weights.reshape([bj + 1 for bj in b]), provenance=provenance, residuals=residuals)
+
+
+def _residual_pair(net, relative, outflow) -> tuple[float, float]:
+    """``(balance, componentwise)`` residuals from :func:`imbalance`'s reading (see :func:`balance_residuals`)."""
+    return float(np.abs(net).max() / outflow.max()), float(relative.max())
 
 
 def balance_residuals(config: NetworkConfig, weights) -> tuple[float, float]:
@@ -254,13 +261,13 @@ def balance_residuals(config: NetworkConfig, weights) -> tuple[float, float]:
 
     Neither depends on the unit of the rates.  One pass over the transition
     arrays serves both; ``Q`` is applied straight from them, and no dense
-    matrix is formed.
+    matrix is formed.  A measure that :func:`gated` accepted carries the
+    same pair, read off the same arrays, as its ``residuals``.
     """
     src, dst, rate, _ = _transition_arrays(config)
     weights = np.asarray(weights, dtype=float)
     outflow = np.bincount(src, weights=rate, minlength=weights.size)
-    net, relative = imbalance(src, dst, rate, outflow, weights)
-    return float(np.abs(net).max() / outflow.max()), float(relative.max())
+    return _residual_pair(*imbalance(src, dst, rate, outflow, weights), outflow)
 
 
 def build_reduced_generator(config: NetworkConfig) -> ReducedGenerator:

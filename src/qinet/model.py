@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,6 +91,12 @@ SIMULATE_MAX_ROWS = 1 << 17
 # came to 46-149 per location and row or entry, whichever they held more
 # of: vectors come far fewer than entries.
 SIMULATE_ROW_BYTES_PER_LOCATION = 320
+# Bytes per state and location of a `qinet solve` report once its measure is
+# solved: the printed table, the --json and --csv text, and the residual
+# pair's transition arrays where no gate read them (the closed form).
+# tracemalloc peak of the report with --json and --csv: 57 at (1,)*16 (the
+# closed form's arrays), 133 at (300,300), 130 at (100,100), 51 at (3,)*6.
+# The charge admits (1,)*19 and refuses (1,)*20.
 REPORT_BYTES_PER_STATE_LOCATION = 320
 
 
@@ -241,10 +247,14 @@ class ThetaMeasure:
     carry strictly positive weights; empirical measures may put zero mass
     on states a finite run never visited.  A refusal is a
     :class:`SolverError` naming the on-hand cell and its weight, or the sum.
+    ``residuals`` is the ``(balance, componentwise)`` pair of
+    :func:`qinet.generator.balance_residuals`, read by the gate that
+    accepted the measure, or ``None`` where no gate read the box's own chain.
     """
 
     grid: np.ndarray
     provenance: str
+    residuals: tuple[float, float] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)

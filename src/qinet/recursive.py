@@ -39,17 +39,19 @@ __all__ = ["solve_theta_recursive"]
 RECURSIVE_RTOL = 1e-8
 
 
-def _balance_terms(config: NetworkConfig) -> dict:
+def _balance_terms(config: NetworkConfig, arrays) -> dict:
     """Coefficients of every balance equation, keyed by on-hand state.
 
-    ``terms[state]`` is ``[((k1, k2), coef), ...]`` such that the equation
-    reads ``sum coef * theta(entry) = 0``: the state itself carries its
-    total outflow rate (summed in family order), then each in-neighbour
-    the negated rate into ``state``, in family order.  Zero-rate terms are
-    absent, which is what makes the elimination schedule feasible.
+    ``arrays`` are ``config``'s transition arrays, as
+    :func:`_transition_arrays` writes them.  ``terms[state]`` is
+    ``[((k1, k2), coef), ...]`` such that the equation reads ``sum coef *
+    theta(entry) = 0``: the state itself carries its total outflow rate
+    (summed in family order), then each in-neighbour the negated rate into
+    ``state``, in family order.  Zero-rate terms are absent, which is what
+    makes the elimination schedule feasible.
     """
     b1, b2 = config.b
-    src, dst, rate, family = _transition_arrays(config)
+    src, dst, rate, family = arrays
     cells = [divmod(s, b2 + 1) for s in range((b1 + 1) * (b2 + 1))]
     outflow = np.bincount(src, rate, minlength=len(cells)).tolist()  # summed in edge order
     terms = {cell: [(cell, out)] for cell, out in zip(cells, outflow)}
@@ -154,7 +156,8 @@ def solve_theta_recursive(config: NetworkConfig) -> ThetaMeasure:
             raise type(exc)(f"{exc} (locations swapped to b1 >= b2)") from exc
         return ThetaMeasure(grid=np.ascontiguousarray(grid), provenance="recursive")
     b1, b2 = config.b
-    terms = _balance_terms(config)
+    arrays = _transition_arrays(config)
+    terms = _balance_terms(config, arrays)
     table = np.zeros((b1 + 1, b2 + 1, 2))
     known = np.zeros((b1 + 1, b2 + 1), dtype=bool)
     _put(table, known, (b1, 0), 1.0, 0.0)
@@ -163,7 +166,8 @@ def solve_theta_recursive(config: NetworkConfig) -> ThetaMeasure:
             _sweep(table, known, terms, seed, steps, close)
     if not known.all():
         raise SequencingError("table is not complete")
-    src, dst, rate, _ = _transition_arrays(config)
+    del terms  # the gate's temporaries take its place
+    src, dst, rate, _ = arrays
     outflow = np.bincount(src, rate, minlength=known.size)
     return gated(table[..., 0].flatten(), config.b, src, dst, rate, outflow, RECURSIVE_RTOL,
                  "recursive measure is off balance", "recursive")

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -11,10 +12,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qinet import (build_reduced_generator, enumerate_inventory_states, method_inapplicable,
+from qinet import (ThetaMeasure, build_reduced_generator, enumerate_inventory_states, method_inapplicable,
                    solve_theta_exact, solve_theta_iad)
 from qinet.cli import _pick_method, load_config, main
 from qinet.errors import ConfigError, SolverError
@@ -407,6 +408,31 @@ class TestSolve:
             assert "  1.79923280847e-15\n" in out  # weights in exponent form
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of the --json and --csv files of test_stdout_pinned's four
+    # solves, recorded before the state columns were written per box.
+    @pytest.mark.parametrize("method, overrides, json_digest, csv_digest", [
+        ("exact", {"b": [3, 2], "lambda": [1.3, 0.8]},
+         "08a6ece8202dcbe20a6864be0150c3bfb6640b649edf6800bd2d79326d9e0f46",
+         "da6d06413ad1a04be9ac4e19f1c82484a4df45c59752df984f333c0e96cff6b0"),
+        ("closed", {"J": 3, "b": [1, 1, 1], "lambda": [1.0, 1.5, 0.7], "mu": [{"head": [], "tail": 3.0}] * 3,
+                    "nu": 1.2},
+         "26f3be5a4f55f3408eb249c3e7a7fb71dd3f06c1239b07d579cc3fe0a14c2a15",
+         "7032034578c0c7a746ce94c231412323dd291704eb79b1882c0065f880dfa343"),
+        ("recursive", {"b": [5, 4], "lambda": [1.3, 0.8]},
+         "3953c788d1dd48a999098bb6ace3b21995d9291384c06b175d25f3c54811a07d",
+         "ed7b680454e3907033b99c6d53bb634a702660f18c0b501f837a642522346a74"),
+        ("exact", {"J": 3, "b": [4, 1, 2], "lambda": [0.05, 1.0, 20.0], "mu": [{"head": [], "tail": 40.0}] * 3,
+                   "nu": 100.0},
+         "68ae3a5ed6e940b56c606cb2b42f45463f707bc790c527b2b46e4e28ba9b9b54",
+         "62389df363242917fd26484d0f9734b4a0d8e66c7771aebd4cdf2944afa7a73d"),
+    ], ids=["exact_3_2", "closed_1_1_1", "recursive_5_4", "graded_4_1_2"])
+    def test_report_files_pinned(self, tmp_path, method, overrides, json_digest, csv_digest):
+        report, table = tmp_path / "report.json", tmp_path / "report.csv"
+        argv = ["solve", write_config(tmp_path, **overrides), "--method", method, "--json", str(report)]
+        assert main([*argv, "--csv", str(table)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == json_digest
+        assert hashlib.sha256(table.read_bytes()).hexdigest() == csv_digest
+
     @pytest.mark.parametrize("flag", ["--json", "--csv"])
     def test_unwritable_output_path(self, tmp_path, capsys, flag):
         path = write_config(tmp_path)
@@ -750,6 +776,18 @@ class TestSimulate:
         assert "merged" in doc and "replications" in doc
         assert abs(sum(doc["theta"]["weights"]) - 1.0) < 1e-9
 
+    def test_json_pinned(self, tmp_path, capsys):
+        # sha256 of a seeded run's --json file and stdout, recorded before
+        # the state columns were written per box.
+        path = write_config(tmp_path, b=[3, 2], **{"lambda": [1.3, 0.8]})
+        out = tmp_path / "sim.json"
+        argv = ["simulate", path, "--events", "20000", "--replications", "3", "--seed", "11", "--json", str(out)]
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "695de8a7695c5639679ccc9126c6bafaf63059873261ab269ea1d6bfb59e35f3")
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "bd68c4c96a14d62abae96c5fb4d2950d26748dfecb8142809fe3730089b67cdf")
+
 
 class TestSimulateWorkers:
     """Replications run on ``min(R, usable CPUs)`` forked processes, with seeds ``seed + r``."""
@@ -815,7 +853,14 @@ def test_json_report_is_one_line(tmp_path, monkeypatch, argv):
 
     built = []
     write = cli._write_json
-    monkeypatch.setattr(cli, "_write_json", lambda path, doc: (built.append(doc), write(path, doc)))
+
+    def record(path, doc, b=None):
+        # The document as written: a theta block's states are those of the box b.
+        theta = {"theta": {**doc["theta"], "states": enumerate_inventory_states(b).tolist()}} if b else {}
+        built.append({**doc, **theta})
+        write(path, doc, b)
+
+    monkeypatch.setattr(cli, "_write_json", record)
     path = write_config(tmp_path, b=[3, 2], **{"lambda": [1.3, 0.8]})
     out = tmp_path / "report.json"
     assert main([argv[0], path, *argv[1:], "--json", str(out)]) in (0, 2)
@@ -827,15 +872,80 @@ def test_json_report_is_one_line(tmp_path, monkeypatch, argv):
         assert np.array(json.loads(text)["theta"]["weights"]).tobytes() == expected.tobytes()
 
 
-def test_exact_report_writes_the_transition_arrays_twice(tmp_path, monkeypatch):
-    # One build for the generator, one for both residuals of the report.
+@pytest.mark.parametrize("method, overrides", [
+    ("exact", {"b": [3, 2]}),
+    ("exact", {"J": 6, "b": [3] * 6, "lambda": [1.0] * 6, "mu": [{"head": [], "tail": 2.0}] * 6, "nu": 3.0}),
+    ("recursive", {"b": [5, 4], "lambda": [1.3, 0.8]}),
+], ids=["exact", "iterative", "recursive"])
+def test_solve_report_writes_the_transition_arrays_once(tmp_path, monkeypatch, capsys, method, overrides):
+    # The solve's gate reads both residuals of the report off the arrays it solved on.
+    import qinet.exact as exact
     import qinet.generator as generator
+    import qinet.recursive as recursive
 
     calls = []
     arrays = generator._transition_arrays
-    monkeypatch.setattr(generator, "_transition_arrays", lambda config: (calls.append(1), arrays(config))[1])
-    assert main(["solve", write_config(tmp_path, b=[3, 2]), "--method", "exact"]) == 0
-    assert len(calls) == 2
+    for module in (generator, exact, recursive):
+        monkeypatch.setattr(module, "_transition_arrays", lambda config: (calls.append(1), arrays(config))[1])
+    assert main(["solve", write_config(tmp_path, **overrides), "--method", method, "--json",
+                 str(tmp_path / "report.json")]) == 0
+    assert capsys.readouterr().out.startswith(f"method: {'iad' if 'J' in overrides else method}")
+    assert len(calls) == 1
+
+
+def per_state_report(theta):
+    """The table, the ``--json`` theta block and the CSV measure rows, one ``%`` format per state."""
+    states = enumerate_inventory_states(theta.b).tolist()
+    weights = theta.weights.tolist()
+    J = len(theta.b)
+    row = "  ".join(["%2d"] * J) + "  %5d  %.12g"
+    table = "\n".join(row % (*state, w) for state, w in zip(states, weights))
+    block = json.dumps({"theta": {"states": states, "weights": weights, "normalized": True,
+                                  "provenance": theta.provenance}}) + "\n"
+    rows = io.StringIO()
+    csv.writer(rows).writerows(state + [f"{w:.17g}"] for state, w in zip(states, weights))
+    return table, block, rows.getvalue()
+
+
+def first_difference(text, expected, sep):
+    """``None``, or the first ``sep``-separated piece where ``text`` and ``expected`` differ.
+
+    A failure names one row, where comparing the whole texts would diff megabytes.
+    """
+    for number, pieces in enumerate(itertools.zip_longest(text.split(sep), expected.split(sep))):
+        if pieces[0] != pieces[1]:
+            return number, *pieces
+    return None
+
+
+_SMALL_BOX = st.lists(st.integers(1, 12), min_size=2, max_size=6).filter(lambda b: np.prod(np.add(b, 1)) <= 5000)
+# One location past %2d's width; the supplier column passes %5d's from sum(b) = 10^5 on.
+_WIDE_BOX = st.tuples(st.integers(100, 400), st.lists(st.integers(1, 3), min_size=1, max_size=2)).map(
+    lambda t: [t[0], *t[1]])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(b=st.one_of(_SMALL_BOX, _WIDE_BOX), seed=st.integers(0, 2**32 - 1))
+@example(b=[99_999, 1], seed=0)
+@example(b=[1, 99_999], seed=1)
+def test_state_columns_match_the_per_state_formats(tmp_path_factory, b, seed):
+    import qinet.cli as cli
+
+    weights = np.random.default_rng(seed).random(np.prod(np.add(b, 1))) + 0.5
+    theta = ThetaMeasure(grid=(weights / weights.sum()).reshape(np.add(b, 1)), provenance="exact")
+    table, block, rows = per_state_report(theta)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._print_theta(theta)
+    assert first_difference(out.getvalue().split("\n", 1)[1], table + "\n", "\n") is None
+    path = tmp_path_factory.getbasetemp() / "columns"
+    cli._write_json(str(path), {"theta": cli._theta_block(theta)}, theta.b)
+    assert first_difference(path.read_text(), block, "], ") is None
+    report = {"theta": cli._theta_block(theta), "inventory_marginals": [], "residual": 0.0,
+              "componentwise_residual": 0.0}
+    cli._write_solve_csv(str(path), report, theta.b)
+    written = path.read_bytes().decode().split("\r\n", 1)[1]
+    assert first_difference(written[:len(rows)], rows, "\r\n") is None
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):

@@ -454,3 +454,27 @@ def test_gate_refuses_a_negative_weight_naming_its_cell():
                                           r"balances to inf relative \(tolerance 1e-12\)"):
         gated(weights, gen.b, gen.src, gen.dst, gen.rate, gen.outflow, COMPONENTWISE_RTOL,
               "stationary solve failed", "exact")
+
+
+@pytest.mark.parametrize("flip", [-1.0, 0.0], ids=["negative", "zero"])
+def test_gate_reads_the_range_of_the_positive_weights(flip):
+    # log10(max/min) over every weight would read nan at a negative weight
+    # and inf at a zero one; over the positive weights it is the measure's range.
+    gen = build_reduced_generator(make_config((1.0, 1.3), (4, 3), 1.1))
+    weights = solve_theta_exact(gen).weights.copy()
+    weights[7] *= flip
+    positive = np.delete(weights, 7)
+    expected = math.log10(positive.max() / positive.min())
+    with pytest.raises(SolverError, match=r"log10\(max/min\) = (\S+)$") as refusal:
+        gated(weights, gen.b, gen.src, gen.dst, gen.rate, gen.outflow, COMPONENTWISE_RTOL,
+              "stationary solve failed", "exact")
+    decades = float(refusal.value.args[0].rpartition("= ")[2])
+    assert math.isfinite(decades)
+    assert decades == pytest.approx(expected, abs=0.05)
+
+
+def test_gate_carries_the_residuals_of_the_accepted_measure():
+    # The pair the gate read is the pair balance_residuals reads, bit for bit.
+    cfg = make_config((1.0, 1.3), (4, 3), 1.1)
+    theta = solve_theta_exact(build_reduced_generator(cfg))
+    assert theta.residuals == balance_residuals(cfg, theta.weights)

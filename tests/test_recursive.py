@@ -17,7 +17,7 @@ from qinet import (
     solve_theta_recursive,
     total_variation,
 )
-from qinet.generator import balance_residuals
+from qinet.generator import _transition_arrays, balance_residuals
 from qinet.recursive import RECURSIVE_RTOL, _balance_terms, _combine, _sweep, _sweeps
 
 # perfbench's solve-grid box grid-20x20-r2 at seed 1.  The float recursion
@@ -26,6 +26,11 @@ from qinet.recursive import RECURSIVE_RTOL, _balance_terms, _combine, _sweep, _s
 # (3.3e-11) and normwise residual (1.6e-13) both looked fine.
 GRID_20X20_R2 = make_config((0.7703910799600172, 0.8991619542198879), (20, 20), 1.6695530341799052,
                             mu_rate=3.5966478168795515)
+
+
+def terms_of(config):
+    """The balance terms of ``config``, read off its transition arrays."""
+    return _balance_terms(config, _transition_arrays(config))
 
 
 def brute_force_gbe(config, grid, state):
@@ -115,7 +120,7 @@ class TestThetaTable:
         table, known = table_from_grid(np.ones((3, 3)))
         known[0, 2] = known[2, 2] = False
         with pytest.raises(SequencingError, match=r"equation of \(0, 0\) does not involve \(2, 2\)"):
-            _sweep(table, known, _balance_terms(cfg), (0, 2), [((0, 0), (2, 2))], (0, 0))
+            _sweep(table, known, terms_of(cfg), (0, 2), [((0, 0), (2, 2))], (0, 0))
 
     def test_table_incomplete(self, monkeypatch):
         import qinet.recursive as recursive
@@ -131,7 +136,7 @@ class TestGbeResidual:
         cfg = make_config((1.2, 0.7), (3, 2), 1.4)
         theta = solve_theta_exact(build_reduced_generator(cfg))
         table, known = table_from_grid(theta.grid)
-        terms = _balance_terms(cfg)
+        terms = terms_of(cfg)
         for state in itertools.product(range(4), range(3)):
             a, c = _combine(table, known, terms[state])
             assert c == 0.0
@@ -140,7 +145,7 @@ class TestGbeResidual:
     def test_linearity_single_entry(self, rng):
         # brute_force_gbe is the independent reference for _balance_terms.
         cfg = make_config(draw_rates(rng, 2), (2, 2), 1.0)
-        terms = _balance_terms(cfg)
+        terms = terms_of(cfg)
         for spot in ((0, 0), (1, 2), (2, 1)):
             grid = np.zeros((3, 3))
             grid[spot] = 1.0
@@ -156,7 +161,7 @@ class TestGbeResidual:
         grid = np.zeros((3, 3))
         grid[2][0] = 1.0
         table, known = table_from_grid(grid)
-        a, c = _combine(table, known, _balance_terms(cfg)[(2, 0)])
+        a, c = _combine(table, known, terms_of(cfg)[(2, 0)])
         oracle = brute_force_gbe(cfg, grid, (2, 0))
         assert c == 0.0
         assert a == pytest.approx(oracle, abs=1e-15)
@@ -169,7 +174,7 @@ class TestGbeResidual:
         cfg = make_config((1, 1), (2, 2), 1.0)
         table, known = table_from_grid(np.zeros((3, 3)))
         known[1, 0] = False  # knock the entry out
-        _combine(table, known, _balance_terms(cfg)[(2, 0)])
+        _combine(table, known, terms_of(cfg)[(2, 0)])
 
     def test_missing_entry_raises(self):
         cfg = make_config((1, 1), (2, 2), 1.0)
@@ -177,7 +182,7 @@ class TestGbeResidual:
         known[:] = False
         known[2, 0] = True
         with pytest.raises(SequencingError, match=r"entry \(2,1\) referenced before it was derived"):
-            _combine(table, known, _balance_terms(cfg)[(2, 0)])  # needs theta(2, 1) too
+            _combine(table, known, terms_of(cfg)[(2, 0)])  # needs theta(2, 1) too
 
 
 class TestSchedule:
@@ -191,7 +196,7 @@ class TestSchedule:
         # the pattern depends only on b, so random positive rates suffice.
         b1, b2 = b
         cfg = make_config(draw_rates(rng, 2), b, float(draw_rates(rng, 1)[0]))
-        terms = _balance_terms(cfg)
+        terms = terms_of(cfg)
         # The right column below the corner (b1, b2) is derived before kappa
         # is seeded into any equation it uses, so it never depends on kappa.
         right = {(b1, k2) for k2 in range(b2)}
@@ -215,7 +220,7 @@ class TestSchedule:
         # After each sweep no entry depends on kappa, and every equation the
         # sweep used holds for the substituted values.
         cfg = make_config(draw_rates(rng, 2), (5, 3), 1.3)
-        terms = _balance_terms(cfg)
+        terms = terms_of(cfg)
         table = np.zeros((6, 4, 2))
         known = np.zeros((6, 4), dtype=bool)
         table[5, 0], known[5, 0] = (1.0, 0.0), True
@@ -287,7 +292,7 @@ class TestRecursiveSolver:
         table, known = table_from_grid(np.ones((3, 3)))
         known[0, 2] = False
         with pytest.raises(DegenerateEliminationError, match=r"at \(1, 0\) cannot determine kappa"):
-            _sweep(table, known, _balance_terms(cfg), (0, 2), [], (1, 0))
+            _sweep(table, known, terms_of(cfg), (0, 2), [], (1, 0))
 
     def test_degenerate_text_pinned(self):
         cfg = make_config((1.3, 0.8), (20, 20), 1.05)  # nu = mean(lam)
