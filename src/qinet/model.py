@@ -60,14 +60,15 @@ CLOSED_BYTES_PER_STATE_LOCATION = 16
 IAD_BYTES_PER_STATE_LOCATION = 192
 # Bytes per state and location a simulation holds for its move table and for
 # every state's moves, which it reads off the table on first visit and keeps
-# as lists of (rate, move column) pairs; a long run may visit every state.
-# Rows are capped (below); what else grows with the run is the occupancy,
-# about 150 bytes per visited cell, which the estimator needs.  tracemalloc
-# peak once every state's moves are read: 170 at (1,)*10, 165 at (1,)*12,
-# 160 at (1,)*16, 192 at (2,)*8, 240 at (6,)*5, 310 at (30,30,30), 371 at
-# (20000,2), 385 at (100,100), 393 at (1000,1000), 402 at (300,300); with
-# the transfer channel (beta=0.6): 427 at (6,6), 432 at (100,100), 435 at
-# (200,200), 449 at (300,300).
+# as tuples of its arrival and inventory rates and columns and of its
+# service columns; a long run may visit every state.  Rows are capped
+# (below); what else grows with the run is the occupancy, about 130 bytes
+# per visited cell, which the estimator needs.  tracemalloc peak once every
+# state's moves are read: 123 at (1,)*10, 117 at (1,)*12, 110 at (1,)*16,
+# 144 at (2,)*8, 186 at (6,)*5, 249 at (30,30,30), 300 at (20000,2), 310
+# at (100,100), 317 at (1000,1000), 329 at (300,300); with the transfer
+# channel (beta=0.6): 382 at (6,6), 337 at (100,100), 339 at (200,200), 356
+# at (300,300).
 SIMULATE_BYTES_PER_STATE_LOCATION = 512
 # Rows a simulation keeps, one per visited (queue signature, state) pair,
 # and entries, one per visited key (queue lengths clipped at max(n_obs,
@@ -81,15 +82,16 @@ SIMULATE_BYTES_PER_STATE_LOCATION = 512
 SIMULATE_MAX_ROWS = 1 << 17
 # Bytes per location charged for SIMULATE_MAX_ROWS rows, as many entries
 # and as many queue vectors: what tracemalloc sees freed when a run drops
-# its entries, its queue vectors with their service rates and its rows,
-# per entry + per vector + per row, over J.  At the first drop or the end
-# of 1e6 events, seed 1: 153 + 401 + 721 (106) at (1,)*12 (lam 1, mu 4,
-# nu 5); 160 + 319 + 460 (156) at (2,)*6 (lam 1, mu 4, nu 9); 103 + 276 +
-# 178 (186) at (4,3,2) (head rates); 85 + 213 + 249 (274) at (300,300)
-# (lam 0.9, 1.3, nu 1.3, mu 5.2) and 106 + 240 + 234 (290) with mu 1.5;
-# 62 + 128 + 129 (160) at (6,6) with beta=0.6.  What the runs held at once
-# came to 46-149 per location and row or entry, whichever they held more
-# of: vectors come far fewer than entries.
+# its entries with their ids' slots and total rates, its queue vectors with
+# their service rates and its rows, per entry + per vector + per row, over
+# J.  At the first drop or the end of 1e6 events, seed 1: 196 + 401 + 721
+# (110) at (1,)*12 (lam 1, mu 4, nu 5); 205 + 315 + 514 (172) at (2,)*6
+# (lam 1, mu 4, nu 9); 145 + 248 + 289 (228) at (4,3,2) (head rates); 125 +
+# 238 + 237 (300) at (300,300) (lam 0.9, 1.3, nu 1.3, mu 5.2) and 149 + 223
+# + 252 (312) with mu 1.5; 93 + 187 + 229 (254) at (6,6) with beta=0.6 (lam
+# 1, nu 2.5, mu 4).  What the runs held at once came to 61-154 per location
+# and row or entry, whichever they held more of: vectors come far fewer
+# than entries.
 SIMULATE_ROW_BYTES_PER_LOCATION = 320
 # Bytes per state and location of a `qinet solve` report once its measure is
 # solved: the printed table, the --json and --csv text, and the residual

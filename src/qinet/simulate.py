@@ -6,9 +6,10 @@ from the outgoing rates, and statistics are time-weighted occupancies.
 
 Randomness comes from ``numpy.random.default_rng`` (PCG64) seeded by the
 caller, so a run is fully reproducible from its seed.  Uniforms and then
-exponentials are drawn in blocks of ``_BLOCK`` and reach the event loop
-as Python floats, ``_SLICE`` of each at a time: indexing a numpy array
-and computing on its scalars costs several times as much per event.
+exponentials are drawn in blocks of ``_BLOCK`` and read ``_SLICE`` at a
+time: the uniforms reach the event loop as Python floats, as indexing a
+numpy array and computing on its scalars costs several times as much per
+event, while the exponentials stay in numpy for the slice's accounting.
 
 The outgoing moves come from the move table of :mod:`qinet.generator`:
 an arrival at location i is admitted exactly where consumption at i
@@ -22,13 +23,16 @@ its signature.
 The event loop keeps one integer, the key: the queue lengths clipped at
 ``top = max(n_obs, signature caps)`` as digits, and the inventory index.
 The key fixes both the occupancy cell and the row, so an event is one
-dict lookup of its entry ``(slot, total, cum, steps)``: it adds the
-holding time to the cell's occupancy at ``slot``, bisects the running
-sums and adds the picked step to the key.  A miss decodes the key's
-queue vector, once per vector, into its signature, cell code and service
-rates, then reads the (signature, state) row ``(total, cum, steps)``,
-built on first use from the state's ``(rate, column)`` moves with one
-shared integer step per column, stores the entry and takes the hit path.
+dict lookup of its entry ``(id, total, cum, steps)``: it logs the entry's
+id, bisects the running sums and adds the picked step to the key.  After
+each slice, and before the entries are dropped, numpy does the slice's
+accounting in event order: each holding time is the event's exponential
+over its entry's total rate, added to the occupancy of the entry's cell
+and to the clock.  A miss decodes the key's queue vector, once per
+vector, into its signature, cell code and service rates, then reads the
+(signature, state) row ``(total, cum, steps)``, built on first use from
+the state's parallel move rates and columns with one shared integer step
+per column, stores the entry under the next id and takes the hit path.
 A location at its top digit keeps its excess ``n_i - top`` in a counter:
 its queue moves are stored as their columns, which the integer add
 refuses, and are stepped one by one.  A cell gets the next slot on its
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import gc
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
@@ -57,8 +62,9 @@ from .model import (SIMULATE_MAX_ROWS, NetworkConfig, ThetaMeasure, enumerate_in
 __all__ = ["SimulationResult", "simulate", "decoupling_test", "merge_results"]
 
 _BLOCK = 1 << 15
-# Draws converted to Python floats at a time; a block is 8 slices.
-# Converting whole blocks costs more memory for no more speed.
+# Uniforms converted to Python floats, and events accounted, at a time; a
+# block is 8 slices.  Converting whole blocks costs more memory for no more
+# speed.
 _SLICE = 1 << 12
 # Fraction of each run's events discarded before occupancies are recorded.
 BURN_IN = 0.1
@@ -129,11 +135,13 @@ def _transition_tables(config: NetworkConfig, require_stock_for_service: bool):
     :func:`~qinet.generator._move_table` after its consumption ones and, for
     the counter-model only, ``J`` services that do not.
     ``by_level[i][s]`` is location ``i``'s service rate at signature level
-    ``s`` (0 empty, ``caps[i]`` the tail).  ``moves(mu, k)`` lists ``(rate,
-    column)`` out of inventory index ``k`` under service rates ``mu``:
-    arrivals, services by location, then inventory moves; an absent move is
-    left out.  A state's moves are read from its table row on first use and
-    kept.  ``require_stock_for_service=False`` builds a deliberately coupled
+    ``s`` (0 empty, ``caps[i]`` the tail).  ``moves(mu, k)`` gives the
+    parallel lists ``(rates, columns)`` of the moves out of inventory index
+    ``k`` under service rates ``mu``: arrivals, services by location, then
+    inventory moves; an absent move is left out.  A state's arrival and
+    inventory moves, and its service columns, are read from its table row on
+    first use and kept; the services are spliced in at ``mu`` on each call.
+    ``require_stock_for_service=False`` builds a deliberately coupled
     counter-model in which servers keep working with depleted stock
     (draining the queue without consuming inventory); it exists purely as a
     negative control for the decoupling test.
@@ -156,16 +164,44 @@ def _transition_tables(config: NetworkConfig, require_stock_for_service: bool):
             # An arrival at i is admitted, and a service at i consumes
             # stock, exactly where consumption at i leaves the state.
             row = table[k].tolist()
+            arrivals = [i for i, r in enumerate(row[:J]) if r > 0]
+            inventory = [c for c, r in enumerate(row[J:], 2 * J) if r > 0]  # row[c - J] is column c's rate
             found = states[k] = (
-                [(r, i) for i, r in enumerate(row[:J]) if r > 0],
-                [(i, J + i if r > 0 else unstocked + i) for i, r in enumerate(row[:J])
-                 if r > 0 or not require_stock_for_service],
-                [(r, c) for c, r in enumerate(row[J:], 2 * J) if r > 0],
+                tuple([row[i] for i in arrivals]), tuple(arrivals),
+                tuple([(i, J + i if r > 0 else unstocked + i) for i, r in enumerate(row[:J])
+                       if r > 0 or not require_stock_for_service]),
+                tuple([row[c - J] for c in inventory]), tuple(inventory),
             )
-        arrivals, services, inventory = found
-        return arrivals + [(mu[i], c) for i, c in services if mu[i] > 0] + inventory
+        arrival_rates, arrival_cols, services, inventory_rates, inventory_cols = found
+        rates, cols = list(arrival_rates), list(arrival_cols)
+        # The service band at these rates: a loop, as a comprehension costs a call.
+        for i, c in services:
+            if mu[i] > 0:
+                rates.append(mu[i])
+                cols.append(c)
+        rates += inventory_rates
+        cols += inventory_cols
+        return rates, cols
 
     return caps, by_level, moves, columns
+
+
+def _account(vals, slot_of, total_of, ids, exponentials, clock: float) -> float:
+    """Add the holding times of the events whose entry ids are logged, in event order.
+
+    The events drew ``exponentials[:len(ids)]``.  Each holding time is its
+    draw over its entry's total rate; it goes to its cell's occupancy with
+    ``np.add.at``, which adds repeated slots one after another, and to the
+    clock by a running sum: both sum in event order, as a Python loop
+    would.  Returns the clock after the events.
+    """
+    if not ids:
+        return clock
+    ids = np.fromiter(ids, np.intp, len(ids))
+    dt = exponentials[: len(ids)] / np.frombuffer(total_of)[ids]
+    np.add.at(np.frombuffer(vals), np.frombuffer(slot_of, np.int64)[ids], dt)
+    dt[0] += clock
+    return float(np.cumsum(dt)[-1])
 
 
 def _slices(total_events: int, burn: int):
@@ -229,9 +265,9 @@ def simulate(
     # Move column c changes the key by column_step[c], one int object that
     # every row shares (a location at -1 has dn 0).
     column_step = [dk + dn * place[loc] for loc, dn, dk in columns]
-    # entries: key -> (slot, total, cum, steps), where vals[slot] is the
-    # cell's occupancy and steps[m] the key's change under move m, or for a
-    # queue move at a top digit its column (loc, dn, dk).  slots: cell code
+    # entries: key -> (id, total, cum, steps), where vals[slot_of[id]] is
+    # the cell's occupancy and steps[m] the key's change under move m, or for
+    # a queue move at a top digit its column (loc, dn, dk).  slots: cell code
     # -> slot, in first-visit order.  rows: sig + k -> (total, cum, steps).
     # vectors: queue part of a key -> (sig, code, locations at the top digit
     # or None, service rates).  The caches are rebuilt the same, so the
@@ -245,9 +281,15 @@ def simulate(
     key = n_states - 1  # empty queues, all inventories full in canonical (lexicographic) order
 
     burn = int(round(BURN_IN * total_events))
-    # Occupancies by slot, in a list: the loop reads and writes its items
-    # faster than an array's (a float object each, 32 bytes a cell).
-    vals: list[float] = []
+    # Occupancies by slot, in an array of float64 appended to on a cell's
+    # first visit only: the loop logs each event's entry id, and _account
+    # adds a slice's holding times into them with numpy (8 bytes a cell).
+    # slot_of and total_of give an entry id's slot and total rate; ids
+    # restart at 0 whenever the entries are dropped, the logged ones
+    # accounted first, so they hold no more items than the entries.
+    vals, slot_of, total_of = array("d"), array("q"), array("d")
+    log: list[int] = []
+    log_event = log.append
     slots: dict[int, int] = {}
     t_acc = 0.0
     # The loop makes no reference cycles, but on a wide box it allocates a
@@ -261,14 +303,19 @@ def simulate(
                 uniforms = rng.random(_BLOCK)
                 exponentials = rng.standard_exponential(_BLOCK)
             if start == burn:
-                vals, slots, t_acc, entries = [], {}, 0.0, {}
+                vals, slots, t_acc, entries = array("d"), {}, 0.0, {}
+                slot_of, total_of = array("q"), array("d")
             first = start % _BLOCK
             last = first + stop - start
-            for u, e in zip(uniforms[first:last].tolist(), exponentials[first:last].tolist()):
+            for u in uniforms[first:last].tolist():
                 entry = entries.get(key)
                 if entry is None:
                     if len(entries) >= SIMULATE_MAX_ROWS or len(rows) >= SIMULATE_MAX_ROWS:
+                        t_acc = _account(vals, slot_of, total_of, log, exponentials[first:], t_acc)
+                        first += len(log)
+                        log.clear()
                         entries, rows, vectors = {}, {}, {}
+                        slot_of, total_of = array("q"), array("d")
                     kidx = key % n_states
                     vector = vectors.get(key - kidx)
                     if vector is None:
@@ -290,19 +337,19 @@ def simulate(
                         vals.append(0.0)
                     row = rows.get(sig + kidx)
                     if row is None:
-                        rates, cols = zip(*moves(mu, kidx))
+                        rates, cols = moves(mu, kidx)
                         cum = tuple(accumulate(rates))  # a tuple of floats, which the cyclic GC stops tracking
                         row = rows[sig + kidx] = cum[-1], cum, tuple(map(column_step.__getitem__, cols))
                     total, cum, steps = row
                     if tail:
                         # moves() lists the columns in the row's order.
                         steps = tuple([columns[c] if columns[c][0] in tail else step
-                                       for step, (_, c) in zip(steps, moves(mu, kidx))])
-                    entry = entries[key] = slot, total, cum, steps
-                slot, total, cum, steps = entry
-                dt = e / total
-                vals[slot] += dt
-                t_acc += dt
+                                       for step, c in zip(steps, moves(mu, kidx)[1])])
+                    entry = entries[key] = len(slot_of), total, cum, steps
+                    slot_of.append(slot)
+                    total_of.append(total)
+                eid, total, cum, steps = entry
+                log_event(eid)
                 step = steps[bisect_left(cum, u * total)]
                 try:
                     key += step
@@ -316,6 +363,8 @@ def simulate(
                         excess[loc] -= 1
                     else:
                         key -= place[loc]
+            t_acc = _account(vals, slot_of, total_of, log, exponentials[first:last], t_acc)
+            log.clear()
     finally:
         if collecting:
             gc.enable()
@@ -334,7 +383,7 @@ def simulate(
         events=total_events - burn,
         sim_time=t_acc,
         codes=np.fromiter(slots, dtype=dtype, count=len(slots)),
-        mass=np.array(vals) / t_acc,
+        mass=np.frombuffer(vals) / t_acc,
     )
 
 

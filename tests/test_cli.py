@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from qinet import (ThetaMeasure, build_reduced_generator, enumerate_inventory_st
 from qinet.cli import _pick_method, load_config, main
 from qinet.errors import ConfigError, SolverError
 from qinet.exact import IAD_MAX_SWEEPS
+
+NORTHSTAR = Path(__file__).resolve().parents[1] / "northstar"
 
 
 def write_config(tmp_path, name="net.json", **overrides):
@@ -602,6 +605,17 @@ class TestVerify:
         path = write_config(tmp_path, **{"lambda": [5.0, 1.0]})
         assert main(["verify", path, *options]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    # The north-star boxes that pass, kept passing at verify's defaults.
+    # In-process, on 2 vCPUs: 0.4-0.7 s at (30,30,30), 0.3-0.6 s at
+    # (10,)*4 and 0.4 s at (6,)*5.  The others stay in northstar/run.py.
+    @pytest.mark.parametrize("box", ["4-30x30x30", "5-6^5", "6-10^4"])
+    def test_north_star_box_passes(self, tmp_path, box):
+        out = tmp_path / "verify.json"
+        assert main(["verify", str(NORTHSTAR / f"{box}.json"), "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["passed"] is True
+        assert doc["checks"] and all(check["passed"] for check in doc["checks"])
 
 
 class TestVerifyWorkers:

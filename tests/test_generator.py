@@ -37,7 +37,7 @@ def joint_moves(config, n, k):
     mu = [rates[min(x, cap)] for rates, x, cap in zip(by_level, n, caps)]
     kidx = states.index(tuple(k))
     out = []
-    for rate, column in moves(mu, kidx):
+    for rate, column in zip(*moves(mu, kidx)):
         loc, dn, dk = columns[column]
         n_next = list(n)
         if loc >= 0:

@@ -362,6 +362,21 @@ def test_memory_grows_only_with_the_occupancy(monkeypatch):
     assert high - low <= 700 * (long.mass.size - short.mass.size)
 
 
+def test_entry_ids_do_not_pile_up(monkeypatch):
+    # Each event logs its entry's id, which indexes the slot and total rate
+    # of every entry made since the last drop; the ids restart at each drop.
+    # From 2e3 to 8e3 events with the rows capped at 256, the traced peak
+    # grows by 455 B per new cell; ids kept across the drops read 476.
+    monkeypatch.setattr(sys.modules["qinet.simulate"], "SIMULATE_MAX_ROWS", 256)
+    cfg = make_config((1.0,) * 10, (1,) * 10, 15.0, mu_rate=4.0)
+    simulate(cfg, 10, seed=1)  # first-call allocations out of the peaks
+    gc.collect()
+    short, low = traced_peak(simulate, cfg, 2_000, seed=1)
+    gc.collect()
+    long, high = traced_peak(simulate, cfg, 8_000, seed=1)
+    assert high - low <= 460 * (long.mass.size - short.mass.size)
+
+
 def test_simulation_cap_covers_transfer_tables():
     # The transfer channel adds two move columns to every state: the move
     # table of a transfer box still fits the per-state estimate.
